@@ -102,6 +102,34 @@ class TestGolden:
         assert len(outs) == 1
 
 
+# (golden file, CLI arguments after "--json"); every case exits 0
+JSON_GOLDENS = [
+    (f"{stem}_validate.json", ["validate", f"{stem}.spec"])
+    for stem in ("a1a1", "a2pos", "b2pos", "m2", "m3")
+] + [
+    ("m2_check.json", ["check", "m2.spec"]),
+    ("m3_check.json", ["check", "m3.spec"]),
+    ("m2_invert.json", ["invert", "m2.spec", "--lam", "b2_1",
+                        "--rhs", "xi{2a1}_1[b2_1] + 2 * x1 * xi{2a1}_1[b2_1]"]),
+    ("m3_invert.json", ["invert", "m3.spec", "--lam", "b3_1,b2_1",
+                        "--rhs", "xi{2a1}_1[b2_1,b3_1]"]),
+    ("a1a1_dualize.json", ["dualize", "a1a1.spec", "--base", "0,0;1,0"]),
+    ("a2pos_dualize.json", ["dualize", "a2pos.spec", "--base", "0,0;1,0"]),
+    ("b2pos_dualize.json", ["dualize", "b2pos.spec", "--base", "0,0;1,0"]),
+    ("m2_reconstruct.json", ["reconstruct", "m2.spec"]),
+]
+
+
+class TestJsonGolden:
+    @pytest.mark.parametrize("name,argv", JSON_GOLDENS,
+                             ids=[g[0] for g in JSON_GOLDENS])
+    def test_byte_exact(self, name, argv):
+        cmd, spec, *rest = argv
+        code, out = run_cli("--json", cmd, data(spec), *rest)
+        assert code == 0
+        assert out == golden(name)
+
+
 class TestValidateCommand:
     def test_valid_file(self):
         code, out = run_cli("validate", data("m2.spec"))
