@@ -5,8 +5,8 @@ Text tables and ``--json`` output come from the same data, every output is
 deterministic for a fixed input and flags, and the effective truncation
 degree is recorded in the header of any output that used one.
 
-Exit codes: 0 success, 1 failed check or unsolvable inverse, 2 parse or
-usage error.
+Exit codes: 0 success, 1 failed check, unsolvable inverse or invalid
+weight system, 2 parse or usage error (including ``--trunc`` below 1).
 """
 
 from __future__ import annotations
@@ -64,6 +64,27 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
     for r in rows:
         out.append(fmt(r))
     return [line.rstrip() for line in out]
+
+
+def _truncation(args, spec) -> int | None:
+    """The effective truncation degree: ``--trunc``, else the chart
+    block's value, else 3.  Prints an error and returns None when
+    ``--trunc`` is below 1."""
+    if args.trunc is not None:
+        if args.trunc < 1:
+            print(f"error: --trunc must be >= 1, got {args.trunc}",
+                  file=sys.stderr)
+            return None
+        return args.trunc
+    return 3 if spec.truncation is None else spec.truncation
+
+
+def _reject_invalid(ws: WeightSystem) -> bool:
+    """Print an error and return True when ``ws`` is not a valid system."""
+    if validate(ws).is_valid:
+        return False
+    print("error: input system is not valid; run validate", file=sys.stderr)
+    return True
 
 
 def _elements_line(ws: WeightSystem) -> str:
@@ -124,10 +145,11 @@ def cmd_validate(args) -> int:
 def cmd_linearize(args) -> int:
     spec = _read_spec(args.file)
     ws = spec.system
-    if not validate(ws).is_valid:
-        print("error: input system is not valid; run validate", file=sys.stderr)
+    if _reject_invalid(ws):
         return 1
-    trunc = args.trunc or spec.truncation or 3
+    trunc = _truncation(args, spec)
+    if trunc is None:
+        return 2
     derived = linearized_system(ws)
     fibers = [(d, delta_prime_fiber(ws, d)) for d in ws.sorted_elements()]
     data = {
@@ -216,7 +238,9 @@ def cmd_check(args) -> int:
     if not spec.has_chart:
         print("error: check needs a chart block", file=sys.stderr)
         return 2
-    trunc = args.trunc or spec.truncation or 3
+    trunc = _truncation(args, spec)
+    if trunc is None:
+        return 2
     try:
         lc = linearize_chart(spec.chart(trunc))
         rep = analysis.check_all_properties(lc.chart, lc.operators)
@@ -248,7 +272,11 @@ def cmd_invert(args) -> int:
     if not spec.has_chart:
         print("error: invert needs a chart block", file=sys.stderr)
         return 2
-    trunc = args.trunc or spec.truncation or 3
+    if _reject_invalid(spec.system):
+        return 1
+    trunc = _truncation(args, spec)
+    if trunc is None:
+        return 2
     lc = linearize_chart(spec.chart(trunc))
     syms = []
     for label in args.lam.split(","):
@@ -326,13 +354,16 @@ def cmd_reconstruct(args) -> int:
         print("error: reconstruct needs a chart block", file=sys.stderr)
         return 2
     ws = spec.system
+    if _reject_invalid(ws):
+        return 1
     mults = max_multiplicities(ws)
-    labels = sorted(w.label for w in ws.elements)
     if ws.rank != 1 or mults.extra != 1 or len(ws.elements) != 3:
         print("error: reconstruct expects a degree-2 system {0, a1, 2a1}",
               file=sys.stderr)
         return 2
-    trunc = args.trunc or spec.truncation or 3
+    trunc = _truncation(args, spec)
+    if trunc is None:
+        return 2
     chart = spec.chart(trunc)
     lc = linearize_chart(chart)
     (b21,) = lc.chart.system.additional_symbols
@@ -378,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS, help="machine output")
     common.add_argument("--trunc", type=int, default=argparse.SUPPRESS,
-                        help="truncation degree (default: chart block value "
-                             "or 3)")
+                        help="truncation degree, at least 1 (default: chart "
+                             "block value or 3)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized spot checks")
 

@@ -52,8 +52,9 @@ class SpecFile:
     def chart(self, truncation: int | None = None) -> Chart:
         if self.dims is None:
             raise AlgebraError("spec file carries no chart block")
-        return Chart.from_dims(self.system, self.dims,
-                               truncation or self.truncation or 3)
+        if truncation is None:
+            truncation = 3 if self.truncation is None else self.truncation
+        return Chart.from_dims(self.system, self.dims, truncation)
 
 
 _HEADER = re.compile(r"^rank\s+(\d+)\s*;\s*parities((?:\s+[01])+)\s*$")
@@ -128,6 +129,8 @@ def parse_spec(text: str) -> SpecFile:
                     truncation = int(s.split(None, 1)[1])
                 except (IndexError, ValueError):
                     raise SpecParseError("malformed trunc line", ln) from None
+                if truncation < 1:
+                    raise SpecParseError("trunc must be >= 1", ln)
                 continue
             if s.startswith("base_dim"):
                 try:

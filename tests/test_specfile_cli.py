@@ -250,3 +250,62 @@ class TestFlagPlacement:
     def test_flag_before_subcommand_still_works(self):
         code, out = run_cli("--seed", "5", "check", data("m3.spec"))
         assert code == 0 and "# seed: 5" in out
+
+
+# one command line per subcommand that takes --trunc and a chart
+TRUNC_COMMANDS = [
+    ["linearize", "m2.spec"],
+    ["check", "m2.spec"],
+    ["invert", "m3.spec", "--lam", "b2_1", "--rhs", "xi{2a1}_1[b2_1]"],
+    ["reconstruct", "m2.spec"],
+]
+
+
+class TestTruncFlag:
+    @pytest.mark.parametrize("argv", TRUNC_COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_below_one_rejected(self, argv, value, capsys):
+        cmd, spec, *rest = argv
+        code, out = run_cli(cmd, data(spec), *rest, "--trunc", value)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == f"error: --trunc must be >= 1, got {value}\n"
+
+    def test_one_is_honoured(self):
+        code, out = run_cli("linearize", data("m2.spec"), "--trunc", "1")
+        assert code == 0 and "# truncation: 1" in out
+
+    def test_chart_block_value_used_without_flag(self, tmp_path):
+        spec = tmp_path / "m2t4.spec"
+        with open(data("m2.spec"), "r", encoding="utf-8") as fh:
+            spec.write_text(fh.read().replace("trunc 3", "trunc 4"))
+        code, out = run_cli("reconstruct", str(spec))
+        assert code == 0 and "# truncation: 4" in out
+
+    def test_chart_block_below_one_is_a_parse_error(self):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec("rank 1; parities 1\n0\n1\n\nchart\ntrunc 0\n")
+        assert err.value.line == 6
+
+
+NEGATIVE_SPEC = "rank 1; parities 1\n0\n1\n-1\n\nchart\nbase_dim 1\ndim 1: 1\n"
+
+
+class TestInvalidSystem:
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--lam", "b2_1", "--rhs", "x1"],
+        ["invert", "--json", "--lam", "b2_1", "--rhs", "x1"],
+        ["reconstruct"],
+        ["linearize"],
+    ], ids=["invert", "invert-json", "reconstruct", "linearize"])
+    def test_negative_weight_is_an_error_not_a_traceback(self, argv, tmp_path,
+                                                         capsys):
+        spec = tmp_path / "neg.spec"
+        spec.write_text(NEGATIVE_SPEC)
+        cmd, *rest = argv
+        code, out = run_cli(cmd, str(spec), *rest)
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == "error: input system is not valid; run validate\n"
