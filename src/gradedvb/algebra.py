@@ -13,7 +13,7 @@ input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -22,8 +22,7 @@ from .weights import (
     BasisSymbol,
     Weight,
     WeightSystem,
-    paired_basic,
-    weight,
+    lift_shift,
 )
 
 
@@ -103,7 +102,7 @@ def tagged_coordinate(c: Coordinate, tag: BasisSymbol,
     tag is spliced into its position there instead of appended, so the id
     matches the coordinate the chart actually owns.
     """
-    shift = weight({tag: 1}) - weight({paired_basic(tag): 1})
+    shift = lift_shift(tag)
     if order is None:
         tags = c.cid.tags + (tag,)
     else:
@@ -131,19 +130,22 @@ class Chart:
     """A local model: a weight system, concrete coordinates, a truncation.
 
     ``applied_lifts`` records the lift symbols in application order; it is
-    empty for charts that were never lifted.
+    empty for charts that were never lifted.  ``coordinate_set`` holds the
+    same coordinates as ``coordinates``, for membership tests.
     """
 
     system: WeightSystem
     coordinates: tuple[Coordinate, ...]
     truncation: int
     applied_lifts: tuple[BasisSymbol, ...] = ()
+    coordinate_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.truncation < 1:
             raise AlgebraError("truncation degree must be >= 1")
         coords = tuple(sorted(self.coordinates, key=lambda c: c.sort_key))
         object.__setattr__(self, "coordinates", coords)
+        object.__setattr__(self, "coordinate_set", frozenset(coords))
         names = [c.name for c in coords]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate coordinate names in chart")
@@ -196,7 +198,7 @@ class Chart:
         return Polynomial(self, {Monomial(()): Fraction(1)})
 
     def gen(self, c: Coordinate, coeff: Fraction | int = 1) -> "Polynomial":
-        if c not in self.coordinates:
+        if c not in self.coordinate_set:
             raise AlgebraError(f"{c.name} is not a coordinate of this chart")
         return Polynomial(self, {Monomial(((c, 1),)): Fraction(coeff)})
 
@@ -227,8 +229,7 @@ class Monomial:
                 raise AlgebraError("exponents must be >= 1")
             if c.parity and e > 1:
                 raise AlgebraError(f"odd coordinate {c.name} squared")
-            for _ in range(e):
-                w = w + c.weight
+            w = w + c.weight * e
             par += e * c.parity
             deg += e
         self.factors = factors
@@ -413,7 +414,7 @@ class Polynomial:
 
     def in_chart(self, chart: Chart) -> "Polynomial":
         """Reinterpret over another chart sharing these coordinates."""
-        have = set(chart.coordinates)
+        have = chart.coordinate_set
         for m in self.terms:
             for c, _ in m.factors:
                 if c not in have:
@@ -480,8 +481,6 @@ def _gen_monomials(coords: list[Coordinate], idx: int, target: Weight,
         if target.is_zero and (exact is None or exact == 0):
             out.append(Monomial(tuple(prefix)))
         return
-    if nonneg and not target.is_nonnegative:
-        return
     head = coords[idx]
     cap = min(1 if head.parity else budget, budget)
     if exact is not None:
@@ -493,7 +492,7 @@ def _gen_monomials(coords: list[Coordinate], idx: int, target: Weight,
             if nonneg and not rem.is_nonnegative:
                 # non-negative factor weights only sink further
                 break
-        _gen_monomials(coords, idx + 1, rem if e else target, budget - e,
+        _gen_monomials(coords, idx + 1, rem, budget - e,
                        None if exact is None else exact - e,
                        prefix + ([(head, e)] if e else []), out, nonneg)
 

@@ -44,6 +44,7 @@ from .weights import (
     WeightSystem,
     additional_symbol,
     basic_symbol,
+    lift_shift,
     paired_basic,
     weight,
 )
@@ -320,14 +321,13 @@ def solve_inverse(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...],
     rest = list(symbols)
     while rest:
         s = rest.pop(0)
-        shift = weight({s: 1}) - weight({paired_basic(s): 1})
+        shift = lift_shift(s)
         wh = wk - shift
         dom = component_basis(lc.quotient, wh)
         stacked: linalg.Matrix = []
         rhs: linalg.Vector = []
         for q, (sym, target_w) in enumerate([(s, wk)] +
-                                            [(t, wh + weight({t: 1}) -
-                                              weight({paired_basic(t): 1}))
+                                            [(t, wh + lift_shift(t))
                                              for t in rest]):
             cod = component_basis(lc.quotient, target_w)
             index = {m: k for k, m in enumerate(cod)}

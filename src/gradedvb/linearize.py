@@ -36,12 +36,13 @@ from .tangent import (
     tangent_lift,
 )
 from .weights import (
+    ZERO,
     BasisSymbol,
     Weight,
     WeightError,
+    lift_shift,
     linearized_system,
     lift_symbols,
-    paired_basic,
     validate,
     weight,
 )
@@ -76,7 +77,7 @@ class LinearizedChart:
 
 def _induced_operator(dchart: Chart, applied: tuple[BasisSymbol, ...],
                       tag: BasisSymbol) -> Derivation:
-    shift = weight({tag: 1}) - weight({paired_basic(tag): 1})
+    shift = lift_shift(tag)
     lookup = {c.cid: c for c in dchart.coordinates}
     images = {}
     for c in dchart.coordinates:
@@ -145,9 +146,9 @@ class CompositeOperator:
 
     @property
     def weight_action(self) -> Weight:
-        shift = weight({})
+        shift = ZERO
         for s in self.symbols:
-            shift = shift + weight({s: 1}) - weight({paired_basic(s): 1})
+            shift = shift + lift_shift(s)
         return shift
 
     def of_weight(self, delta: Weight) -> Weight:

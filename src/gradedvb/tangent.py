@@ -28,7 +28,7 @@ from .algebra import (
     multiply,
     tagged_coordinate,
 )
-from .weights import BasisSymbol, Weight, WeightSystem, paired_basic, weight
+from .weights import BasisSymbol, Weight, WeightSystem, lift_shift
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ class Derivation:
 
     def __post_init__(self) -> None:
         for c, img in self.images.items():
-            if c not in self.chart.coordinates:
+            if c not in self.chart.coordinate_set:
                 raise AlgebraError(f"image given for foreign coordinate {c.name}")
             if img.is_zero:
                 continue
@@ -116,7 +116,7 @@ def _lift(chart: Chart, tag: BasisSymbol) -> Chart:
         raise AlgebraError(f"lift tag must be an additional symbol, got {tag.label}")
     if tag in chart.applied_lifts:
         raise AlgebraError(f"lift {tag.label} already applied")
-    shift = weight({tag: 1}) - weight({paired_basic(tag): 1})
+    shift = lift_shift(tag)
     new_coords = list(chart.coordinates)
     for c in chart.coordinates:
         new_coords.append(tagged_coordinate(c, tag))
@@ -165,7 +165,7 @@ def de_rham(chart: Chart, tag: BasisSymbol) -> Derivation:
     """
     if tag not in chart.applied_lifts:
         raise AlgebraError(f"lift {tag.label} was not applied to this chart")
-    shift = weight({tag: 1}) - weight({paired_basic(tag): 1})
+    shift = lift_shift(tag)
     images = {}
     lookup = {c.cid: c for c in chart.coordinates}
     for c in chart.coordinates:

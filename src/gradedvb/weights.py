@@ -15,6 +15,16 @@ bookkeeping, closed subsystems, the derived multiplicity-free system with
 its per-weight fibers, the folding projection that forgets additional
 symbols, and dualization along a vector-bundle direction.
 
+Representation: a :class:`Weight` is a tuple of ``(symbol, coefficient)``
+pairs in canonical form -- sorted by the symbols' ``sort_key``, each symbol
+at most once, no zero coefficient -- and every construction checks that
+form.  Symbols and weights are ``__slots__`` classes that compute their
+sort key and hash once, in the constructor, so dictionary and set lookups
+cost one tuple comparison.  ``+`` and ``-`` walk the two sorted entry
+tuples once and drop the entries that cancel; unary ``-`` and scaling by
+an integer keep the entry order.  :func:`weight` builds a weight from
+arbitrary input (a dict or pairs in any order, zeros allowed).
+
 All values are immutable and all functions are pure.
 """
 
@@ -33,7 +43,6 @@ class WeightError(ValueError):
 # basis symbols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BasisSymbol:
     """A named generator of the weight lattice.
 
@@ -42,32 +51,43 @@ class BasisSymbol:
     to their paired basic symbol; this is enforced at the constructors
     below, not here, because a symbol by itself does not know its partner's
     parity.
+
+    ``sort_key`` orders basics first by direction, then additionals by
+    (direction, step); the additional-symbol order is the canonical lift
+    sequence.  Together with the parity it identifies the symbol, so
+    equality and hashing use the precomputed key.  Instances are immutable
+    by convention.
     """
 
-    kind: str
-    i: int
-    j: int = 0
-    parity: int = 0
+    __slots__ = ("kind", "i", "j", "parity", "sort_key", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("basic", "additional"):
-            raise WeightError(f"unknown symbol kind {self.kind!r}")
-        if self.i < 1:
+    def __init__(self, kind: str, i: int, j: int = 0, parity: int = 0):
+        if kind not in ("basic", "additional"):
+            raise WeightError(f"unknown symbol kind {kind!r}")
+        if i < 1:
             raise WeightError("direction index must be >= 1")
-        if self.kind == "additional" and self.j < 2:
+        if kind == "additional" and j < 2:
             raise WeightError("additional symbol needs step index j >= 2")
-        if self.kind == "basic" and self.j != 0:
+        if kind == "basic" and j != 0:
             raise WeightError("basic symbol must not carry a step index")
-        if self.parity not in (0, 1):
+        if parity not in (0, 1):
             raise WeightError("parity must be 0 or 1")
+        self.kind = kind
+        self.i = i
+        self.j = j
+        self.parity = parity
+        self.sort_key = (0, i, 0) if kind == "basic" else (1, i, j)
+        self._hash = hash((self.sort_key, parity))
 
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        # basics first by direction, then additionals by (direction, step);
-        # the additional-symbol order is the canonical lift sequence.
-        if self.kind == "basic":
-            return (0, self.i, 0)
-        return (1, self.i, self.j)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, BasisSymbol):
+            return NotImplemented
+        return self.sort_key == other.sort_key and self.parity == other.parity
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def label(self) -> str:
@@ -99,22 +119,42 @@ def paired_basic(sym: BasisSymbol) -> BasisSymbol:
 # weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Weight:
     """A sparse integer vector over basis symbols.
 
-    Canonical form: entries sorted by symbol, no zero coefficients stored.
-    Use :func:`weight` to build one.
+    Canonical form: entries sorted by symbol, unique, no zero coefficients
+    stored; the constructor checks it.  Use :func:`weight` to build one
+    from arbitrary input.  ``sort_key`` and the hash are computed once.
+    Instances are immutable by convention.
     """
 
-    items: tuple[tuple[BasisSymbol, int], ...] = ()
+    __slots__ = ("items", "sort_key", "_hash")
 
-    def __post_init__(self) -> None:
-        keys = [s.sort_key for s, _ in self.items]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise WeightError("weight entries must be sorted and unique")
-        if any(c == 0 for _, c in self.items):
-            raise WeightError("weight stores no zero entries")
+    def __init__(self, items: Iterable[tuple[BasisSymbol, int]] = ()):
+        items = tuple(items)
+        key = []
+        prev = None
+        for s, c in items:
+            k = s.sort_key
+            if prev is not None and not prev < k:
+                raise WeightError("weight entries must be sorted and unique")
+            if c == 0:
+                raise WeightError("weight stores no zero entries")
+            key.append((k, c))
+            prev = k
+        self.items = items
+        self.sort_key = tuple(key)
+        self._hash = hash(self.sort_key)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Weight):
+            return NotImplemented
+        return self._hash == other._hash and self.items == other.items
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def coeff(self, sym: BasisSymbol) -> int:
         for s, c in self.items:
@@ -136,27 +176,63 @@ class Weight:
 
     @property
     def is_nonnegative(self) -> bool:
-        return all(c >= 0 for _, c in self.items)
+        # a plain loop: this prunes every step of the monomial search
+        for _, c in self.items:
+            if c < 0:
+                return False
+        return True
 
     @property
     def is_multiplicity_free(self) -> bool:
-        return all(c in (0, 1) for _, c in self.items)
+        return all(c == 1 for _, c in self.items)
 
-    @property
-    def sort_key(self) -> tuple:
-        return tuple((s.sort_key, c) for s, c in self.items)
+    def _merge(self, other: "Weight", sign: int) -> "Weight":
+        """``self + sign * other`` by one merge of the sorted entries."""
+        a, b = self.items, other.items
+        if not b:
+            return self
+        if not a and sign == 1:
+            return other
+        ka, kb = self.sort_key, other.sort_key
+        na, nb = len(a), len(b)
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            sa, sb = ka[i][0], kb[j][0]
+            if sa < sb:
+                out.append(a[i])
+                i += 1
+            elif sb < sa:
+                out.append((b[j][0], sign * b[j][1]))
+                j += 1
+            else:
+                if a[i][0].parity != b[j][0].parity:
+                    raise WeightError("weight entries must be sorted and unique")
+                c = a[i][1] + sign * b[j][1]
+                if c:
+                    out.append((a[i][0], c))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend((s, sign * c) for s, c in b[j:])
+        return Weight(out)
 
     def __add__(self, other: "Weight") -> "Weight":
-        acc: dict[BasisSymbol, int] = dict(self.items)
-        for s, c in other.items:
-            acc[s] = acc.get(s, 0) + c
-        return weight(acc)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple((s, -c) for s, c in self.items))
+        return Weight([(s, -c) for s, c in self.items])
+
+    def __mul__(self, k: int) -> "Weight":
+        """Scale by an integer."""
+        if k == 1:
+            return self
+        if k == 0:
+            return ZERO
+        return Weight([(s, k * c) for s, c in self.items])
 
     @property
     def label(self) -> str:
@@ -195,6 +271,11 @@ def weight(coeffs: dict[BasisSymbol, int] | Iterable[tuple[BasisSymbol, int]]) -
 
 
 ZERO = Weight()
+
+
+def lift_shift(tag: BasisSymbol) -> Weight:
+    """The weight shift ``tag - a<i>`` of the lift by an additional symbol."""
+    return Weight(((paired_basic(tag), -1), (tag, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +509,8 @@ def delta_prime_fiber(ws: WeightSystem, delta: Weight) -> tuple[Weight, ...]:
             if size < 0 or size > len(steps):
                 continue
             for combo in itertools.combinations(steps, size):
-                shift = weight({s: -size})
-                for j in combo:
-                    shift = shift + weight({additional_symbol(j, s.i, s.parity): 1})
-                shifts.append(shift)
+                shifts.append(weight([(s, -size)] + [
+                    (additional_symbol(j, s.i, s.parity), 1) for j in combo]))
         per_direction.append(shifts)
     fiber = set()
     for choice in itertools.product(*per_direction) if per_direction else [()]:

@@ -5,6 +5,8 @@ import pytest
 
 from gradedvb import (
     ZERO,
+    BasisSymbol,
+    Weight,
     WeightError,
     additional_symbol,
     basic_symbol,
@@ -224,3 +226,132 @@ class TestDualize:
             once = dualize(ws, base)
             twice = dualize(once.system, base)
             assert twice.system.elements == ws.elements
+
+
+# ---------------------------------------------------------------------------
+# the weight kernel against a plain dict-and-sort reference
+# ---------------------------------------------------------------------------
+
+def _ref_key(sym):
+    # basics first by direction, then additionals by (direction, step)
+    return (0, sym.i, 0) if sym.kind == "basic" else (1, sym.i, sym.j)
+
+
+def _ref_ident(sym):
+    return (sym.kind, sym.i, sym.j, sym.parity)
+
+
+def _ref(w):
+    """A weight as a dict from symbol identity to nonzero coefficient."""
+    return {_ref_ident(s): c for s, c in w.items}
+
+
+def _ref_combine(x, y, sign):
+    acc = dict(x)
+    for k, c in y.items():
+        acc[k] = acc.get(k, 0) + sign * c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _ref_sorted(d):
+    return sorted(d.items(), key=lambda kc: (0 if kc[0][0] == "basic" else 1,
+                                             kc[0][1], kc[0][2]))
+
+
+def _ref_label(d):
+    out = ""
+    for (kind, i, j, _), c in _ref_sorted(d):
+        name = f"a{i}" if kind == "basic" else f"b{j}_{i}"
+        term = name if c == 1 else "-" + name if c == -1 else f"{c}{name}"
+        out += term if not out or term.startswith("-") else "+" + term
+    return out or "0"
+
+
+def _symbol_pool():
+    pool = []
+    for i, p in ((1, 0), (2, 1), (3, 1)):
+        pool.append(basic_symbol(i, p))
+        pool.extend(additional_symbol(j, i, p) for j in (2, 3, 4))
+    return pool
+
+
+def _random_weight(rng, pool):
+    pairs = [(rng.choice(pool), rng.randint(-3, 3))
+             for _ in range(rng.randint(0, 5))]
+    return weight(pairs), pairs
+
+
+class TestWeightKernel:
+    def test_matches_reference_randomized(self):
+        rng = random.Random(7)
+        pool = _symbol_pool()
+        for _ in range(600):
+            x, x_pairs = _random_weight(rng, pool)
+            y, _ = _random_weight(rng, pool)
+            rx, ry = _ref(x), _ref(y)
+            # construction sums repeated symbols and drops zeros
+            built = {}
+            for s, c in x_pairs:
+                built[_ref_ident(s)] = built.get(_ref_ident(s), 0) + c
+            assert rx == {k: c for k, c in built.items() if c}
+            assert [(_ref_ident(s), c) for s, c in x.items] == _ref_sorted(rx)
+            assert x.sort_key == tuple((_ref_key(s), c) for s, c in x.items)
+            for got, want in ((x + y, _ref_combine(rx, ry, 1)),
+                              (x - y, _ref_combine(rx, ry, -1)),
+                              (-x, _ref_combine({}, rx, -1))):
+                assert [(_ref_ident(s), c) for s, c in got.items] == \
+                    _ref_sorted(want)
+                assert got == weight(got.items)
+            k = rng.randint(-2, 3)
+            assert _ref(x * k) == {kk: k * c for kk, c in rx.items() if k}
+            assert (x == y) == (rx == ry)
+            if x == y:
+                assert hash(x) == hash(y)
+            assert x == Weight(x.items) and hash(x) == hash(Weight(x.items))
+            assert x.label == _ref_label(rx)
+            assert x.is_zero == (not rx)
+            assert x.is_nonnegative == all(c >= 0 for c in rx.values())
+            assert x.is_multiplicity_free == all(c == 1 for c in rx.values())
+            for s in pool:
+                assert x.coeff(s) == rx.get(_ref_ident(s), 0)
+
+    def test_symbol_equality_and_hash(self):
+        rng = random.Random(11)
+        pool = _symbol_pool()
+        for _ in range(200):
+            s, t = rng.choice(pool), rng.choice(pool)
+            twin = BasisSymbol(s.kind, s.i, s.j, s.parity)
+            assert twin == s and hash(twin) == hash(s)
+            assert twin.sort_key == _ref_key(s)
+            assert (s == t) == (_ref_ident(s) == _ref_ident(t))
+
+    def test_parity_distinguishes_symbols(self):
+        even, odd = basic_symbol(1, 0), basic_symbol(1, 1)
+        assert even != odd
+        assert weight({even: 1}) != weight({odd: 1})
+        with pytest.raises(WeightError):
+            weight({even: 1}) + weight({odd: 1})
+        with pytest.raises(WeightError):
+            weight({even: 1, odd: 1})
+
+    @pytest.mark.parametrize("items", [
+        ((basic_symbol(2, 0), 1), (basic_symbol(1, 0), 1)),
+        ((additional_symbol(2, 1, 0), 1), (basic_symbol(1, 0), -1)),
+        ((basic_symbol(1, 0), 1), (basic_symbol(1, 0), 2)),
+        ((basic_symbol(1, 0), 0),),
+        ((basic_symbol(1, 0), 1), (additional_symbol(3, 1, 0), 0)),
+    ], ids=["unsorted", "additional-first", "duplicate", "zero", "zero-tail"])
+    def test_non_canonical_weight_rejected(self, items):
+        with pytest.raises(WeightError):
+            Weight(items)
+
+    @pytest.mark.parametrize("args", [
+        ("other", 1, 0, 0),
+        ("basic", 0, 0, 0),
+        ("basic", 1, 2, 0),
+        ("additional", 1, 1, 0),
+        ("basic", 1, 0, 2),
+    ], ids=["kind", "direction", "basic-step", "additional-step", "parity"])
+    def test_invalid_symbol_rejected(self, args):
+        with pytest.raises(WeightError):
+            BasisSymbol(*args)
