@@ -38,11 +38,9 @@ from .algebra import (
     Monomial,
     Polynomial,
     TruncationOverflow,
-    base_monomials,
     chart_dump,
     chart_dump_text,
     component_basis,
-    fiber_slice,
     homogeneous_component,
     monomial_poly,
     multiply,

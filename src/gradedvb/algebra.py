@@ -131,7 +131,9 @@ class Chart:
 
     ``applied_lifts`` records the lift symbols in application order; it is
     empty for charts that were never lifted.  ``coordinate_set`` holds the
-    same coordinates as ``coordinates``, for membership tests.
+    same coordinates as ``coordinates``, for membership tests;
+    ``basis_memo`` holds the component bases already enumerated (see
+    :func:`component_basis`).
     """
 
     system: WeightSystem
@@ -139,6 +141,8 @@ class Chart:
     truncation: int
     applied_lifts: tuple[BasisSymbol, ...] = ()
     coordinate_set: frozenset = field(init=False, repr=False, compare=False)
+    basis_memo: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self) -> None:
         if self.truncation < 1:
@@ -474,17 +478,14 @@ def homogeneous_component(p: Polynomial, w: Weight) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 def _gen_monomials(coords: list[Coordinate], idx: int, target: Weight,
-                   budget: int, exact: int | None,
-                   prefix: list[tuple[Coordinate, int]],
+                   budget: int, prefix: list[tuple[Coordinate, int]],
                    out: list[Monomial], nonneg: bool) -> None:
     if idx == len(coords):
-        if target.is_zero and (exact is None or exact == 0):
+        if target.is_zero:
             out.append(Monomial(tuple(prefix)))
         return
     head = coords[idx]
     cap = min(1 if head.parity else budget, budget)
-    if exact is not None:
-        cap = min(cap, exact)
     rem = target
     for e in range(0, cap + 1):
         if e > 0:
@@ -493,7 +494,6 @@ def _gen_monomials(coords: list[Coordinate], idx: int, target: Weight,
                 # non-negative factor weights only sink further
                 break
         _gen_monomials(coords, idx + 1, rem, budget - e,
-                       None if exact is None else exact - e,
                        prefix + ([(head, e)] if e else []), out, nonneg)
 
 
@@ -502,45 +502,21 @@ def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
     """All canonical monomials of weight ``w`` and total degree at most the
     chart truncation (or ``max_degree``), in a deterministic order.
 
-    Results are memoized on the chart; the cache is a pure function of the
-    chart's immutable data.
+    Results are memoized in the chart's declared ``basis_memo`` field,
+    keyed by weight and degree cap; the memo is a pure function of the
+    chart's immutable data, and every call returns a fresh list.
     """
     cap = chart.truncation if max_degree is None else max_degree
-    cache = getattr(chart, "_basis_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(chart, "_basis_cache", cache)
     key = (w, cap)
-    hit = cache.get(key)
+    hit = chart.basis_memo.get(key)
     if hit is not None:
         return list(hit)
     coords = list(chart.coordinates)
     nonneg = all(c.weight.is_nonnegative for c in coords)
     out: list[Monomial] = []
-    _gen_monomials(coords, 0, w, cap, None, [], out, nonneg)
+    _gen_monomials(coords, 0, w, cap, [], out, nonneg)
     out.sort(key=lambda m: m.sort_key)
-    cache[key] = tuple(out)
-    return out
-
-
-def fiber_slice(chart: Chart, w: Weight, degree: int) -> list[Monomial]:
-    """Monomials of weight ``w`` with no weight-0 factors and total degree
-    exactly ``degree``.  These generate the weight component as a module
-    over the weight-0 functions."""
-    coords = [c for c in chart.coordinates if not c.weight.is_zero]
-    nonneg = all(c.weight.is_nonnegative for c in coords)
-    out: list[Monomial] = []
-    _gen_monomials(coords, 0, w, degree, degree, [], out, nonneg)
-    out.sort(key=lambda m: m.sort_key)
-    return out
-
-
-def base_monomials(chart: Chart, max_degree: int) -> list[Monomial]:
-    """Monomials purely in the weight-0 coordinates, degree <= cap."""
-    coords = [c for c in chart.coordinates if c.weight.is_zero]
-    out: list[Monomial] = []
-    _gen_monomials(coords, 0, ZERO, max_degree, None, [], out, True)
-    out.sort(key=lambda m: m.sort_key)
+    chart.basis_memo[key] = tuple(out)
     return out
 
 

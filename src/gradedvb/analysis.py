@@ -7,9 +7,16 @@ weight-0 functions.  Kernels, images, inverses and the six defining
 properties of an induced operator family are all decided exactly; a
 failing check always produces a concrete witness polynomial.
 
+Every operator matrix is built by one function, :func:`_matrix`: it
+applies an operator to each domain basis monomial and expands the image
+over the codomain basis.  Component bases are memoized in the chart's
+declared ``basis_memo`` field and the matrices of a derivation in its
+declared ``matrix_memo`` field.
+
 Truncation is never allowed to lie: any matrix built from images that
 lost over-degree terms is flagged, and flagged matrices refuse to
-participate in exact arguments.
+participate in exact arguments.  Each caller picks its own policy for a
+flagged matrix: carry the flag, raise, or fail the check.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .algebra import (
@@ -84,10 +92,11 @@ class ComponentMatrix:
     def cod_dim(self) -> int:
         return len(self.codomain_basis)
 
-    def require_exact(self) -> None:
+    def require_exact(self, message: str = "component matrix lost "
+                      "over-degree terms; raise the truncation degree",
+                      ) -> None:
         if self.truncated:
-            raise TruncationOverflow("component matrix lost over-degree terms; "
-                                     "raise the truncation degree")
+            raise TruncationOverflow(message)
 
     def is_bijective(self) -> bool:
         self.require_exact()
@@ -109,16 +118,29 @@ def _expand(p: Polynomial, index: dict[Monomial, int], dim: int,
     return v, overflow
 
 
-def _matrix_from_apply(apply, dom_chart: Chart, cod_chart: Chart, w: Weight,
-                       shift: Weight, max_degree: int | None = None,
-                       ) -> ComponentMatrix:
-    dom = component_basis(dom_chart, w, max_degree)
-    cod = component_basis(cod_chart, w + shift, max_degree)
+def _is_fiber(m: Monomial) -> bool:
+    return all(not c.weight.is_zero for c, _ in m.factors)
+
+
+def _matrix(apply, dom_chart: Chart, dom: list[Monomial], cod: list[Monomial],
+            fiber_only: bool = False) -> ComponentMatrix:
+    """Matrix of ``apply`` from the span of ``dom`` (monomials over
+    ``dom_chart``) to the span of ``cod``.
+
+    A column is flagged when its image carries the truncation flag or has
+    a term outside ``cod``.  With ``fiber_only`` each image is first
+    projected onto its fiber monomials (no weight-0 factor); the
+    projection drops the image's truncation flag, so only fiber terms
+    outside ``cod`` flag the matrix.
+    """
     index = {m: k for k, m in enumerate(cod)}
     cols = []
     truncated = False
     for m in dom:
         img = apply(monomial_poly(dom_chart, m))
+        if fiber_only:
+            img = Polynomial(img.chart, {t: c for t, c in img.terms.items()
+                                         if _is_fiber(t)})
         vec, over = _expand(img, index, len(cod))
         truncated = truncated or over
         cols.append(vec)
@@ -129,26 +151,23 @@ def _matrix_from_apply(apply, dom_chart: Chart, cod_chart: Chart, w: Weight,
 def component_map(op, w: Weight, max_degree: int | None = None) -> ComponentMatrix:
     """Exact matrix of a derivation or composite on a weight component."""
     if isinstance(op, Derivation):
-        return _matrix_from_apply(op.apply, op.chart, op.chart, w,
-                                  op.weight_shift, max_degree)
-    if isinstance(op, CompositeOperator):
-        return _matrix_from_apply(op.apply, op.lc.source, op.lc.quotient, w,
-                                  op.weight_action, max_degree)
-    raise AnalysisError(f"unsupported operator {op!r}")
+        dom_chart, cod_chart, shift = op.chart, op.chart, op.weight_shift
+    elif isinstance(op, CompositeOperator):
+        dom_chart, cod_chart = op.lc.source, op.lc.quotient
+        shift = op.weight_action
+    else:
+        raise AnalysisError(f"unsupported operator {op!r}")
+    return _matrix(op.apply, dom_chart,
+                   component_basis(dom_chart, w, max_degree),
+                   component_basis(cod_chart, w + shift, max_degree))
 
 
 def _op_matrix(op: Derivation, w: Weight, max_degree: int | None = None,
                ) -> ComponentMatrix:
-    cache = getattr(op, "_cm_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(op, "_cm_cache", cache)
     key = (w, max_degree)
-    hit = cache.get(key)
+    hit = op.matrix_memo.get(key)
     if hit is None:
-        hit = _matrix_from_apply(op.apply, op.chart, op.chart, w,
-                                 op.weight_shift, max_degree)
-        cache[key] = hit
+        hit = op.matrix_memo[key] = component_map(op, w, max_degree)
     return hit
 
 
@@ -161,20 +180,12 @@ def kernel_intersection(chart: Chart, ops: list[Derivation], w: Weight,
     """Basis monomials of the component at ``w`` and a basis of the joint
     kernel of ``ops`` on it."""
     basis = component_basis(chart, w)
-    if not basis:
-        return basis, []
-    if not ops:
-        dim = len(basis)
-        return basis, [row[:] for row in linalg.identity(dim)]
     stacked: linalg.Matrix = []
     for op in ops:
         cm = _op_matrix(op, w)
         cm.require_exact()
         stacked.extend(cm.entries)
-    if not stacked:
-        dim = len(basis)
-        return basis, [row[:] for row in linalg.identity(dim)]
-    return basis, linalg.nullspace(stacked)
+    return basis, _nullspace_of(stacked, len(basis))
 
 
 def _vec_poly(chart: Chart, basis: list[Monomial], v: linalg.Vector) -> Polynomial:
@@ -329,24 +340,17 @@ def solve_inverse(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...],
         for q, (sym, target_w) in enumerate([(s, wk)] +
                                             [(t, wh + lift_shift(t))
                                              for t in rest]):
-            cod = component_basis(lc.quotient, target_w)
-            index = {m: k for k, m in enumerate(cod)}
-            block = [[Fraction(0)] * len(dom) for _ in range(len(cod))]
-            for col, m in enumerate(dom):
-                img = _quotient_step(lc, sym, monomial_poly(lc.quotient, m))
-                vec, over = _expand(img, index, len(cod))
-                if over:
-                    raise TruncationOverflow("inverse solve hit the truncation")
-                for r in range(len(cod)):
-                    block[r][col] = vec[r]
-            stacked.extend(block)
+            block = _matrix(partial(_quotient_step, lc, sym), lc.quotient,
+                            dom, component_basis(lc.quotient, target_w))
+            block.require_exact("inverse solve hit the truncation")
+            stacked.extend(block.entries)
             if q == 0:
-                gv, over = _expand(g, index, len(cod))
+                index = {m: k for k, m in enumerate(block.codomain_basis)}
+                rhs, over = _expand(g, index, block.cod_dim)
                 if over:
                     raise TruncationOverflow("inverse solve hit the truncation")
-                rhs.extend(gv)
             else:
-                rhs.extend([Fraction(0)] * len(cod))
+                rhs.extend([Fraction(0)] * block.cod_dim)
         sol = linalg.solve(stacked, rhs)
         if sol is None:
             raise KernelHypothesisError("no preimage at weight "
@@ -639,39 +643,37 @@ class PropertyReport:
         }
 
 
-def _applicable_cocycle_tuples(system: WeightSystem):
+def _step_tuples(system: WeightSystem, k: int):
+    """Each ordered ``k``-tuple of distinct lift steps over one basic
+    direction ``i``, paired with every system element holding ``a<i>``
+    exactly once."""
     by_dir: dict[int, list[BasisSymbol]] = {}
     for s in system.additional_symbols:
         by_dir.setdefault(s.i, []).append(s)
     for i, syms in sorted(by_dir.items()):
-        if len(syms) < 3:
-            continue
-        for b_j, b_j1, b_j2 in itertools.permutations(sorted(syms, key=lambda s: s.j), 3):
-            a_i = paired_basic(b_j)
+        for steps in itertools.permutations(sorted(syms, key=lambda s: s.j), k):
+            a_i = paired_basic(steps[0])
             for delta in system.sorted_elements():
-                if (delta.coeff(a_i) == 1 and delta.coeff(b_j) == 1
-                        and delta.coeff(b_j1) == 0 and delta.coeff(b_j2) == 0):
-                    d1 = delta - weight({b_j: 1}) + weight({b_j1: 1})
-                    d2 = delta - weight({b_j: 1}) + weight({b_j2: 1})
-                    if d1 in system.elements and d2 in system.elements:
-                        yield (i, b_j.j, b_j1.j, b_j2.j, delta)
+                if delta.coeff(a_i) == 1:
+                    yield i, steps, delta
+
+
+def _applicable_cocycle_tuples(system: WeightSystem):
+    for i, (b_j, b_j1, b_j2), delta in _step_tuples(system, 3):
+        if (delta.coeff(b_j) == 1 and delta.coeff(b_j1) == 0
+                and delta.coeff(b_j2) == 0):
+            d1 = delta - weight({b_j: 1}) + weight({b_j1: 1})
+            d2 = delta - weight({b_j: 1}) + weight({b_j2: 1})
+            if d1 in system.elements and d2 in system.elements:
+                yield (i, b_j.j, b_j1.j, b_j2.j, delta)
 
 
 def _applicable_kernel_tuples(system: WeightSystem):
-    by_dir: dict[int, list[BasisSymbol]] = {}
-    for s in system.additional_symbols:
-        by_dir.setdefault(s.i, []).append(s)
-    for i, syms in sorted(by_dir.items()):
-        if len(syms) < 2:
-            continue
-        for b_j, b_j0 in itertools.permutations(sorted(syms, key=lambda s: s.j), 2):
-            a_i = paired_basic(b_j)
-            for delta in system.sorted_elements():
-                if (delta.coeff(a_i) == 1 and delta.coeff(b_j0) == 1
-                        and delta.coeff(b_j) == 0):
-                    dp = delta - weight({b_j0: 1}) + weight({b_j: 1})
-                    if dp in system.elements:
-                        yield (i, b_j.j, b_j0.j, delta, dp)
+    for i, (b_j, b_j0), delta in _step_tuples(system, 2):
+        if delta.coeff(b_j0) == 1 and delta.coeff(b_j) == 0:
+            dp = delta - weight({b_j0: 1}) + weight({b_j: 1})
+            if dp in system.elements:
+                yield (i, b_j.j, b_j0.j, delta, dp)
 
 
 def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
@@ -777,8 +779,7 @@ class ReconstructionResult:
 
 
 def _fiber_monomials(chart: Chart, w: Weight) -> list[Monomial]:
-    return [m for m in component_basis(chart, w)
-            if all(not c.weight.is_zero for c, _ in m.factors)]
+    return [m for m in component_basis(chart, w) if _is_fiber(m)]
 
 
 def _relabel_chart(dvb: Chart, mapping: dict) -> tuple[Chart, dict]:
@@ -856,47 +857,21 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
                         {c: Polynomial(big, img.terms)
                          for c, img in rl_op.images.items()})
 
-    def headroom_matrix(w: Weight, dom_cap: int):
-        dom = component_basis(big, w, dom_cap)
-        cod = component_basis(big, w + op_big.weight_shift)
-        index = {m: k for k, m in enumerate(cod)}
-        cols = []
-        for m in dom:
-            img = op_big.apply(monomial_poly(big, m))
-            vec, over = _expand(img, index, len(cod))
-            if over:
-                raise TruncationOverflow("operator image escaped even the "
-                                         "headroom truncation")
-            cols.append(vec)
-        entries = [[cols[c][r] for c in range(len(dom))]
-                   for r in range(len(cod))]
-        return dom, entries
-
     # non-degeneracy as a module map: over the truncated coefficient ring
     # a linear map of free modules is invertible exactly when its
     # constant-term matrix is
-    side_dom = [m for m in _fiber_monomials(rl, wa)]
-    side_cod = [m for m in _fiber_monomials(rl, wb)]
-    cod_index = {m: k for k, m in enumerate(side_cod)}
-    side_cols = []
-    for m in side_dom:
-        img = op_big.apply(monomial_poly(big, m))
-        img = Polynomial(big, {mm: cc for mm, cc in img.terms.items()
-                               if all(not c0.weight.is_zero
-                                      for c0, _ in mm.factors)})
-        vec, over = _expand(img, cod_index, len(side_cod))
-        if over:
-            raise TruncationOverflow("side-component image escaped the "
-                                     "headroom truncation")
-        side_cols.append(vec)
-    side_mat = [[side_cols[c][r] for c in range(len(side_dom))]
-                for r in range(len(side_cod))]
-    if not linalg.is_bijective(side_mat, len(side_dom), len(side_cod)):
+    side = _matrix(op_big.apply, big, _fiber_monomials(rl, wa),
+                   _fiber_monomials(rl, wb), fiber_only=True)
+    side.require_exact("side-component image escaped the headroom truncation")
+    if not side.is_bijective():
         raise AnalysisError("operator is degenerate between the side "
                             "components")
 
     wc = wa + wb
-    basis_c, entries_c = headroom_matrix(wc, rl.truncation)
+    top = _matrix(op_big.apply, big, component_basis(big, wc, rl.truncation),
+                  component_basis(big, wc + op_big.weight_shift))
+    top.require_exact("operator image escaped even the headroom truncation")
+    basis_c, entries_c = top.domain_basis, top.entries
     kern = _nullspace_of(entries_c, len(basis_c))
 
     fiber = _fiber_monomials(rl, wc)
@@ -935,10 +910,8 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     kmat = [[v[r] for v in kconst] for r in range(len(basis_c))]
     inter = []
     if kconst:
-        sel = linalg.matmul(prod_rows, kmat) if prod_rows else []
-        coeffs = linalg.nullspace(sel) if sel else \
-            [row[:] for row in linalg.identity(len(kconst))]
-        for cf in coeffs:
+        sel = linalg.matmul(prod_rows, kmat)
+        for cf in _nullspace_of(sel, len(kconst)):
             vec = [sum((cf[t] * kconst[t][r] for t in range(len(kconst))),
                        Fraction(0)) for r in range(len(basis_c))]
             inter.append(vec)
@@ -965,45 +938,33 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
                          rl.truncation)
     lin = linearize_chart(m2)
 
-    rl_zero = sorted((c for c in rl.coordinates if c.weight.is_zero),
-                     key=lambda c: c.sort_key)
-    rl_side = sorted((c for c in rl.coordinates if c.weight == wa),
-                     key=lambda c: c.sort_key)
-    lin_zero = sorted((c for c in lin.chart.coordinates if c.weight.is_zero),
-                      key=lambda c: c.sort_key)
-    zero_pair = {c: inv_cmap[rl_zero[k]] for k, c in enumerate(lin_zero)}
+    def dvb_gen(w: Weight, k: int) -> Polynomial:
+        """The input chart's ``k``-th coordinate of weight ``w``."""
+        return dvb.gen(inv_cmap[[c for c in rl.coordinates if c.weight == w][k]])
 
-    def dvb_gen(coord: Coordinate) -> Polynomial:
-        return Polynomial(dvb, {Monomial(((coord, 1),)): Fraction(1)})
-
+    # a generator of the rebuilt chart pairs with the input coordinates by
+    # its position among the (sorted) coordinates of its weight
     pullback = {}
+    position: dict[Weight, int] = {}
     for c in lin.chart.coordinates:
-        if c.weight.is_zero:
-            pullback[c] = dvb_gen(zero_pair[c])
-            continue
-        k = int(c.cid.base_name.rsplit("_", 1)[1]) - 1
-        if c.weight == wa:
-            pullback[c] = dvb_gen(inv_cmap[rl_side[k]])
-        elif c.weight == wb:
-            pullback[c] = op.apply(dvb_gen(inv_cmap[rl_side[k]]))
+        k = position.get(c.weight, 0)
+        position[c.weight] = k + 1
+        if c.weight == wb:
+            pullback[c] = op.apply(dvb_gen(wa, k))
+        elif c.weight == wc:
+            pullback[c] = _relabel_poly(kappa_rl[k], dvb, inv_cmap)
         else:
-            pullback[c] = _unrelabel(kappa_rl[k], dvb, inv_cmap)
+            pullback[c] = dvb_gen(c.weight, k)
     phi = ChartMorphism(dvb, lin.chart, pullback,
                         {a1: alpha, b21: beta})
 
     verified = _verify_reconstruction(phi, lin, op, dvb)
     return ReconstructionResult(
         m2=m2, linearized=lin, phi=phi,
-        new_generator_images=[_unrelabel(k, dvb, inv_cmap) for k in kappa_rl],
+        new_generator_images=[_relabel_poly(k, dvb, inv_cmap)
+                              for k in kappa_rl],
         kernel_dim=len(kern), verified=verified,
     )
-
-
-def _unrelabel(p: Polynomial, dvb: Chart, inv_cmap: dict) -> Polynomial:
-    terms = {}
-    for m, coeff in p.terms.items():
-        terms[Monomial(tuple((inv_cmap[c], e) for c, e in m.factors))] = coeff
-    return Polynomial(dvb, terms, p.truncated)
 
 
 def _verify_reconstruction(phi: ChartMorphism, lin: LinearizedChart,
@@ -1016,20 +977,8 @@ def _verify_reconstruction(phi: ChartMorphism, lin: LinearizedChart,
         if lhs != rhs:
             return False
     for w in lin.chart.system.sorted_elements():
-        dom = _fiber_monomials(lin.chart, w)
-        cod = _fiber_monomials(dvb, phi._map_weight(w))
-        index = {m: k for k, m in enumerate(cod)}
-        cols = []
-        for m in dom:
-            img = phi.apply(monomial_poly(lin.chart, m))
-            img = Polynomial(dvb, {mm: cc for mm, cc in img.terms.items()
-                                   if all(not c0.weight.is_zero
-                                          for c0, _ in mm.factors)})
-            vec, over = _expand(img, index, len(cod))
-            if over:
-                return False
-            cols.append(vec)
-        mat = [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]
-        if not linalg.is_bijective(mat, len(dom), len(cod)):
+        cm = _matrix(phi.apply, lin.chart, _fiber_monomials(lin.chart, w),
+                     _fiber_monomials(dvb, phi._map_weight(w)), fiber_only=True)
+        if cm.truncated or not cm.is_bijective():
             return False
     return True

@@ -46,12 +46,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     m = [row[:] for row in a]
     rows = len(m)

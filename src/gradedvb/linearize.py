@@ -24,11 +24,8 @@ from .algebra import (
     Polynomial,
     monomial_poly,
     multiply,
-    tagged_coordinate,
 )
 from .tangent import (
-    Derivation,
-    _tag_sign,
     de_rham,
     multiplicity_free_restriction,
     quotient_chart,
@@ -75,26 +72,6 @@ class LinearizedChart:
         return self.lifted.applied_lifts
 
 
-def _induced_operator(dchart: Chart, applied: tuple[BasisSymbol, ...],
-                      tag: BasisSymbol) -> Derivation:
-    shift = lift_shift(tag)
-    lookup = {c.cid: c for c in dchart.coordinates}
-    images = {}
-    for c in dchart.coordinates:
-        if tag in c.cid.tags:
-            continue
-        partner = tagged_coordinate(c, tag, applied)
-        if not partner.weight.is_nonnegative:
-            continue
-        target = lookup.get(partner.cid)
-        if target is None:
-            # non-negative, multiplicity-free partner always survives the
-            # restriction; reaching here would be a construction bug
-            raise AlgebraError(f"missing partner coordinate {partner.cid.name}")
-        images[c] = dchart.gen(target, _tag_sign(c.cid.tags, applied, tag))
-    return Derivation(dchart, shift, 1, images)
-
-
 def linearize_chart(src: Chart) -> LinearizedChart:
     """Run the full linearization pipeline on one chart."""
     rep = validate(src.system)
@@ -115,7 +92,7 @@ def linearize_chart(src: Chart) -> LinearizedChart:
     dchart = Chart(expected, dchart.coordinates, dchart.truncation,
                    dchart.applied_lifts)
     applied = lifted.applied_lifts
-    operators = {tag: _induced_operator(dchart, applied, tag) for tag in applied}
+    operators = {tag: de_rham(dchart, tag) for tag in applied}
     lifted_ds = {tag: de_rham(lifted, tag) for tag in applied}
     return LinearizedChart(src, lifted, quotient, dchart, operators, lifted_ds)
 
@@ -296,7 +273,6 @@ def lift_morphism(psi: ChartMorphism,
         raise AlgebraError("morphism endpoints must share one weight system")
     lc_s = lc_source or linearize_chart(psi.source)
     lc_t = lc_target or linearize_chart(psi.target)
-    src_base = {c.cid.base_name: c for c in psi.source.coordinates}
     pb = {}
     for c in lc_t.chart.coordinates:
         base = psi.target.coordinate(c.cid.base_name)
@@ -305,5 +281,4 @@ def lift_morphism(psi: ChartMorphism,
             img = lc_s.lifted_derivations[tag].apply(img)
         img = quotient_polynomial(lc_s.quotient, img).in_chart(lc_s.chart)
         pb[c] = img
-    del src_base
     return ChartMorphism(lc_s.chart, lc_t.chart, pb, dict(psi.symbol_map))

@@ -16,7 +16,7 @@ produces the chart of the associated multi-fold vector bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -42,13 +42,16 @@ class Derivation:
     ``images`` maps coordinates to polynomials over the same chart;
     missing coordinates map to zero.  The derivation extends to products
     by the graded Leibniz rule: moving an odd derivation past an odd
-    factor costs a sign.
+    factor costs a sign.  ``matrix_memo`` holds the component matrices
+    already built for this derivation by the analysis layer.
     """
 
     chart: Chart
     weight_shift: Weight
     parity: int
     images: dict  # Coordinate -> Polynomial
+    matrix_memo: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self) -> None:
         for c, img in self.images.items():
@@ -101,10 +104,6 @@ class Derivation:
         imgs = dict(self.images)
         imgs[coord] = self.chart.zero()
         return Derivation(self.chart, self.weight_shift, self.parity, imgs)
-
-
-def anticommutator(a: Derivation, b: Derivation, p: Polynomial) -> Polynomial:
-    return a.apply(b.apply(p)) + b.apply(a.apply(p))
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +161,26 @@ def de_rham(chart: Chart, tag: BasisSymbol) -> Derivation:
 
     Sends each coordinate without the tag to its tagged partner (with the
     reordering sign) and kills coordinates that already carry the tag.
+    On a quotient or restricted chart a partner of negative weight was
+    divided out, so the coordinate maps to zero; a non-negative partner
+    always survives the restriction, and a missing one is an error.
     """
-    if tag not in chart.applied_lifts:
+    applied = chart.applied_lifts
+    if tag not in applied:
         raise AlgebraError(f"lift {tag.label} was not applied to this chart")
-    shift = lift_shift(tag)
     images = {}
     lookup = {c.cid: c for c in chart.coordinates}
     for c in chart.coordinates:
         if tag in c.cid.tags:
             continue
-        partner = lookup[tagged_coordinate(c, tag, chart.applied_lifts).cid]
-        sign = _tag_sign(c.cid.tags, chart.applied_lifts, tag)
-        images[c] = chart.gen(partner, sign)
-    return Derivation(chart, shift, 1, images)
+        partner = tagged_coordinate(c, tag, applied)
+        target = lookup.get(partner.cid)
+        if target is None:
+            if not partner.weight.is_nonnegative:
+                continue
+            raise AlgebraError(f"missing partner coordinate {partner.cid.name}")
+        images[c] = chart.gen(target, _tag_sign(c.cid.tags, applied, tag))
+    return Derivation(chart, lift_shift(tag), 1, images)
 
 
 # ---------------------------------------------------------------------------

@@ -578,16 +578,14 @@ def _expressible(target: Weight, gens: list[Weight]) -> bool:
     """Whether ``target`` is a non-negative integer combination of ``gens``."""
     if target.is_zero:
         return True
-    # small search; coefficients are bounded by the largest absolute entry
-    bound = max((abs(c) for _, c in target.items), default=0) + 1
-    for combo in itertools.product(range(bound + 1), repeat=len(gens)):
-        acc = ZERO
-        for k, g in zip(combo, gens):
-            for _ in range(k):
-                acc = acc + g
-        if acc == target:
-            return True
-    return False
+    # coefficients are bounded by the largest absolute entry; the set of
+    # sums reachable with the generators seen so far grows one generator
+    # at a time, so equal partial sums are explored once
+    bound = max(abs(c) for _, c in target.items) + 1
+    reach = {ZERO}
+    for g in gens:
+        reach = {r + g * k for r in reach for k in range(bound + 1)}
+    return target in reach
 
 
 def dualize(ws: WeightSystem, base: Iterable[Weight]) -> DualizationResult:

@@ -1,13 +1,18 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
 from gradedvb import (
+    AlgebraError,
     AnalysisError,
     Chart,
     Derivation,
     KernelHypothesisError,
+    Monomial,
+    Polynomial,
+    TruncationOverflow,
     ZERO,
     additional_symbol,
     basic_symbol,
@@ -21,14 +26,17 @@ from gradedvb import (
     counterexample_off_kernel,
     de_rham,
     is_nondegenerate,
+    kernel_intersection,
     linearize_chart,
     monomial_poly,
     multiply,
+    quotient_polynomial,
     reconstruct_degree2,
     solve_inverse,
     tangent_lift,
     weight,
 )
+from gradedvb.specfile import parse_spec
 from conftest import random_chart, random_nonneg_system, rank1_chart
 
 A = basic_symbol(1, 1)
@@ -66,6 +74,113 @@ def admissible_pairs(lc):
                     continue
                 out.append((delta, lam))
     return out
+
+
+def spec_linearized(name):
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, "r", encoding="utf-8") as fh:
+        return linearize_chart(parse_spec(fh.read()).chart())
+
+
+class TestLiftOperator:
+    @pytest.mark.parametrize("name", ["m2.spec", "m3.spec"])
+    def test_de_rham_on_restricted_chart_is_the_induced_operator(self, name):
+        lc = spec_linearized(name)
+        for tag in lc.lift_sequence:
+            d = de_rham(lc.chart, tag)
+            op = lc.operators[tag]
+            assert (d.weight_shift, d.parity) == (op.weight_shift, op.parity)
+            assert list(d.images) == list(op.images)
+            assert d.images == op.images
+            # it is the lift's derivation taken modulo the negative ideal
+            for c in lc.chart.coordinates:
+                assert d.of(c) == quotient_polynomial(
+                    lc.quotient, lc.lifted_derivations[tag].of(c))
+
+    def test_missing_non_negative_partner_rejected(self):
+        lc = spec_linearized("m2.spec")
+        dropped = lc.chart.coordinate("xi{a1}_1[b2_1]")
+        chart = Chart(lc.chart.system,
+                      tuple(c for c in lc.chart.coordinates if c != dropped),
+                      lc.chart.truncation, lc.chart.applied_lifts)
+        with pytest.raises(AlgebraError, match="missing partner coordinate"):
+            de_rham(chart, B2)
+
+
+EXACT = "component matrix lost over-degree terms; raise the truncation degree"
+
+
+class TestOverflowPolicy:
+    """Each caller's answer to a matrix built from images that lost terms."""
+
+    def degree_raising(self):
+        # D(xi) = x1 * xi raises the degree, so D(x1 * xi) = x1^2 * xi
+        # leaves a truncation-2 chart
+        chart = rank1_chart(1, [1, 1], trunc=2)
+        x1, xi = chart.coordinate("x1"), chart.coordinate("xi{a1}_1")
+        op = Derivation(chart, ZERO, 0,
+                        {xi: multiply(chart.gen(x1), chart.gen(xi))})
+        return chart, op
+
+    def test_component_map_carries_the_flag(self):
+        _, op = self.degree_raising()
+        assert component_map(op, weight({A: 1})).truncated
+        assert not component_map(op, ZERO).truncated
+
+    def test_kernel_intersection_raises(self):
+        chart, op = self.degree_raising()
+        with pytest.raises(TruncationOverflow) as err:
+            kernel_intersection(chart, [op], weight({A: 1}))
+        assert str(err.value) == EXACT
+
+    def test_is_nondegenerate_raises(self):
+        chart, op = self.degree_raising()
+        with pytest.raises(TruncationOverflow) as err:
+            is_nondegenerate(chart, A, weight({A: 1}), {A: op})
+        assert str(err.value) == EXACT
+
+    def test_property_certificate_raises(self):
+        # one m3 operator gains a degree-4 image term on a truncation-3
+        # chart; the certificate refuses instead of reporting on it
+        lc = spec_linearized("m3.spec")
+        x1 = lc.chart.coordinate("x1")
+        xi = lc.chart.coordinate("xi{a1}_1")
+        dxi = lc.chart.coordinate("xi{a1}_1[b3_1]")
+        ops = dict(lc.operators)
+        images = dict(ops[B3].images)
+        images[xi] = images[xi] + Polynomial(
+            lc.chart, {Monomial(((x1, 3), (dxi, 1))): Fraction(1)})
+        ops[B3] = Derivation(lc.chart, ops[B3].weight_shift, 1, images)
+        with pytest.raises(TruncationOverflow) as err:
+            check_all_properties(lc.chart, ops)
+        assert str(err.value) == EXACT
+
+    def test_inverse_solve_right_hand_side_over_degree(self):
+        # a degree-4 right-hand side on a truncation-3 chart: the kernel
+        # test sees only dropped terms, the expansion then overflows
+        lc = spec_linearized("m2.spec")
+        x1 = lc.chart.coordinate("x1")
+        eta = lc.chart.coordinate("xi{2a1}_1[b2_1]")
+        f = Polynomial(lc.chart, {Monomial(((x1, 3), (eta, 1))): Fraction(1)})
+        with pytest.raises(TruncationOverflow) as err:
+            solve_inverse(lc, (B2,), f)
+        assert str(err.value) == "inverse solve hit the truncation"
+
+    def test_reconstruction_image_escapes_headroom(self):
+        # D(xi) = dxi + x1^3 * dxi: the side map is bijective on fibers,
+        # but D(x1 * xi * dxi) has degree 6, beyond the headroom of 5
+        lc = spec_linearized("m2.spec")
+        dvb = lc.chart
+        x1 = dvb.coordinate("x1")
+        xi = dvb.coordinate("xi{a1}_1")
+        dxi = dvb.coordinate("xi{a1}_1[b2_1]")
+        image = Polynomial(dvb, {Monomial(((dxi, 1),)): Fraction(1),
+                                 Monomial(((x1, 3), (dxi, 1))): Fraction(1)})
+        op = Derivation(dvb, weight({B2: 1, A: -1}), 1, {xi: image})
+        with pytest.raises(TruncationOverflow) as err:
+            reconstruct_degree2(dvb, op)
+        assert str(err.value) == ("operator image escaped even the headroom "
+                                  "truncation")
 
 
 class TestComponentMap:

@@ -20,6 +20,7 @@ from gradedvb import (
     validate,
     weight,
 )
+from gradedvb.weights import _expressible
 from conftest import degree_system, make_system, random_nonneg_system
 
 A1 = basic_symbol(1, 0)
@@ -226,6 +227,55 @@ class TestDualize:
             once = dualize(ws, base)
             twice = dualize(once.system, base)
             assert twice.system.elements == ws.elements
+
+
+def _expressible_by_product(target, gens):
+    """Reference: try every coefficient tuple up to the same bound."""
+    if target.is_zero:
+        return True
+    bound = max((abs(c) for _, c in target.items), default=0) + 1
+    for combo in itertools.product(range(bound + 1), repeat=len(gens)):
+        acc = ZERO
+        for k, g in zip(combo, gens):
+            for _ in range(k):
+                acc = acc + g
+        if acc == target:
+            return True
+    return False
+
+
+class TestExpressible:
+    def test_matches_product_enumeration_randomized(self):
+        rng = random.Random(20261018)
+        hits = 0
+        for _ in range(60):
+            syms = [basic_symbol(i, rng.randint(0, 1))
+                    for i in range(1, rng.randint(1, 3) + 1)]
+
+            def rand_weight(lo, hi):
+                return weight({s: rng.randint(lo, hi) for s in syms})
+
+            gens = [rand_weight(-1, 2) for _ in range(rng.randint(1, 4))]
+            targets = [rand_weight(-2, 2)]
+            combo = ZERO
+            for g in gens:
+                combo = combo + g * rng.randint(0, 3)
+            targets.append(combo)
+            for t in targets:
+                got = _expressible(t, gens)
+                assert got == _expressible_by_product(t, gens)
+                hits += got
+        assert 0 < hits < 120  # both answers occur
+
+    def test_coefficient_bound_is_inclusive(self):
+        # -a1+a2 = (a1+a2) + 2 * (-a1) needs a coefficient of 2, one more
+        # than the largest absolute entry of the target
+        a1, a2 = basic_symbol(1, 0), basic_symbol(2, 0)
+        gens = [weight({a1: 1, a2: 1}), weight({a1: -1})]
+        target = weight({a1: -1, a2: 1})
+        assert _expressible(target, gens)
+        assert _expressible_by_product(target, gens)
+        assert not _expressible(weight({a1: 1, a2: -1}), gens)
 
 
 # ---------------------------------------------------------------------------
