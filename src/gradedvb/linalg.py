@@ -1,73 +1,114 @@
-"""Small exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals by sparse fraction-free elimination.
 
-Matrices are lists of row lists of ``Fraction``.  Everything is Gaussian
-elimination with exact pivots; sizes here are tiny (component matrices of
-truncated chart algebras), so clarity wins over cleverness.
+Matrices are lists of row lists of ``Fraction``, and every result comes back
+in that form.  The operator matrices of the analysis layer are small, sparse
+and mostly ±1, so :func:`rref` scales each row to integers, keeps it as a
+dict of its nonzero entries, eliminates with integer row operations (each
+result divided by the gcd of its entries, so the integers stay small) and
+divides by the pivots once, at the end.  :func:`matvec` and :func:`matmul`
+skip zero entries.
+
+The reduced row echelon form of a matrix is unique: neither the choice of
+pivot rows nor the scaling of rows on the way changes it.  So :func:`rref`
+returns exactly what dense Gauss–Jordan over ``Fraction`` returns, and so do
+:func:`nullspace`, :func:`solve` and :func:`inv`, which read their answers
+off it.  Every elimination goes through :func:`rref`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for k in range(n):
-        out[k][k] = Fraction(1)
-    return out
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return []
-    n, k = len(a), len(a[0])
-    cols = len(b[0]) if b else 0
-    out = zeros(n, cols)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(cols):
-                    oi[j] += c * bt[j]
+    support = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for row in a:
+        acc = _ZERO
+        for j, x in support:
+            if row[j]:
+                acc += row[j] * x
+        out.append(acc)
     return out
 
 
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = len(b[0]) if b else 0
+    sparse_b = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for ai in a:
+        oi = [_ZERO] * cols
+        for t, c in enumerate(ai):
+            if c:
+                for j, x in sparse_b[t]:
+                    oi[j] += c * x
+        out.append(oi)
+    return out
+
+
+def _integer_row(row: Vector) -> dict[int, int]:
+    """The nonzero entries of a row times the lcm of their denominators."""
+    den = 1
+    for x in row:
+        if x:
+            den = lcm(den, x.denominator)
+    return {j: x.numerator * (den // x.denominator)
+            for j, x in enumerate(row) if x}
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
+    """Clear column ``c`` of ``row`` with an integer combination of ``row``
+    and ``pivot``, then divide ``row`` by the gcd of its entries."""
+    g = gcd(pivot[c], row[c])
+    p, a = pivot[c] // g, row[c] // g
+    if p != 1:
+        for k in row:
+            row[k] *= p
+    for k, v in pivot.items():
+        x = row.get(k, 0) - a * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
+    """Reduced row echelon form and pivot columns.  The rows of the form
+    are the pivot rows in pivot order, then zero rows, as many as ``a``
+    has rows."""
+    cols = len(a[0]) if a else 0
+    pending = [r for r in map(_integer_row, a) if r]
+    done: list[tuple[int, dict[int, int]]] = []
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
+        hits = [r for r in pending if c in r]
+        if not hits:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        # a unit pivot on a short row keeps the integers and the fill small
+        pivot = min(hits, key=lambda r: (abs(r[c]) != 1, len(r)))
+        for r in hits + [r for _, r in done if c in r]:
+            if r is not pivot:
+                _eliminate(r, pivot, c)
+        pending = [r for r in pending if r and r is not pivot]
+        done.append((c, pivot))
+    out = [[_ZERO] * cols for _ in a]
+    for row, (c, r) in zip(out, done):
+        for k, v in r.items():
+            row[k] = Fraction(v, r[c])
+    return out, [c for c, _ in done]
 
 
 def rank(a: Matrix) -> int:
@@ -76,19 +117,19 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column."""
-    if not a:
-        return []
-    cols = len(a[0])
+def nullspace(a: Matrix, cols: int) -> list[Vector]:
+    """Basis of the right kernel of ``a`` on a ``cols``-dimensional domain,
+    one vector per free column; a matrix with no rows kills the whole
+    domain."""
+    if not a or not cols:
+        return identity(cols)
     red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        v = [_ZERO] * cols
+        v[fc] = _ONE
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 
@@ -98,13 +139,12 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     if not a:
         return [] if all(x == 0 for x in b) else None
     cols = len(a[0])
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    red, pivots = rref([row + [b[i]] for i, row in enumerate(a)])
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    x = [_ZERO] * cols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[cols]
     return x
 
 
@@ -112,19 +152,15 @@ def inv(a: Matrix) -> Matrix | None:
     n = len(a)
     if any(len(row) != n for row in a):
         return None
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
+    eye = identity(n)
+    red, pivots = rref([a[i] + eye[i] for i in range(n)])
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
 
 
 def is_bijective(a: Matrix, dom_dim: int, cod_dim: int) -> bool:
-    if dom_dim != cod_dim:
-        return False
-    if dom_dim == 0:
-        return True
-    return rank(a) == dom_dim
+    return dom_dim == cod_dim and (dom_dim == 0 or rank(a) == dom_dim)
 
 
 def column_space_contains(a: Matrix, v: Vector) -> bool:

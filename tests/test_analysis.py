@@ -36,6 +36,8 @@ from gradedvb import (
     tangent_lift,
     weight,
 )
+from gradedvb import analysis
+from gradedvb.analysis import _matrix
 from gradedvb.specfile import parse_spec
 from conftest import random_chart, random_nonneg_system, rank1_chart
 
@@ -155,6 +157,63 @@ class TestOverflowPolicy:
             check_all_properties(lc.chart, ops)
         assert str(err.value) == EXACT
 
+    def test_capped_slice_flags_a_lower_cap(self):
+        # D(xi) = x1 * xi has degree 2: it fits the full component but not
+        # the degree-1 part, whose only column is flagged
+        chart, op = self.degree_raising()
+        full = component_map(op, weight({A: 1}))
+        assert [m.text() for m in full.domain_basis] == ["x1 * xi{a1}_1",
+                                                         "xi{a1}_1"]
+        assert full.overflow == [True, False]
+        capped = full.capped(1)
+        assert [m.text() for m in capped.domain_basis] == ["xi{a1}_1"]
+        assert capped.overflow == [True]
+        assert_same_matrix(capped, direct_build(op, weight({A: 1}), 1))
+
+    def test_is_nondegenerate_raises_on_a_lower_cap_only(self):
+        # D(eta) = eta + xi^2 on a chart with no weight-0 coordinate: the
+        # full 2a component map is exact and bijective, but the degree-1
+        # part sees xi^2 outside its codomain
+        a = basic_symbol(1, 0)
+        chart = rank1_chart(2, [0, 1, 1], parity=0)
+        xi, eta = chart.coordinates
+        op = Derivation(chart, ZERO, 0, {
+            xi: chart.gen(xi),
+            eta: chart.gen(eta) + multiply(chart.gen(xi), chart.gen(xi))})
+        full = component_map(op, weight({a: 2}))
+        assert full.overflow == [False, False] and full.is_bijective()
+        assert_same_matrix(full.capped(1), direct_build(op, weight({a: 2}), 1))
+        with pytest.raises(TruncationOverflow) as err:
+            is_nondegenerate(chart, a, weight({a: 2}), {a: op})
+        assert str(err.value) == EXACT
+
+    @pytest.mark.parametrize("coordinate", ["x1", "xi{a1}_1"])
+    def test_property_zero_only_by_dropped_terms_raises(self, coordinate,
+                                                        monkeypatch):
+        # D[b3] gains x1^3 * dxi, a term the truncation-3 chart drops: on
+        # x1 the image (property 1), on xi the anticommutators (property 2)
+        # are zero only because that term was dropped
+        lc = spec_linearized("m3.spec")
+        chart = lc.chart
+        x1 = chart.coordinate("x1")
+        dxi = chart.coordinate("xi{a1}_1[b3_1]")
+        dropped = multiply(monomial_poly(chart, Monomial(((x1, 3),))),
+                           chart.gen(dxi))
+        assert dropped.is_zero and dropped.truncated
+        ops = dict(lc.operators)
+        c = chart.coordinate(coordinate)
+        images = dict(ops[B3].images)
+        images[c] = ops[B3].of(c) + dropped
+        ops[B3] = Derivation(chart, ops[B3].weight_shift, 1, images)
+
+        def not_reached(*args):
+            raise AssertionError("properties 1 and 2 passed")
+
+        monkeypatch.setattr(analysis, "is_nondegenerate", not_reached)
+        with pytest.raises(TruncationOverflow) as err:
+            check_all_properties(chart, ops)
+        assert str(err.value) == EXACT
+
     def test_inverse_solve_right_hand_side_over_degree(self):
         # a degree-4 right-hand side on a truncation-3 chart: the kernel
         # test sees only dropped terms, the expansion then overflows
@@ -181,6 +240,35 @@ class TestOverflowPolicy:
             reconstruct_degree2(dvb, op)
         assert str(err.value) == ("operator image escaped even the headroom "
                                   "truncation")
+
+
+def direct_build(op, w, d):
+    """The component matrix of ``op`` built on the degree-``d`` bases."""
+    return _matrix(op.apply, op.chart, component_basis(op.chart, w, d),
+                   component_basis(op.chart, w + op.weight_shift, d))
+
+
+def assert_same_matrix(got, want):
+    assert got.domain_basis == want.domain_basis
+    assert got.codomain_basis == want.codomain_basis
+    assert got.entries == want.entries
+    assert got.overflow == want.overflow
+
+
+class TestCappedMatrix:
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 2, 1, 1)])
+    def test_capped_equals_direct_build(self, dims):
+        lc = m3_linearized(dims)
+        pairs = [(op, lc.chart) for op in lc.operators.values()]
+        pairs += [(op, lc.quotient) for op in lc.lifted_derivations.values()]
+        sliced = 0
+        for op, chart in pairs:
+            for w in chart.system.sorted_elements():
+                full = component_map(op, w)
+                for d in range(1, chart.truncation + 1):
+                    assert_same_matrix(full.capped(d), direct_build(op, w, d))
+                    sliced += full.capped(d).dom_dim < full.dom_dim
+        assert sliced > 0
 
 
 class TestComponentMap:

@@ -2,8 +2,10 @@
 
 The matrices are the ones the analysis layer builds: every component
 matrix of the m3 operator families (the induced operators on the
-restricted chart and the lift derivations on the quotient's weights) and
-the stacked systems an inverse solve hands to ``linalg.solve``.  sympy is
+restricted chart and the lift derivations on the quotient's weights),
+the stacked systems an inverse solve hands to ``linalg.solve``, and the
+inverses and products behind the step-change transfers of the property
+checks.  sympy is
 used by this test only; the package itself stays standard-library.
 """
 
@@ -60,7 +62,7 @@ def check_against_oracle(entries, cols, rng):
     rank = ours.rank()
     assert linalg.rank(entries) == rank
     # nullspace: the same dimension, inside the kernel, and the same span
-    kernel = linalg.nullspace(entries)
+    kernel = linalg.nullspace(entries, cols)
     assert len(kernel) == cols - rank == len(ours.nullspace())
     if kernel:
         kmat = to_sympy([list(r) for r in zip(*kernel)], len(kernel))
@@ -121,3 +123,40 @@ def test_inverse_solve_systems_match_oracle(monkeypatch):
         _, params = to_sympy(a, cols).gauss_jordan_solve(to_sympy([[v] for v in b], 1))
         assert params.shape[0] == cols - linalg.rank(a)
         check_against_oracle(a, cols, rng)
+
+
+def test_m3_transfer_matrices_match_oracle():
+    # a transfer inv(back) * fwd maps the src component through fwd and
+    # back along the operator ``back`` out of dst; the kernel-preservation
+    # check builds one for each ordered pair of distinct m3 operators
+    lc = m3_linearized()
+    ops = list(lc.operators.values())
+    elements = lc.chart.system.sorted_elements()
+    transfers = 0
+    for back in ops:
+        for dst in elements:
+            bm = component_map(back, dst)
+            if not bm.dom_dim or bm.dom_dim != bm.cod_dim:
+                continue
+            assert not bm.truncated
+            theirs = to_sympy(bm.entries, bm.dom_dim)
+            inverse = linalg.inv(bm.entries)
+            if theirs.det() == 0:
+                assert inverse is None
+                continue
+            assert to_sympy(inverse, bm.dom_dim) == theirs.inv()
+            for fwd in ops:
+                if fwd is back:
+                    continue
+                src = dst + back.weight_shift - fwd.weight_shift
+                if src not in lc.chart.system.elements:
+                    continue
+                fm = component_map(fwd, src)
+                if not fm.dom_dim:
+                    continue
+                product = linalg.matmul(inverse, fm.entries)
+                assert all(isinstance(x, Fraction) for row in product for x in row)
+                assert to_sympy(product, fm.dom_dim) == \
+                    theirs.inv() * to_sympy(fm.entries, fm.dom_dim)
+                transfers += 1
+    assert transfers == 2
