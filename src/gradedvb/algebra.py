@@ -66,24 +66,25 @@ class CoordinateId:
 
 @dataclass(frozen=True)
 class Coordinate:
-    """A single chart generator: id, weight, parity."""
+    """A single chart generator: id, weight, parity.
+
+    ``sort_key`` orders coordinates by weight, then natural base name,
+    then tags; it is computed once and takes no part in equality.
+    """
 
     cid: CoordinateId
     weight: Weight
     parity: int
+    sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.parity != self.weight.parity:
             raise AlgebraError(f"coordinate {self.cid.name}: parity does not "
                                "match its weight")
-        key = (self.weight.sort_key,
-               _name_key(self.cid.base_name),
-               tuple(sorted(t.sort_key for t in self.cid.tags)))
-        object.__setattr__(self, "_key", key)
-
-    @property
-    def sort_key(self) -> tuple:
-        return self._key  # type: ignore[attr-defined]
+        object.__setattr__(self, "sort_key", (
+            self.weight.sort_key,
+            _name_key(self.cid.base_name),
+            tuple(sorted(t.sort_key for t in self.cid.tags))))
 
     @property
     def name(self) -> str:

@@ -11,9 +11,10 @@ Every operator matrix is built by one function, :func:`_matrix`: it
 applies an operator to each domain basis monomial and expands the image
 over the codomain basis.  Component bases are memoized in the chart's
 declared ``basis_memo`` field.  A derivation gets one full-degree matrix
-per weight, memoized in its declared ``matrix_memo`` field; a check at a
-lower degree cap slices it with :meth:`ComponentMatrix.capped` instead of
-building the matrix again.
+per weight from :func:`component_map`, memoized in its declared
+``matrix_memo`` field; a check at a lower degree cap slices it with
+:meth:`ComponentMatrix.capped` instead of building the matrix again, and
+its inverse is computed once, in the matrix's declared ``inverse`` field.
 
 Truncation is never allowed to lie: any matrix built from images that
 lost over-degree terms is flagged, and flagged matrices refuse to
@@ -24,9 +25,8 @@ flagged matrix: carry the flag, raise, or fail the check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from . import linalg
 from .algebra import (
@@ -41,12 +41,11 @@ from .algebra import (
 )
 from .linearize import (
     ChartMorphism,
-    CompositeOperator,
     LinearizedChart,
     compose_DLambda,
     linearize_chart,
 )
-from .tangent import Derivation, quotient_polynomial
+from .tangent import Derivation
 from .weights import (
     ZERO,
     BasisSymbol,
@@ -83,13 +82,17 @@ class ComponentMatrix:
     Columns are the images of the domain basis monomials expanded in the
     codomain basis; ``entries[r][c]`` is the coefficient of codomain
     monomial ``r`` in the image of domain monomial ``c``, and
-    ``overflow[c]`` flags a column whose image lost terms.
+    ``overflow[c]`` flags a column whose image lost terms.  ``inverse``
+    holds the inverse of ``entries`` once :func:`_inverse_matrix` has
+    computed it.
     """
 
     domain_basis: list[Monomial]
     codomain_basis: list[Monomial]
     entries: linalg.Matrix
     overflow: list[bool]
+    inverse: linalg.Matrix | None = field(default=None, init=False,
+                                          repr=False)
 
     @property
     def dom_dim(self) -> int:
@@ -171,24 +174,14 @@ def _matrix(apply, dom_chart: Chart, dom: list[Monomial], cod: list[Monomial],
     return ComponentMatrix(dom, cod, entries, overflow)
 
 
-def component_map(op, w: Weight) -> ComponentMatrix:
-    """Exact matrix of a derivation or composite on a weight component."""
-    if isinstance(op, Derivation):
-        dom_chart, cod_chart, shift = op.chart, op.chart, op.weight_shift
-    elif isinstance(op, CompositeOperator):
-        dom_chart, cod_chart = op.lc.source, op.lc.quotient
-        shift = op.weight_action
-    else:
-        raise AnalysisError(f"unsupported operator {op!r}")
-    return _matrix(op.apply, dom_chart,
-                   component_basis(dom_chart, w),
-                   component_basis(cod_chart, w + shift))
-
-
-def _op_matrix(op: Derivation, w: Weight) -> ComponentMatrix:
+def component_map(op: Derivation, w: Weight) -> ComponentMatrix:
+    """Exact matrix of a derivation on the weight-``w`` component, built
+    once per weight and memoized in the derivation's ``matrix_memo``."""
     hit = op.matrix_memo.get(w)
     if hit is None:
-        hit = op.matrix_memo[w] = component_map(op, w)
+        hit = op.matrix_memo[w] = _matrix(
+            op.apply, op.chart, component_basis(op.chart, w),
+            component_basis(op.chart, w + op.weight_shift))
     return hit
 
 
@@ -203,7 +196,7 @@ def kernel_intersection(chart: Chart, ops: list[Derivation], w: Weight,
     basis = component_basis(chart, w)
     stacked: linalg.Matrix = []
     for op in ops:
-        cm = _op_matrix(op, w)
+        cm = component_map(op, w)
         cm.require_exact()
         stacked.extend(cm.entries)
     return basis, linalg.nullspace(stacked, len(basis))
@@ -231,7 +224,7 @@ def is_nondegenerate(lc_or_chart, sym: BasisSymbol, delta: Weight,
     if delta not in chart.system.elements or target not in chart.system.elements:
         raise AnalysisError(f"image weight {target.label} is not a system "
                             "element; non-degeneracy is not asserted there")
-    full = _op_matrix(op, delta)
+    full = component_map(op, delta)
     return all(full.capped(d).is_bijective()
                for d in range(1, chart.truncation + 1))
 
@@ -324,9 +317,10 @@ def solve_inverse(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...],
     # the guarantee of a solution needs every named step to sit next to a
     # unit of its basic direction; without that the solve may legitimately
     # find the right-hand side outside the image and report failure
+    ds = lc.quotient_derivations
     g = f.in_chart(lc.quotient) if f.chart is not lc.quotient else f
     for s in symbols:
-        step = _quotient_step(lc, s, g)
+        step = ds[s].apply(g)
         if step.truncated and step.is_zero:
             raise TruncationOverflow("inverse solve hit the truncation")
         if not step.is_zero:
@@ -337,14 +331,11 @@ def solve_inverse(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...],
     while rest:
         s = rest.pop(0)
         wh = wk - lift_shift(s)
-        dom = component_basis(lc.quotient, wh)
         stacked: linalg.Matrix = []
         rhs: linalg.Vector = []
         # the peeled step must give g and every remaining step zero
-        for sym, target_w, want in [(s, wk, g)] + [
-                (t, wh + lift_shift(t), lc.quotient.zero()) for t in rest]:
-            block = _matrix(partial(_quotient_step, lc, sym), lc.quotient,
-                            dom, component_basis(lc.quotient, target_w))
+        for sym, want in [(s, g)] + [(t, lc.quotient.zero()) for t in rest]:
+            block = component_map(ds[sym], wh)
             block.require_exact("inverse solve hit the truncation")
             stacked.extend(block.entries)
             index = {m: k for k, m in enumerate(block.codomain_basis)}
@@ -356,15 +347,9 @@ def solve_inverse(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...],
         if sol is None:
             raise KernelHypothesisError("no preimage at weight "
                                         f"{wh.label}; kernel hypothesis violated")
-        g = _vec_poly(lc.quotient, dom, sol)
+        g = _vec_poly(lc.quotient, block.domain_basis, sol)
         wk = wh
     return g.in_chart(lc.source)
-
-
-def _quotient_step(lc: LinearizedChart, sym: BasisSymbol, p: Polynomial,
-                   ) -> Polynomial:
-    q = lc.lifted_derivations[sym].apply(p.in_chart(lc.lifted))
-    return quotient_polynomial(lc.quotient, q)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +357,16 @@ def _quotient_step(lc: LinearizedChart, sym: BasisSymbol, p: Polynomial,
 # ---------------------------------------------------------------------------
 
 def _inverse_matrix(op: Derivation, source_w: Weight) -> linalg.Matrix:
-    cm = _op_matrix(op, source_w)
+    cm = component_map(op, source_w)
     cm.require_exact()
     if cm.dom_dim != cm.cod_dim:
         raise AnalysisError(f"operator not invertible out of {source_w.label}: "
                             "component dimensions differ")
-    if cm.dom_dim == 0:
-        return []
-    m = linalg.inv(cm.entries)
-    if m is None:
+    if cm.inverse is None:
+        cm.inverse = linalg.inv(cm.entries) if cm.dom_dim else []
+    if cm.inverse is None:
         raise AnalysisError(f"operator not invertible out of {source_w.label}")
-    return m
+    return cm.inverse
 
 
 @dataclass(eq=False)
@@ -406,7 +390,7 @@ def check_cocycle(lc_or_chart, i: int, j: int, j1: int, j2: int,
             raise AnalysisError(f"required weight {need.label} is not a "
                                 "system element")
     lhs, rhs = _cocycle_sides(operators, syms, delta)
-    kmat = _op_matrix(operators[b_j], delta)
+    kmat = component_map(operators[b_j], delta)
     kmat.require_exact()
     kvecs = linalg.nullspace(kmat.entries, kmat.dom_dim)
     for v in kvecs:
@@ -426,7 +410,7 @@ def _transfer(op_fwd: Derivation, op_back: Derivation, src: Weight,
               dst: Weight) -> linalg.Matrix:
     """Matrix of ``op_back^{-1} o op_fwd`` from the ``src`` component to
     the ``dst`` component."""
-    fwd = _op_matrix(op_fwd, src)
+    fwd = component_map(op_fwd, src)
     fwd.require_exact()
     back_inv = _inverse_matrix(op_back, dst)
     return linalg.matmul(back_inv, fwd.entries)

@@ -110,8 +110,8 @@ def cmd_validate(args) -> int:
         "valid": rep.is_valid,
         "multiplicity_free": mf,
     }
-    if rep.is_valid:
-        mults = max_multiplicities(ws)
+    mults = max_multiplicities(ws) if rep.is_valid else None
+    if mults is not None:
         data["max_multiplicities"] = {s.label: n for s, n in mults.by_symbol}
         data["extra_lifts"] = mults.extra
     if args.json:
@@ -135,8 +135,7 @@ def cmd_validate(args) -> int:
     print(f"condition 3 (non-negative): {'PASS' if rep.is_nonnegative else 'FAIL'}{neg}")
     print(f"valid: {'yes' if rep.is_valid else 'no'}")
     print(f"multiplicity-free: {'yes' if mf else 'no'}")
-    if rep.is_valid:
-        mults = max_multiplicities(ws)
+    if mults is not None:
         pairs = " ".join(f"{s.label}={n}" for s, n in mults.by_symbol)
         print(f"max multiplicities: {pairs} (extra lifts: {mults.extra})")
     return 0 if rep.is_valid else 1
@@ -202,7 +201,7 @@ def cmd_linearize(args) -> int:
         print("generators:")
         rows = [[e.delta_prime.label, e.generator.name, e.delta.label,
                  " o ".join(f"D[{s.label}]" for s in e.composition) or "id"]
-                for e in coordinate_table(lc)]
+                for e in table]
         for line in _table(rows, ["weight", "name", "from", "composition"]):
             print(line)
         print("operators:")
@@ -215,9 +214,11 @@ def cmd_linearize(args) -> int:
 
 
 def _spot_checks(lc, seed: int) -> bool:
-    """Seeded random Leibniz / commutation checks on the lifted chart."""
+    """Seeded random Leibniz and square-zero checks of the lift
+    derivations on the quotient chart, where every answer uses them: they
+    preserve the negative-weight ideal, so they descend to it."""
     rng = random.Random(seed)
-    chart = lc.lifted
+    chart = lc.quotient
     coords = list(chart.coordinates)
     ok = True
     for _ in range(5):
@@ -225,7 +226,7 @@ def _spot_checks(lc, seed: int) -> bool:
         p = chart.gen(c1, rng.choice([1, 2, -1, 3]))
         q = chart.gen(c2)
         for sym in lc.lift_sequence:
-            d = lc.lifted_derivations[sym]
+            d = lc.quotient_derivations[sym]
             lhs = d.apply(multiply(p, q))
             sign = -1 if c1.parity else 1
             rhs = multiply(d.apply(p), q) + multiply(p, d.apply(q)).scale(sign)

@@ -2,7 +2,10 @@
 
 The pipeline: apply one shifted tangent lift per multiplicity step, in the
 canonical sequence order; divide by the negative-weight ideal; restrict to
-the coordinates of multiplicity-free weight.  The lifts' odd derivations
+the coordinates of multiplicity-free weight.  A lift derivation adds
+``b - a<i>`` to a weight, which raises no basic coefficient, so it
+preserves the negative-weight ideal and descends to the quotient chart;
+every consumer applies it there.  The lifts' odd derivations further
 descend to a commuting family of odd operators on the restricted chart,
 one per additional symbol.
 
@@ -53,11 +56,12 @@ from .weights import (
 class LinearizedChart:
     """Result of linearizing a chart.
 
-    ``chart`` is the multiplicity-free restriction carrying the induced
-    operator family; ``lifted`` keeps the full iterated lift (with its
-    negative-weight coordinates) because inverse solves need
-    representatives before the quotient, and ``quotient`` is the lift
-    modulo the negative-weight ideal.
+    ``lifted`` is the full iterated lift, negative-weight coordinates
+    included; ``quotient`` is the lift modulo the negative-weight ideal,
+    and ``chart`` is its multiplicity-free restriction carrying the
+    induced operator family.  A lift derivation only lowers basic
+    coefficients, so it preserves the negative-weight ideal and
+    ``quotient_derivations`` are the lift derivations on ``quotient``.
     """
 
     source: Chart
@@ -65,7 +69,7 @@ class LinearizedChart:
     quotient: Chart
     chart: Chart
     operators: dict  # BasisSymbol -> Derivation on `chart`
-    lifted_derivations: dict  # BasisSymbol -> Derivation on `lifted`
+    quotient_derivations: dict  # BasisSymbol -> Derivation on `quotient`
 
     @property
     def lift_sequence(self) -> tuple[BasisSymbol, ...]:
@@ -93,8 +97,9 @@ def linearize_chart(src: Chart) -> LinearizedChart:
                    dchart.applied_lifts)
     applied = lifted.applied_lifts
     operators = {tag: de_rham(dchart, tag) for tag in applied}
-    lifted_ds = {tag: de_rham(lifted, tag) for tag in applied}
-    return LinearizedChart(src, lifted, quotient, dchart, operators, lifted_ds)
+    quotient_ds = {tag: de_rham(quotient, tag) for tag in applied}
+    return LinearizedChart(src, lifted, quotient, dchart, operators,
+                           quotient_ds)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +108,10 @@ def linearize_chart(src: Chart) -> LinearizedChart:
 
 @dataclass(frozen=True, eq=False)
 class CompositeOperator:
-    """An ordered composition of lift derivations, taken after the quotient.
+    """An ordered composition of lift derivations on the quotient chart.
 
     ``symbols = (g1, .., gs)`` denotes the composition ``d_g1 o ... o d_gs``
-    (rightmost applied first) followed by the negative-weight quotient.  It
+    (rightmost applied first) after the negative-weight quotient.  It
     maps the weight-``w`` component of the source algebra into the
     component at ``w`` shifted by every ``g - a`` step.
     """
@@ -132,11 +137,16 @@ class CompositeOperator:
         return delta + self.weight_action
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Apply to a polynomial over the source chart (or the lift)."""
-        q = p.in_chart(self.lc.lifted)
+        """Apply to a polynomial over the source chart (or the lift).
+
+        The input is taken modulo the negative-weight ideal first: every
+        lift derivation preserves that ideal, so applying the quotient's
+        derivations gives the quotient of the lifted composite.
+        """
+        q = quotient_polynomial(self.lc.quotient, p.in_chart(self.lc.lifted))
         for s in reversed(self.symbols):
-            q = self.lc.lifted_derivations[s].apply(q)
-        return quotient_polynomial(self.lc.quotient, q)
+            q = self.lc.quotient_derivations[s].apply(q)
+        return q
 
 
 def compose_DLambda(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...]
@@ -266,8 +276,10 @@ def lift_morphism(psi: ChartMorphism,
 
     Each tagged generator of the linearized target pulls back to the same
     composition of source-side lift derivations applied to the pullback of
-    its untagged base, taken modulo the negative-weight ideal.  The result
-    commutes with the induced operator families.
+    its untagged base.  The lift derivations preserve the negative-weight
+    ideal, so they are applied on the source's quotient chart, where the
+    untagged pullback already lives.  The result commutes with the
+    induced operator families.
     """
     if psi.source.system.elements != psi.target.system.elements:
         raise AlgebraError("morphism endpoints must share one weight system")
@@ -276,9 +288,8 @@ def lift_morphism(psi: ChartMorphism,
     pb = {}
     for c in lc_t.chart.coordinates:
         base = psi.target.coordinate(c.cid.base_name)
-        img = psi.pullback[base].in_chart(lc_s.lifted)
+        img = psi.pullback[base].in_chart(lc_s.quotient)
         for tag in c.cid.tags:  # application order: first applied first
-            img = lc_s.lifted_derivations[tag].apply(img)
-        img = quotient_polynomial(lc_s.quotient, img).in_chart(lc_s.chart)
-        pb[c] = img
+            img = lc_s.quotient_derivations[tag].apply(img)
+        pb[c] = img.in_chart(lc_s.chart)
     return ChartMorphism(lc_s.chart, lc_t.chart, pb, dict(psi.symbol_map))

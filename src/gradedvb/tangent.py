@@ -147,15 +147,6 @@ def tangent_lift_unchecked(chart: Chart, tag: BasisSymbol) -> Chart:
     return _lift(chart, tag)
 
 
-def _tag_sign(existing: tuple[BasisSymbol, ...], applied: tuple[BasisSymbol, ...],
-              tag: BasisSymbol) -> int:
-    """Sign for moving the differential of ``tag`` into place past the
-    tags of ``existing`` that were applied after ``tag``."""
-    pos = {t: k for k, t in enumerate(applied)}
-    later = sum(1 for t in existing if pos[t] > pos[tag])
-    return (-1) ** (later % 2)
-
-
 def de_rham(chart: Chart, tag: BasisSymbol) -> Derivation:
     """The odd derivation of one applied lift.
 
@@ -170,6 +161,7 @@ def de_rham(chart: Chart, tag: BasisSymbol) -> Derivation:
         raise AlgebraError(f"lift {tag.label} was not applied to this chart")
     images = {}
     lookup = {c.cid: c for c in chart.coordinates}
+    pos = {t: k for k, t in enumerate(applied)}
     for c in chart.coordinates:
         if tag in c.cid.tags:
             continue
@@ -179,7 +171,9 @@ def de_rham(chart: Chart, tag: BasisSymbol) -> Derivation:
             if not partner.weight.is_nonnegative:
                 continue
             raise AlgebraError(f"missing partner coordinate {partner.cid.name}")
-        images[c] = chart.gen(target, _tag_sign(c.cid.tags, applied, tag))
+        # moving the differential into place passes the later-applied tags
+        later = sum(1 for t in c.cid.tags if pos[t] > pos[tag])
+        images[c] = chart.gen(target, (-1) ** (later % 2))
     return Derivation(chart, lift_shift(tag), 1, images)
 
 

@@ -36,8 +36,9 @@ from gradedvb import (
     tangent_lift,
     weight,
 )
-from gradedvb import analysis
-from gradedvb.analysis import _matrix
+from gradedvb import analysis, linalg
+from gradedvb.analysis import _inverse_matrix, _matrix
+from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
 from conftest import random_chart, random_nonneg_system, rank1_chart
 
@@ -97,7 +98,7 @@ class TestLiftOperator:
             # it is the lift's derivation taken modulo the negative ideal
             for c in lc.chart.coordinates:
                 assert d.of(c) == quotient_polynomial(
-                    lc.quotient, lc.lifted_derivations[tag].of(c))
+                    lc.quotient, de_rham(lc.lifted, tag).of(c))
 
     def test_missing_non_negative_partner_rejected(self):
         lc = spec_linearized("m2.spec")
@@ -260,7 +261,8 @@ class TestCappedMatrix:
     def test_capped_equals_direct_build(self, dims):
         lc = m3_linearized(dims)
         pairs = [(op, lc.chart) for op in lc.operators.values()]
-        pairs += [(op, lc.quotient) for op in lc.lifted_derivations.values()]
+        pairs += [(de_rham(lc.lifted, tag), lc.quotient)
+                  for tag in lc.lift_sequence]
         sliced = 0
         for op, chart in pairs:
             for w in chart.system.sorted_elements():
@@ -406,6 +408,137 @@ class TestSolveInverse:
             solve_inverse(lc, (B2, B3), f)
 
 
+def random_polynomial(rng, chart, basis=None):
+    """A seeded random polynomial: integer combinations of ``basis``, or
+    else six random products of at most ``chart.truncation`` generators,
+    negative-weight coordinates included."""
+    p = chart.zero()
+    if basis is not None:
+        for m in basis:
+            p = p + monomial_poly(chart, m, rng.randint(-2, 2))
+        return p
+    for _ in range(6):
+        term = chart.gen(rng.choice(chart.coordinates), rng.choice([1, 2, -1, 3]))
+        for _ in range(rng.randint(0, chart.truncation - 1)):
+            term = multiply(term, chart.gen(rng.choice(chart.coordinates)))
+        p = p + term
+    return p
+
+
+def lifted_composite(lc, symbols, p):
+    """The composite computed on the full lift: the lift derivations
+    applied right to left, then the quotient."""
+    q = p.in_chart(lc.lifted)
+    for s in reversed(symbols):
+        q = de_rham(lc.lifted, s).apply(q)
+    return quotient_polynomial(lc.quotient, q)
+
+
+def lifted_solve_inverse(lc, symbols, f):
+    """The inverse solve computed on the full lift: every step applies a
+    lift derivation to a representative in ``lc.lifted`` and takes the
+    quotient, and every block is built from those steps."""
+    def step(sym, p):
+        return lifted_composite(lc, (sym,), p)
+
+    g = f.in_chart(lc.quotient)
+    for s in symbols:
+        if not step(s, g).is_zero:
+            raise KernelHypothesisError(f"not killed by {s.label}")
+    wk = f.homogeneous_weight()
+    rest = list(symbols)
+    while rest:
+        s = rest.pop(0)
+        wh = wk - lift_shift(s)
+        dom = component_basis(lc.quotient, wh)
+        stacked, rhs = [], []
+        for sym, want in [(s, g)] + [(t, lc.quotient.zero()) for t in rest]:
+            cod = component_basis(lc.quotient, wh + lift_shift(sym))
+            block = _matrix(lambda p, sym=sym: step(sym, p), lc.quotient,
+                            dom, cod)
+            assert not block.truncated
+            assert set(want.terms) <= set(cod)
+            stacked.extend(block.entries)
+            rhs.extend(want.terms.get(m, Fraction(0)) for m in cod)
+        sol = linalg.solve(stacked, rhs)
+        if sol is None:
+            raise KernelHypothesisError(f"no preimage at {wh.label}")
+        g = Polynomial(lc.quotient, dict(zip(dom, sol)))
+        wk = wh
+    return g.in_chart(lc.source)
+
+
+def solve_outcome(solve, lc, symbols, f):
+    try:
+        return solve(lc, symbols, f)
+    except KernelHypothesisError:
+        return "rejected"
+
+
+class TestQuotientDerivations:
+    """The lift derivations preserve the negative-weight ideal, so applying
+    them on the quotient chart gives what the lift gives after the
+    quotient."""
+
+    def charts(self, rng):
+        return [spec_linearized("m2.spec"), spec_linearized("m3.spec"),
+                m3_linearized((1, 2, 1, 1))] + [
+            linearize_chart(random_chart(rng, random_nonneg_system(rng),
+                                         max_dim=2)) for _ in range(6)]
+
+    def test_quotient_commutes_with_every_lift_derivation(self, rng):
+        negative = 0
+        for lc in self.charts(rng):
+            assert set(lc.quotient_derivations) == set(lc.lift_sequence)
+            for tag in lc.lift_sequence:
+                d_lift = de_rham(lc.lifted, tag)
+                d_quot = lc.quotient_derivations[tag]
+                assert d_quot.chart is lc.quotient
+                for _ in range(8):
+                    p = random_polynomial(rng, lc.lifted)
+                    want = quotient_polynomial(lc.quotient, d_lift.apply(p))
+                    got = d_quot.apply(quotient_polynomial(lc.quotient, p))
+                    assert got == want
+                    assert got.truncated == want.truncated
+                    negative += any(not c.weight.is_nonnegative
+                                    for m in p.terms for c, _ in m.factors)
+        assert negative > 50
+
+    def test_composite_and_solve_match_the_lifted_path(self, rng):
+        solved = rejected = 0
+        for lc in self.charts(rng):
+            for delta, lam in admissible_pairs(lc):
+                comp = compose_DLambda(lc, lam)
+                p = random_polynomial(rng, lc.source,
+                                      component_basis(lc.source, delta))
+                f = comp.apply(p)
+                assert f == lifted_composite(lc, lam, p)
+                if not f.is_zero:
+                    assert solve_inverse(lc, lam, f) == p
+                    assert lifted_solve_inverse(lc, lam, f) == p
+                    solved += 1
+                # joint kernel vectors, and random elements mostly off it
+                w = comp.of_weight(delta)
+                basis, kvecs = kernel_intersection(
+                    lc.chart, [lc.operators[s] for s in lam], w)
+                rhs = [Polynomial(lc.quotient, dict(zip(basis, v)))
+                       for v in kvecs[:2]]
+                rhs.append(random_polynomial(
+                    rng, lc.quotient, component_basis(lc.quotient, w)))
+                for g in rhs:
+                    if g.is_zero:
+                        continue
+                    got = solve_outcome(solve_inverse, lc, lam, g)
+                    assert got == solve_outcome(lifted_solve_inverse, lc,
+                                                lam, g)
+                    if got == "rejected":
+                        rejected += 1
+                    else:
+                        assert comp.apply(got) == g
+                        solved += 1
+        assert solved > 40 and rejected > 10
+
+
 def m4_linearized(dims=(1, 2, 1, 1, 1)):
     return linearize_chart(rank1_chart(4, list(dims)))
 
@@ -470,6 +603,42 @@ class TestKernelPreservation:
         res = check_kernel_preservation(lc.chart, 1, 2, 3, delta, dp, broken)
         assert not res.passes
         assert res.witness is not None
+
+    def test_inverse_computed_once(self, monkeypatch):
+        lc = m3_linearized((1, 2, 1, 1))
+        op, w = lc.operators[B3], weight({A: 1, B2: 1})
+        calls = []
+        real = linalg.inv
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(linalg, "inv", counting)
+        first = _inverse_matrix(op, w)
+        assert _inverse_matrix(op, w) is first
+        assert len(calls) == 1
+        assert first == real(component_map(op, w).entries)
+        assert component_map(op, w).inverse is first
+        assert linalg.matmul(first, component_map(op, w).entries) == \
+            linalg.identity(len(first))
+
+    def test_inverse_errors_raise_on_every_call(self):
+        lc = m3_linearized((1, 2, 1, 1))
+        broken = lc.operators[B3].with_zeroed(
+            lc.chart.coordinate("xi{2a1}_1[b2_1]"))
+        _, flagged = TestOverflowPolicy().degree_raising()
+        for _ in range(2):
+            with pytest.raises(TruncationOverflow) as err:
+                _inverse_matrix(flagged, weight({A: 1}))
+            assert str(err.value) == EXACT
+            with pytest.raises(AnalysisError, match=r"out of 0: component "
+                               r"dimensions differ$"):
+                _inverse_matrix(lc.operators[B2], ZERO)
+            with pytest.raises(AnalysisError,
+                               match=r"^operator not invertible out of "
+                                     r"a1\+b2_1$"):
+                _inverse_matrix(broken, weight({A: 1, B2: 1}))
 
     def test_inverted_operator_must_be_bijective(self):
         lc = m3_linearized((1, 2, 1, 1))

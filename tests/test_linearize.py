@@ -12,6 +12,7 @@ from gradedvb import (
     component_basis,
     compose_DLambda,
     coordinate_table,
+    de_rham,
     identity_morphism,
     lift_morphism,
     linearize_chart,
@@ -123,7 +124,7 @@ class TestCompositeOperator:
         lc = linearize_chart(chart)
         comp = compose_DLambda(lc, (B2,))
         xi2a = chart.gen(chart.coordinate("xi{2a1}_1"))
-        direct = lc.lifted_derivations[B2].apply(xi2a.in_chart(lc.lifted))
+        direct = de_rham(lc.lifted, B2).apply(xi2a.in_chart(lc.lifted))
         got = comp.apply(xi2a)
         assert got.terms == direct.terms
         assert got.text() == "1 * xi{2a1}_1[b2_1]"

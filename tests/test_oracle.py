@@ -21,6 +21,7 @@ from gradedvb import (
     component_basis,
     component_map,
     compose_DLambda,
+    de_rham,
     linalg,
     linearize_chart,
     monomial_poly,
@@ -52,7 +53,7 @@ def operator_matrices():
     lc = m3_linearized()
     out = [component_map(op, w) for op in lc.operators.values()
            for w in lc.chart.system.sorted_elements()]
-    out += [component_map(op, w) for op in lc.lifted_derivations.values()
+    out += [component_map(de_rham(lc.lifted, tag), w) for tag in lc.lift_sequence
             for w in lc.quotient.system.sorted_elements()]
     return [cm for cm in out if cm.dom_dim and cm.cod_dim]
 
