@@ -117,6 +117,9 @@ JSON_GOLDENS = [
     ("a2pos_dualize.json", ["dualize", "a2pos.spec", "--base", "0,0;1,0"]),
     ("b2pos_dualize.json", ["dualize", "b2pos.spec", "--base", "0,0;1,0"]),
     ("m2_reconstruct.json", ["reconstruct", "m2.spec"]),
+] + [
+    (f"{stem}_linearize.json", ["linearize", f"{stem}.spec", "--fibers"])
+    for stem in ("m2", "m3", "b2pos")
 ]
 
 
