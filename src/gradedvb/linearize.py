@@ -1,11 +1,14 @@
 """Chart-level linearization into a multi-fold vector bundle chart.
 
 The pipeline: apply one shifted tangent lift per multiplicity step, in the
-canonical sequence order; divide by the negative-weight ideal; restrict to
-the coordinates of multiplicity-free weight.  A lift derivation adds
-``b - a<i>`` to a weight, which raises no basic coefficient, so it
-preserves the negative-weight ideal and descends to the quotient chart;
-every consumer applies it there.  The lifts' odd derivations further
+canonical sequence order, dividing by the negative-weight ideal after each
+step; then restrict to the coordinates of multiplicity-free weight.  A lift
+adds ``b - a<i>`` to a weight, which raises no basic coefficient, so the
+partner of a negative-weight coordinate is again of negative weight: the
+ideal is stable under every later lift and under every lift derivation.
+Dividing it out step by step therefore gives the quotient of the full
+iterated lift, which is never built, and the lift derivations descend to
+the quotient chart, where every consumer applies them.  They further
 descend to a commuting family of odd operators on the restricted chart,
 one per additional symbol.
 
@@ -32,7 +35,6 @@ from .tangent import (
     de_rham,
     multiplicity_free_restriction,
     quotient_chart,
-    quotient_polynomial,
     tangent_lift,
 )
 from .weights import (
@@ -56,16 +58,14 @@ from .weights import (
 class LinearizedChart:
     """Result of linearizing a chart.
 
-    ``lifted`` is the full iterated lift, negative-weight coordinates
-    included; ``quotient`` is the lift modulo the negative-weight ideal,
-    and ``chart`` is its multiplicity-free restriction carrying the
-    induced operator family.  A lift derivation only lowers basic
-    coefficients, so it preserves the negative-weight ideal and
-    ``quotient_derivations`` are the lift derivations on ``quotient``.
+    ``quotient`` is the iterated lift modulo the negative-weight ideal,
+    built one lift at a time (see the module docstring), and ``chart`` is
+    its multiplicity-free restriction carrying the induced operator
+    family.  ``quotient_derivations`` are the lift derivations on
+    ``quotient``.
     """
 
     source: Chart
-    lifted: Chart
     quotient: Chart
     chart: Chart
     operators: dict  # BasisSymbol -> Derivation on `chart`
@@ -73,7 +73,7 @@ class LinearizedChart:
 
     @property
     def lift_sequence(self) -> tuple[BasisSymbol, ...]:
-        return self.lifted.applied_lifts
+        return self.quotient.applied_lifts
 
 
 def linearize_chart(src: Chart) -> LinearizedChart:
@@ -83,10 +83,9 @@ def linearize_chart(src: Chart) -> LinearizedChart:
         raise WeightError("source system must be valid and non-negative")
     if src.applied_lifts:
         raise AlgebraError("source chart must not carry earlier lifts")
-    lifted = src
+    quotient = src
     for tag in lift_symbols(src.system):
-        lifted = tangent_lift(lifted, tag)
-    quotient = quotient_chart(lifted)
+        quotient = quotient_chart(tangent_lift(quotient, tag))
     dchart = multiplicity_free_restriction(quotient)
     expected = linearized_system(src.system)
     if frozenset(dchart.system.elements) != expected.elements:
@@ -95,11 +94,10 @@ def linearize_chart(src: Chart) -> LinearizedChart:
     # normalize to the derived system (same elements, basis in canonical order)
     dchart = Chart(expected, dchart.coordinates, dchart.truncation,
                    dchart.applied_lifts)
-    applied = lifted.applied_lifts
+    applied = quotient.applied_lifts
     operators = {tag: de_rham(dchart, tag) for tag in applied}
     quotient_ds = {tag: de_rham(quotient, tag) for tag in applied}
-    return LinearizedChart(src, lifted, quotient, dchart, operators,
-                           quotient_ds)
+    return LinearizedChart(src, quotient, dchart, operators, quotient_ds)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +135,13 @@ class CompositeOperator:
         return delta + self.weight_action
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Apply to a polynomial over the source chart (or the lift).
+        """Apply to a polynomial over the source or the quotient chart.
 
-        The input is taken modulo the negative-weight ideal first: every
-        lift derivation preserves that ideal, so applying the quotient's
-        derivations gives the quotient of the lifted composite.
+        Every source coordinate lies in the quotient, and the lift
+        derivations preserve the negative-weight ideal, so applying the
+        quotient's derivations gives the quotient of the lifted composite.
         """
-        q = quotient_polynomial(self.lc.quotient, p.in_chart(self.lc.lifted))
+        q = p.in_chart(self.lc.quotient)
         for s in reversed(self.symbols):
             q = self.lc.quotient_derivations[s].apply(q)
         return q
@@ -269,10 +267,10 @@ def identity_morphism(chart: Chart) -> ChartMorphism:
     return ChartMorphism(chart, chart, {c: chart.gen(c) for c in chart.coordinates})
 
 
-def lift_morphism(psi: ChartMorphism,
-                  lc_source: LinearizedChart | None = None,
-                  lc_target: LinearizedChart | None = None) -> ChartMorphism:
-    """Prolong a morphism of source charts to the linearized charts.
+def lift_morphism(psi: ChartMorphism, lc_source: LinearizedChart,
+                  lc_target: LinearizedChart) -> ChartMorphism:
+    """Prolong a morphism of source charts to their linearized charts
+    ``lc_source`` and ``lc_target``.
 
     Each tagged generator of the linearized target pulls back to the same
     composition of source-side lift derivations applied to the pullback of
@@ -283,13 +281,12 @@ def lift_morphism(psi: ChartMorphism,
     """
     if psi.source.system.elements != psi.target.system.elements:
         raise AlgebraError("morphism endpoints must share one weight system")
-    lc_s = lc_source or linearize_chart(psi.source)
-    lc_t = lc_target or linearize_chart(psi.target)
     pb = {}
-    for c in lc_t.chart.coordinates:
+    for c in lc_target.chart.coordinates:
         base = psi.target.coordinate(c.cid.base_name)
-        img = psi.pullback[base].in_chart(lc_s.quotient)
+        img = psi.pullback[base].in_chart(lc_source.quotient)
         for tag in c.cid.tags:  # application order: first applied first
-            img = lc_s.quotient_derivations[tag].apply(img)
-        pb[c] = img.in_chart(lc_s.chart)
-    return ChartMorphism(lc_s.chart, lc_t.chart, pb, dict(psi.symbol_map))
+            img = lc_source.quotient_derivations[tag].apply(img)
+        pb[c] = img.in_chart(lc_source.chart)
+    return ChartMorphism(lc_source.chart, lc_target.chart, pb,
+                         dict(psi.symbol_map))

@@ -217,7 +217,10 @@ def parse_polynomial(chart: Chart, text: str) -> Polynomial:
         coeff = Fraction(1)
         start = 0
         if re.match(r"^-?\d+(/\d+)?$", parts[0]):
-            coeff = Fraction(parts[0])
+            try:
+                coeff = Fraction(parts[0])
+            except ZeroDivisionError:
+                raise AlgebraError(f"malformed coefficient {parts[0]!r}") from None
             start = 1
         elif parts[0].startswith("-"):
             coeff = Fraction(-1)

@@ -110,7 +110,8 @@ class Derivation:
 # lifts
 # ---------------------------------------------------------------------------
 
-def _lift(chart: Chart, tag: BasisSymbol) -> Chart:
+def tangent_lift_unchecked(chart: Chart, tag: BasisSymbol) -> Chart:
+    """Lift without the canonical-order check; for reorder experiments."""
     if tag.kind != "additional":
         raise AlgebraError(f"lift tag must be an additional symbol, got {tag.label}")
     if tag in chart.applied_lifts:
@@ -139,12 +140,7 @@ def tangent_lift(chart: Chart, tag: BasisSymbol) -> Chart:
         if not prev.sort_key < tag.sort_key:
             raise AlgebraError(f"lift {tag.label} applied out of canonical "
                                f"order (after {prev.label})")
-    return _lift(chart, tag)
-
-
-def tangent_lift_unchecked(chart: Chart, tag: BasisSymbol) -> Chart:
-    """Lift without the canonical-order check; for reorder experiments."""
-    return _lift(chart, tag)
+    return tangent_lift_unchecked(chart, tag)
 
 
 def de_rham(chart: Chart, tag: BasisSymbol) -> Derivation:

@@ -8,7 +8,9 @@ from gradedvb import (
     WeightSystem,
     ZERO,
     basic_symbol,
+    lift_symbols,
     system_from_rows,
+    tangent_lift,
     weight,
 )
 
@@ -29,6 +31,16 @@ def rank1_chart(n, dims, parity=1, trunc=3):
     for k in range(1, n + 1):
         dmap[weight({a: k})] = dims[k]
     return Chart.from_dims(ws, dmap, trunc)
+
+
+def full_lift(src):
+    """The full iterated tangent lift of a source chart, negative-weight
+    coordinates included; the reference for the step-wise quotient that
+    ``linearize_chart`` builds."""
+    lifted = src
+    for tag in lift_symbols(src.system):
+        lifted = tangent_lift(lifted, tag)
+    return lifted
 
 
 def random_nonneg_system(rng: random.Random, max_rank=2, max_mult=3):

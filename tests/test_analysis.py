@@ -40,7 +40,7 @@ from gradedvb import analysis, linalg
 from gradedvb.analysis import _inverse_matrix, _matrix
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
-from conftest import random_chart, random_nonneg_system, rank1_chart
+from conftest import full_lift, random_chart, random_nonneg_system, rank1_chart
 
 A = basic_symbol(1, 1)
 B2 = additional_symbol(2, 1, 1)
@@ -89,6 +89,7 @@ class TestLiftOperator:
     @pytest.mark.parametrize("name", ["m2.spec", "m3.spec"])
     def test_de_rham_on_restricted_chart_is_the_induced_operator(self, name):
         lc = spec_linearized(name)
+        lifted = full_lift(lc.source)
         for tag in lc.lift_sequence:
             d = de_rham(lc.chart, tag)
             op = lc.operators[tag]
@@ -98,7 +99,7 @@ class TestLiftOperator:
             # it is the lift's derivation taken modulo the negative ideal
             for c in lc.chart.coordinates:
                 assert d.of(c) == quotient_polynomial(
-                    lc.quotient, de_rham(lc.lifted, tag).of(c))
+                    lc.quotient, de_rham(lifted, tag).of(c))
 
     def test_missing_non_negative_partner_rejected(self):
         lc = spec_linearized("m2.spec")
@@ -261,7 +262,8 @@ class TestCappedMatrix:
     def test_capped_equals_direct_build(self, dims):
         lc = m3_linearized(dims)
         pairs = [(op, lc.chart) for op in lc.operators.values()]
-        pairs += [(de_rham(lc.lifted, tag), lc.quotient)
+        lifted = full_lift(lc.source)
+        pairs += [(de_rham(lifted, tag), lc.quotient)
                   for tag in lc.lift_sequence]
         sliced = 0
         for op, chart in pairs:
@@ -425,21 +427,22 @@ def random_polynomial(rng, chart, basis=None):
     return p
 
 
-def lifted_composite(lc, symbols, p):
-    """The composite computed on the full lift: the lift derivations
-    applied right to left, then the quotient."""
-    q = p.in_chart(lc.lifted)
+def lifted_composite(lc, lifted, symbols, p):
+    """The composite computed on the full lift ``lifted`` of
+    ``lc.source``: the lift derivations applied right to left, then the
+    quotient."""
+    q = p.in_chart(lifted)
     for s in reversed(symbols):
-        q = de_rham(lc.lifted, s).apply(q)
+        q = de_rham(lifted, s).apply(q)
     return quotient_polynomial(lc.quotient, q)
 
 
-def lifted_solve_inverse(lc, symbols, f):
+def lifted_solve_inverse(lc, lifted, symbols, f):
     """The inverse solve computed on the full lift: every step applies a
-    lift derivation to a representative in ``lc.lifted`` and takes the
+    lift derivation to a representative in ``lifted`` and takes the
     quotient, and every block is built from those steps."""
     def step(sym, p):
-        return lifted_composite(lc, (sym,), p)
+        return lifted_composite(lc, lifted, (sym,), p)
 
     g = f.in_chart(lc.quotient)
     for s in symbols:
@@ -468,9 +471,9 @@ def lifted_solve_inverse(lc, symbols, f):
     return g.in_chart(lc.source)
 
 
-def solve_outcome(solve, lc, symbols, f):
+def solve_outcome(solve, *args):
     try:
-        return solve(lc, symbols, f)
+        return solve(*args)
     except KernelHypothesisError:
         return "rejected"
 
@@ -490,12 +493,13 @@ class TestQuotientDerivations:
         negative = 0
         for lc in self.charts(rng):
             assert set(lc.quotient_derivations) == set(lc.lift_sequence)
+            lifted = full_lift(lc.source)
             for tag in lc.lift_sequence:
-                d_lift = de_rham(lc.lifted, tag)
+                d_lift = de_rham(lifted, tag)
                 d_quot = lc.quotient_derivations[tag]
                 assert d_quot.chart is lc.quotient
                 for _ in range(8):
-                    p = random_polynomial(rng, lc.lifted)
+                    p = random_polynomial(rng, lifted)
                     want = quotient_polynomial(lc.quotient, d_lift.apply(p))
                     got = d_quot.apply(quotient_polynomial(lc.quotient, p))
                     assert got == want
@@ -507,15 +511,16 @@ class TestQuotientDerivations:
     def test_composite_and_solve_match_the_lifted_path(self, rng):
         solved = rejected = 0
         for lc in self.charts(rng):
+            lifted = full_lift(lc.source)
             for delta, lam in admissible_pairs(lc):
                 comp = compose_DLambda(lc, lam)
                 p = random_polynomial(rng, lc.source,
                                       component_basis(lc.source, delta))
                 f = comp.apply(p)
-                assert f == lifted_composite(lc, lam, p)
+                assert f == lifted_composite(lc, lifted, lam, p)
                 if not f.is_zero:
                     assert solve_inverse(lc, lam, f) == p
-                    assert lifted_solve_inverse(lc, lam, f) == p
+                    assert lifted_solve_inverse(lc, lifted, lam, f) == p
                     solved += 1
                 # joint kernel vectors, and random elements mostly off it
                 w = comp.of_weight(delta)
@@ -530,7 +535,7 @@ class TestQuotientDerivations:
                         continue
                     got = solve_outcome(solve_inverse, lc, lam, g)
                     assert got == solve_outcome(lifted_solve_inverse, lc,
-                                                lam, g)
+                                                lifted, lam, g)
                     if got == "rejected":
                         rejected += 1
                     else:

@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,11 @@ from gradedvb import (
     linearized_system,
     monomial_poly,
     multiply,
+    quotient_chart,
     weight,
 )
-from conftest import random_chart, random_nonneg_system, rank1_chart
+from gradedvb.specfile import parse_spec
+from conftest import full_lift, random_chart, random_nonneg_system, rank1_chart
 
 A = basic_symbol(1, 1)
 B2 = additional_symbol(2, 1, 1)
@@ -81,6 +84,34 @@ class TestLinearizeChart:
         assert lc.chart.coordinates == chart.coordinates
         assert lc.operators == {}
 
+    def test_stepwise_quotient_is_quotient_of_full_lift(self, rng):
+        # a lift adds b - a<i>, which raises no basic coefficient, so the
+        # negative-weight ideal is stable and may be divided out per step
+        here = os.path.dirname(__file__)
+        sources = []
+        for stem in ("m2", "m3", "b2pos"):
+            with open(os.path.join(here, "data", f"{stem}.spec"), "r",
+                      encoding="utf-8") as fh:
+                spec = parse_spec(fh.read())
+            # b2pos has no chart block: one coordinate per weight
+            sources.append(spec.chart() if spec.has_chart else Chart.from_dims(
+                spec.system, dict.fromkeys(spec.system.elements, 1)))
+        sources += [rank1_chart(n, [1] * (n + 1)) for n in range(1, 7)]
+        sources += [random_chart(rng, random_nonneg_system(rng, max_rank=3))
+                    for _ in range(20)]
+        dropped = 0
+        for src in sources:
+            lc = linearize_chart(src)
+            lifted = full_lift(src)
+            want = quotient_chart(lifted)
+            assert lc.quotient.coordinates == want.coordinates
+            assert lc.quotient.system.basis == want.system.basis
+            assert lc.quotient.system.elements == want.system.elements
+            assert lc.quotient.applied_lifts == want.applied_lifts
+            assert lc.quotient == want
+            dropped += len(lifted.coordinates) - len(want.coordinates)
+        assert dropped > 0
+
     def test_operators_kill_weight_zero_square_and_commute(self, rng):
         for _ in range(10):
             ws = random_nonneg_system(rng)
@@ -124,7 +155,8 @@ class TestCompositeOperator:
         lc = linearize_chart(chart)
         comp = compose_DLambda(lc, (B2,))
         xi2a = chart.gen(chart.coordinate("xi{2a1}_1"))
-        direct = de_rham(lc.lifted, B2).apply(xi2a.in_chart(lc.lifted))
+        lifted = full_lift(chart)
+        direct = de_rham(lifted, B2).apply(xi2a.in_chart(lifted))
         got = comp.apply(xi2a)
         assert got.terms == direct.terms
         assert got.text() == "1 * xi{2a1}_1[b2_1]"

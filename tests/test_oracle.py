@@ -29,6 +29,7 @@ from gradedvb import (
     weight,
 )
 from gradedvb.specfile import parse_spec
+from conftest import full_lift
 
 sympy = pytest.importorskip("sympy")
 
@@ -53,7 +54,8 @@ def operator_matrices():
     lc = m3_linearized()
     out = [component_map(op, w) for op in lc.operators.values()
            for w in lc.chart.system.sorted_elements()]
-    out += [component_map(de_rham(lc.lifted, tag), w) for tag in lc.lift_sequence
+    lifted = full_lift(lc.source)
+    out += [component_map(de_rham(lifted, tag), w) for tag in lc.lift_sequence
             for w in lc.quotient.system.sorted_elements()]
     return [cm for cm in out if cm.dom_dim and cm.cod_dim]
 

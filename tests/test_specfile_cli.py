@@ -203,6 +203,18 @@ class TestInvertCommand:
         assert code == 1
         assert "error" in out
 
+    def test_zero_denominator_is_an_error_not_a_traceback(self):
+        code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
+                            "--rhs", "1/0")
+        assert code == 1
+        assert out.splitlines()[-1] == "error: malformed coefficient '1/0'"
+
+    def test_zero_denominator_json(self):
+        code, out = run_cli("--json", "invert", data("m2.spec"), "--lam",
+                            "b2_1", "--rhs", "1/0")
+        assert code == 1
+        assert json.loads(out)["error"] == "malformed coefficient '1/0'"
+
     def test_unknown_operator_exits_two(self):
         code, out = run_cli("invert", data("m3.spec"), "--lam", "b9_9",
                             "--rhs", "xi{2a1}_1[b2_1]")
