@@ -94,24 +94,12 @@ class Coordinate:
         return self.name
 
 
-def tagged_coordinate(c: Coordinate, tag: BasisSymbol,
-                      order: tuple[BasisSymbol, ...] | None = None) -> Coordinate:
-    """The image coordinate of ``c`` under one lift: tag added, weight
-    shifted by ``tag - a<i>``, parity flipped.
-
-    ``order`` is the chart's lift-application order; when given, the new
-    tag is spliced into its position there instead of appended, so the id
-    matches the coordinate the chart actually owns.
-    """
-    shift = lift_shift(tag)
-    if order is None:
-        tags = c.cid.tags + (tag,)
-    else:
-        have = set(c.cid.tags) | {tag}
-        tags = tuple(t for t in order if t in have)
+def tagged_coordinate(c: Coordinate, tag: BasisSymbol) -> Coordinate:
+    """The image coordinate of ``c`` under one lift: tag appended, weight
+    shifted by ``tag - a<i>``, parity flipped."""
     return Coordinate(
-        CoordinateId(c.cid.base_name, tags),
-        c.weight + shift,
+        CoordinateId(c.cid.base_name, c.cid.tags + (tag,)),
+        c.weight + lift_shift(tag),
         (c.parity + 1) % 2,
     )
 

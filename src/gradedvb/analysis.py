@@ -9,7 +9,10 @@ failing check always produces a concrete witness polynomial.
 
 Every operator matrix is built by one function, :func:`_matrix`: it
 applies an operator to each domain basis monomial and expands the image
-over the codomain basis.  Component bases are memoized in the chart's
+over the codomain basis, nonzero terms only, into the sparse rows of
+:mod:`gradedvb.linalg`.  Vectors are sparse too, and a question about
+the span of a family of vectors is asked of the family itself, with
+:func:`linalg.rank`.  Component bases are memoized in the chart's
 declared ``basis_memo`` field.  A derivation gets one full-degree matrix
 per weight from :func:`component_map`, memoized in its declared
 ``matrix_memo`` field; a check at a lower degree cap slices it with
@@ -73,6 +76,7 @@ class KernelHypothesisError(AnalysisError):
 
 _LOST_TERMS = ("component matrix lost over-degree terms; raise the "
                "truncation degree")
+_ONE = Fraction(1)
 
 
 @dataclass(eq=False)
@@ -80,10 +84,12 @@ class ComponentMatrix:
     """Exact matrix of an operator between two weight components.
 
     Columns are the images of the domain basis monomials expanded in the
-    codomain basis; ``entries[r][c]`` is the coefficient of codomain
-    monomial ``r`` in the image of domain monomial ``c``, and
-    ``overflow[c]`` flags a column whose image lost terms.  ``inverse``
-    holds the inverse of ``entries`` once :func:`_inverse_matrix` has
+    codomain basis.  ``entries`` holds one sparse row per codomain
+    monomial (see :mod:`gradedvb.linalg`): ``entries[r]`` maps ``c`` to
+    the coefficient of codomain monomial ``r`` in the image of domain
+    monomial ``c``, nonzero coefficients only.  ``overflow[c]`` flags a
+    column whose image lost terms.  ``inverse`` holds the inverse of
+    ``entries``, in the same form, once :func:`_inverse_matrix` has
     computed it.
     """
 
@@ -112,7 +118,8 @@ class ComponentMatrix:
 
     def is_bijective(self) -> bool:
         self.require_exact()
-        return linalg.is_bijective(self.entries, self.dom_dim, self.cod_dim)
+        return (self.dom_dim == self.cod_dim
+                and linalg.rank(self.entries) == self.dom_dim)
 
     def capped(self, d: int) -> "ComponentMatrix":
         """The matrix between the parts of degree at most ``d`` of both
@@ -120,21 +127,31 @@ class ComponentMatrix:
         nonzero entry in a codomain row of degree above ``d``, which a
         build on the capped bases sees outside its codomain."""
         cols = [k for k, m in enumerate(self.domain_basis) if m.degree <= d]
-        keep = [r for r, m in enumerate(self.codomain_basis) if m.degree <= d]
-        high = [row for row, m in zip(self.entries, self.codomain_basis)
-                if m.degree > d]
+        keep, high = [], set()
+        for row, m in zip(self.entries, self.codomain_basis):
+            if m.degree <= d:
+                keep.append(row)
+            else:
+                high.update(row)
         return ComponentMatrix(
             [self.domain_basis[k] for k in cols],
-            [self.codomain_basis[r] for r in keep],
-            [[self.entries[r][k] for k in cols] for r in keep],
-            [self.overflow[k] or any(row[k] for row in high) for k in cols])
+            [m for m in self.codomain_basis if m.degree <= d],
+            _columns(keep, cols),
+            [self.overflow[k] or k in high for k in cols])
 
 
-def _expand(p: Polynomial, index: dict[Monomial, int], dim: int,
+def _columns(rows: linalg.Matrix, cols: list[int]) -> linalg.Matrix:
+    """The sparse rows restricted to the columns ``cols``, renumbered in
+    that order."""
+    at = {k: i for i, k in enumerate(cols)}
+    return [{at[k]: x for k, x in row.items() if k in at} for row in rows]
+
+
+def _expand(p: Polynomial, index: dict[Monomial, int],
             ) -> tuple[linalg.Vector, bool]:
     """Expand a polynomial over an indexed basis; overflow terms are legal
     only when the polynomial is already flagged."""
-    v = [Fraction(0)] * dim
+    v = {}
     overflow = p.truncated
     for m, c in p.terms.items():
         at = index.get(m)
@@ -161,16 +178,17 @@ def _matrix(apply, dom_chart: Chart, dom: list[Monomial], cod: list[Monomial],
     outside ``cod`` flag the matrix.
     """
     index = {m: k for k, m in enumerate(cod)}
-    cols, overflow = [], []
-    for m in dom:
+    entries: linalg.Matrix = [{} for _ in cod]
+    overflow = []
+    for k, m in enumerate(dom):
         img = apply(monomial_poly(dom_chart, m))
         if fiber_only:
             img = Polynomial(img.chart, {t: c for t, c in img.terms.items()
                                          if _is_fiber(t)})
-        vec, over = _expand(img, index, len(cod))
-        cols.append(vec)
+        vec, over = _expand(img, index)
+        for r, x in vec.items():
+            entries[r][k] = x
         overflow.append(over)
-    entries = [[col[r] for col in cols] for r in range(len(cod))]
     return ComponentMatrix(dom, cod, entries, overflow)
 
 
@@ -203,7 +221,12 @@ def kernel_intersection(chart: Chart, ops: list[Derivation], w: Weight,
 
 
 def _vec_poly(chart: Chart, basis: list[Monomial], v: linalg.Vector) -> Polynomial:
-    return Polynomial(chart, {m: c for m, c in zip(basis, v) if c != 0})
+    return Polynomial(chart, {basis[k]: c for k, c in v.items()})
+
+
+def _in_span(vectors: list[linalg.Vector], r: int, v: linalg.Vector) -> bool:
+    """Whether ``v`` lies in the span of ``vectors``, whose rank is ``r``."""
+    return linalg.rank(vectors + [v]) == r
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +285,20 @@ def check_decomposition(lc_or_chart, delta_prime: Weight,
     of the overlap of the two parts is reported, not constrained."""
     chart, operators = _chart_and_ops(lc_or_chart, ops)
     basis = component_basis(chart, delta_prime)
-    dim = len(basis)
-    unit = dict(zip(basis, linalg.identity(dim)))
-    product_basis = [m for m in basis
-                     if sum(e for c, e in m.factors if not c.weight.is_zero) >= 2]
+    product = [k for k, m in enumerate(basis)
+               if sum(e for c, e in m.factors if not c.weight.is_zero) >= 2]
+    product_basis = [basis[k] for k in product]
     kbasis, kvecs = kernel_intersection(
         chart, [operators[s] for s in _bsupport(delta_prime)], delta_prime)
-    cols = [unit[m] for m in product_basis] + kvecs
-    span = [[col[r] for col in cols] for r in range(dim)]
-    spanned = linalg.rank(span) if cols else 0
-    passes = spanned == dim
+    cols = [{k: _ONE} for k in product] + kvecs
+    spanned = linalg.rank(cols)
+    passes = spanned == len(basis)
     witness = None if passes else next(
-        (monomial_poly(chart, m) for m in basis
-         if not linalg.column_space_contains(span, unit[m])), None)
-    inter = len(product_basis) + len(kvecs) - spanned
+        (monomial_poly(chart, m) for k, m in enumerate(basis)
+         if not _in_span(cols, spanned, {k: _ONE})), None)
+    inter = len(cols) - spanned
     return DecompositionResult(
-        delta_prime=delta_prime, passes=passes, component_dim=dim,
+        delta_prime=delta_prime, passes=passes, component_dim=len(basis),
         product_dim=len(product_basis), kernel_dim=len(kvecs),
         intersection_dim=inter, product_basis=product_basis,
         kernel_polys=[_vec_poly(chart, kbasis, v) for v in kvecs],
@@ -332,18 +353,18 @@ def solve_inverse(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...],
         s = rest.pop(0)
         wh = wk - lift_shift(s)
         stacked: linalg.Matrix = []
-        rhs: linalg.Vector = []
+        rhs: linalg.Vector = {}
         # the peeled step must give g and every remaining step zero
         for sym, want in [(s, g)] + [(t, lc.quotient.zero()) for t in rest]:
             block = component_map(ds[sym], wh)
             block.require_exact("inverse solve hit the truncation")
-            stacked.extend(block.entries)
             index = {m: k for k, m in enumerate(block.codomain_basis)}
-            part, over = _expand(want, index, block.cod_dim)
+            part, over = _expand(want, index)
             if over:
                 raise TruncationOverflow("inverse solve hit the truncation")
-            rhs.extend(part)
-        sol = linalg.solve(stacked, rhs)
+            rhs.update((len(stacked) + r, x) for r, x in part.items())
+            stacked.extend(block.entries)
+        sol = linalg.solve(stacked, rhs, block.dom_dim)
         if sol is None:
             raise KernelHypothesisError("no preimage at weight "
                                         f"{wh.label}; kernel hypothesis violated")
@@ -363,7 +384,7 @@ def _inverse_matrix(op: Derivation, source_w: Weight) -> linalg.Matrix:
         raise AnalysisError(f"operator not invertible out of {source_w.label}: "
                             "component dimensions differ")
     if cm.inverse is None:
-        cm.inverse = linalg.inv(cm.entries) if cm.dom_dim else []
+        cm.inverse = linalg.inv(cm.entries, cm.dom_dim)
     if cm.inverse is None:
         raise AnalysisError(f"operator not invertible out of {source_w.label}")
     return cm.inverse
@@ -395,10 +416,14 @@ def check_cocycle(lc_or_chart, i: int, j: int, j1: int, j2: int,
     kvecs = linalg.nullspace(kmat.entries, kmat.dom_dim)
     for v in kvecs:
         left, right = linalg.matvec(lhs, v), linalg.matvec(rhs, v)
-        if any(a + b != 0 for a, b in zip(left, right)):
+        if left != _negated(right):
             return CocycleResult(delta, False, len(kvecs),
                                  _vec_poly(chart, kmat.domain_basis, v))
     return CocycleResult(delta, True, len(kvecs), None)
+
+
+def _negated(v: linalg.Vector) -> linalg.Vector:
+    return {k: -x for k, x in v.items()}
 
 
 def _swap(w: Weight, old: BasisSymbol, new: BasisSymbol) -> Weight:
@@ -480,7 +505,7 @@ def counterexample_off_kernel(lc_or_chart, i: int, j: int, j1: int, j2: int,
     f = multiply(chart.gen(gens[0]), operators[b_j].of(gens[1]))
     delta = weight({a_i: 1, b_j: 1})
     basis = component_basis(chart, delta)
-    fv, over = _expand(f, {m: k for k, m in enumerate(basis)}, len(basis))
+    fv, over = _expand(f, {m: k for k, m in enumerate(basis)})
     if over:
         raise TruncationOverflow("witness construction hit the truncation")
     lhs, rhs = _cocycle_sides(operators, syms, delta)
@@ -490,8 +515,7 @@ def counterexample_off_kernel(lc_or_chart, i: int, j: int, j1: int, j2: int,
         f=f,
         lhs=_vec_poly(chart, cod, lv),
         rhs_composite=_vec_poly(chart, cod, rv),
-        sides_differ=any(a + b != 0 for a, b in zip(lv, rv))
-        and any(a - b != 0 for a, b in zip(lv, rv)),
+        sides_differ=lv != _negated(rv) and lv != rv,
     )
 
 
@@ -531,20 +555,16 @@ def check_kernel_preservation(lc_or_chart, i: int, j: int, j0: int,
     dst_basis, dst_k = kernel_intersection(
         chart, [operators[s] for s in _bsupport(delta_prime)], delta_prime)
     tr = _transfer(operators[b_j], operators[b_j0], delta, delta_prime)
-    image_cols = [linalg.matvec(tr, v) for v in src_k]
-    dim = len(dst_basis)
-    img_mat = [[col[r] for col in image_cols] for r in range(dim)]
-    dst_mat = [[col[r] for col in dst_k] for r in range(dim)]
-    passes = linalg.same_column_space(img_mat, dst_mat)
+    image = [linalg.matvec(tr, v) for v in src_k]
+    r_img, r_dst = linalg.rank(image), linalg.rank(dst_k)
+    passes = r_img == r_dst == linalg.rank(image + dst_k)
     witness = None
     if not passes:
         # an image outside the target kernel, else a target kernel vector
         # outside the image
         bad = next(itertools.chain(
-            (col for col in image_cols
-             if not linalg.column_space_contains(dst_mat, col)),
-            (col for col in dst_k
-             if not linalg.column_space_contains(img_mat, col))), None)
+            (v for v in image if not _in_span(dst_k, r_dst, v)),
+            (v for v in dst_k if not _in_span(image, r_img, v))), None)
         witness = None if bad is None else _vec_poly(chart, dst_basis, bad)
     return KernelPreservationResult(delta, delta_prime, passes,
                                     len(src_k), len(dst_k), witness)
@@ -836,8 +856,8 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     top = _matrix(op_big.apply, big, component_basis(big, wc, rl.truncation),
                   component_basis(big, wc + op_big.weight_shift))
     top.require_exact("operator image escaped even the headroom truncation")
-    basis_c, entries_c = top.domain_basis, top.entries
-    kern = linalg.nullspace(entries_c, len(basis_c))
+    basis_c = top.domain_basis
+    kern_dim = len(basis_c) - linalg.rank(top.entries)
 
     fib_index = [k for k, m in enumerate(basis_c) if _is_fiber(m)]
 
@@ -845,38 +865,28 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
         """The kernel vectors on the fiber monomials of degree at most
         ``dmax``: the constant-coefficient part of the kernel."""
         cols = [k for k in fib_index if basis_c[k].degree <= dmax]
-        out = []
-        for v in linalg.nullspace([[row[k] for k in cols] for row in entries_c],
-                                  len(cols)):
-            full = [Fraction(0)] * len(basis_c)
-            for k, x in zip(cols, v):
-                full[k] = x
-            out.append(full)
-        return out
+        return [{cols[i]: x for i, x in v.items()} for v in
+                linalg.nullspace(_columns(top.entries, cols), len(cols))]
 
     dim1 = len(const_kernel(1))
     kconst = const_kernel(2)
     # weight-0 monomials of degree at most truncation - 1 and - 2
     n1, n2 = (len(component_basis(rl, ZERO, max(rl.truncation - k, 0)))
               for k in (1, 2))
-    if len(kern) != dim1 * n1 + (len(kconst) - dim1) * n2:
+    if kern_dim != dim1 * n1 + (len(kconst) - dim1) * n2:
         raise AnalysisError("kernel is not generated by constant-coefficient "
                             "elements at this truncation; cannot chartify")
 
-    # intersection with the decomposable span: kernel vectors with no
-    # single-generator part; they are independent, and so are the kernel
-    # vectors chosen to extend them
-    single = [k for k in fib_index if basis_c[k].degree == 1]
-    kmat = [[v[r] for v in kconst] for r in range(len(basis_c))]
-    inter = [linalg.matvec(kmat, cf) for cf in
-             linalg.nullspace([kmat[k] for k in single], len(kconst))]
+    # the decomposable part of the kernel is the kernel vectors with no
+    # single-generator part, so a kernel vector extends it exactly when
+    # its single-generator part extends those of the vectors chosen so far
+    single = _columns(kconst, [k for k in fib_index if basis_c[k].degree == 1])
     chosen: list[linalg.Vector] = []
-    current = [[v[r] for v in inter] for r in range(len(basis_c))]
-    for v in kconst:
-        trial = [row + [x] for row, x in zip(current, v)]
-        if linalg.rank(trial) > len(inter) + len(chosen):
+    picked: list[linalg.Vector] = []
+    for v, part in zip(kconst, single):
+        if not _in_span(picked, len(picked), part):
             chosen.append(v)
-            current = trial
+            picked.append(part)
     kappa_rl = [_vec_poly(rl, basis_c, v) for v in chosen]
 
     ka = sum(1 for c in rl.coordinates if c.weight == wa)
@@ -911,7 +921,7 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
         m2=m2, linearized=lin, phi=phi,
         new_generator_images=[_relabel_poly(k, dvb, inv_cmap)
                               for k in kappa_rl],
-        kernel_dim=len(kern), verified=verified,
+        kernel_dim=kern_dim, verified=verified,
     )
 
 

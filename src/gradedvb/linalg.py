@@ -1,18 +1,26 @@
 """Exact linear algebra over the rationals by sparse fraction-free elimination.
 
-Matrices are lists of row lists of ``Fraction``, and every result comes back
-in that form.  The operator matrices of the analysis layer are small, sparse
-and mostly ±1, so :func:`rref` scales each row to integers, keeps it as a
-dict of its nonzero entries, eliminates with integer row operations (each
-result divided by the gcd of its entries, so the integers stay small) and
-divides by the pivots once, at the end.  :func:`matvec` and :func:`matmul`
-skip zero entries.
+A vector is a dict from index to ``Fraction`` holding its nonzero entries
+only, and a matrix is a list of such sparse rows; every result comes back
+in that form.  A sparse row does not record its width, so the functions
+that need the number of columns (:func:`nullspace`, :func:`solve`,
+:func:`inv`) take it as an argument.
 
-The reduced row echelon form of a matrix is unique: neither the choice of
+The operator matrices of the analysis layer are small, sparse and mostly
+±1, so :func:`rref` scales each row to integers, eliminates with integer
+row operations (each result divided by the gcd of its entries, so the
+integers stay small) and divides by the pivots once, at the end.  The
+reduced row echelon form of a matrix is unique: neither the choice of
 pivot rows nor the scaling of rows on the way changes it.  So :func:`rref`
-returns exactly what dense Gauss–Jordan over ``Fraction`` returns, and so do
-:func:`nullspace`, :func:`solve` and :func:`inv`, which read their answers
-off it.  Every elimination goes through :func:`rref`.
+returns exactly the nonzero rows of what dense Gauss–Jordan over
+``Fraction`` returns, and :func:`nullspace`, :func:`solve` and :func:`inv`,
+which read their answers off it, agree with the dense versions too.
+
+Row rank equals column rank, so a question about the span of a family of
+column vectors is asked of the same vectors taken as rows: :func:`rank` of
+the family is the dimension of its span, and a vector lies in the span
+exactly when appending it leaves the rank unchanged.  No caller needs a
+transpose.
 """
 
 from __future__ import annotations
@@ -20,50 +28,40 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Vector = dict[int, Fraction]
+Matrix = list[Vector]
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def identity(n: int) -> Matrix:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+_ONE = Fraction(1)
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    support = [(j, x) for j, x in enumerate(v) if x]
-    out = []
-    for row in a:
-        acc = _ZERO
-        for j, x in support:
-            if row[j]:
-                acc += row[j] * x
-        out.append(acc)
+    out = {}
+    for i, row in enumerate(a):
+        acc = 0
+        for j, x in row.items():
+            y = v.get(j)
+            if y is not None:
+                acc += x * y
+        if acc:
+            out[i] = acc
     return out
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0]) if b else 0
-    sparse_b = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []
     for ai in a:
-        oi = [_ZERO] * cols
-        for t, c in enumerate(ai):
-            if c:
-                for j, x in sparse_b[t]:
-                    oi[j] += c * x
-        out.append(oi)
+        oi: Vector = {}
+        for t, c in ai.items():
+            for j, x in b[t].items():
+                oi[j] = oi.get(j, 0) + c * x
+        out.append({j: x for j, x in oi.items() if x})
     return out
 
 
 def _integer_row(row: Vector) -> dict[int, int]:
-    """The nonzero entries of a row times the lcm of their denominators."""
-    den = 1
-    for x in row:
-        if x:
-            den = lcm(den, x.denominator)
-    return {j: x.numerator * (den // x.denominator)
-            for j, x in enumerate(row) if x}
+    """The entries of a row times the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
@@ -87,13 +85,11 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns.  The rows of the form
-    are the pivot rows in pivot order, then zero rows, as many as ``a``
-    has rows."""
-    cols = len(a[0]) if a else 0
-    pending = [r for r in map(_integer_row, a) if r]
+    """The nonzero rows of the reduced row echelon form, in pivot order,
+    and their pivot columns."""
+    pending = [_integer_row(r) for r in a if r]
     done: list[tuple[int, dict[int, int]]] = []
-    for c in range(cols):
+    for c in sorted(set().union(*pending)):
         hits = [r for r in pending if c in r]
         if not hits:
             continue
@@ -104,73 +100,45 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
                 _eliminate(r, pivot, c)
         pending = [r for r in pending if r and r is not pivot]
         done.append((c, pivot))
-    out = [[_ZERO] * cols for _ in a]
-    for row, (c, r) in zip(out, done):
-        for k, v in r.items():
-            row[k] = Fraction(v, r[c])
-    return out, [c for c, _ in done]
+    return ([{k: Fraction(v, r[c]) for k, v in r.items()} for c, r in done],
+            [c for c, _ in done])
 
 
 def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
     return len(rref(a)[1])
 
 
 def nullspace(a: Matrix, cols: int) -> list[Vector]:
     """Basis of the right kernel of ``a`` on a ``cols``-dimensional domain,
-    one vector per free column; a matrix with no rows kills the whole
-    domain."""
-    if not a or not cols:
-        return identity(cols)
+    one vector per free column in increasing order; a matrix with no rows
+    kills the whole domain."""
     red, pivots = rref(a)
-    basis = []
-    for fc in sorted(set(range(cols)) - set(pivots)):
-        v = [_ZERO] * cols
-        v[fc] = _ONE
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+    pivot_set = set(pivots)
+    basis = {fc: {fc: _ONE} for fc in range(cols) if fc not in pivot_set}
+    # every other entry of a reduced pivot row sits in a free column
+    for row, pc in zip(red, pivots):
+        for k, x in row.items():
+            if k != pc:
+                basis[k][pc] = -x
+    return list(basis.values())
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """A particular solution of ``a x = b``, or None if inconsistent."""
-    if not a:
-        return [] if all(x == 0 for x in b) else None
-    cols = len(a[0])
-    red, pivots = rref([row + [b[i]] for i, row in enumerate(a)])
+def solve(a: Matrix, b: Vector, cols: int) -> Vector | None:
+    """A particular solution of ``a x = b`` with ``cols`` unknowns, zero in
+    every free column, or None if the system is inconsistent."""
+    red, pivots = rref([{**row, cols: b[i]} if i in b else row
+                        for i, row in enumerate(a)])
     if cols in pivots:
         return None
-    x = [_ZERO] * cols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[cols]
-    return x
+    return {pc: row[cols] for row, pc in zip(red, pivots) if cols in row}
 
 
-def inv(a: Matrix) -> Matrix | None:
-    n = len(a)
-    if any(len(row) != n for row in a):
+def inv(a: Matrix, n: int) -> Matrix | None:
+    """The inverse of the ``n`` by ``n`` matrix ``a``, or None if ``a`` is
+    singular or does not have ``n`` rows."""
+    if len(a) != n:
         return None
-    eye = identity(n)
-    red, pivots = rref([a[i] + eye[i] for i in range(n)])
+    red, pivots = rref([{**row, n + i: _ONE} for i, row in enumerate(a)])
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in red]
-
-
-def is_bijective(a: Matrix, dom_dim: int, cod_dim: int) -> bool:
-    return dom_dim == cod_dim and (dom_dim == 0 or rank(a) == dom_dim)
-
-
-def column_space_contains(a: Matrix, v: Vector) -> bool:
-    return solve(a, v) is not None
-
-
-def same_column_space(a: Matrix, b: Matrix) -> bool:
-    """Whether two column families span the same subspace."""
-    ra, rb = rank(a), rank(b)
-    if ra != rb:
-        return False
-    joined = [a[i] + b[i] for i in range(len(a))] if a else b
-    return rank(joined) == ra
+    return [{k - n: x for k, x in row.items() if k >= n} for row in red]

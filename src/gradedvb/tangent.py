@@ -22,6 +22,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraError,
     Chart,
+    CoordinateId,
     Monomial,
     Polynomial,
     monomial_poly,
@@ -158,19 +159,24 @@ def de_rham(chart: Chart, tag: BasisSymbol) -> Derivation:
     images = {}
     lookup = {c.cid: c for c in chart.coordinates}
     pos = {t: k for k, t in enumerate(applied)}
+    shift = lift_shift(tag)
     for c in chart.coordinates:
         if tag in c.cid.tags:
             continue
-        partner = tagged_coordinate(c, tag, applied)
-        target = lookup.get(partner.cid)
+        # the partner's tags are in application order, as the chart's are
+        have = set(c.cid.tags)
+        have.add(tag)
+        partner = CoordinateId(c.cid.base_name,
+                               tuple(t for t in applied if t in have))
+        target = lookup.get(partner)
         if target is None:
-            if not partner.weight.is_nonnegative:
+            if not (c.weight + shift).is_nonnegative:
                 continue
-            raise AlgebraError(f"missing partner coordinate {partner.cid.name}")
+            raise AlgebraError(f"missing partner coordinate {partner.name}")
         # moving the differential into place passes the later-applied tags
         later = sum(1 for t in c.cid.tags if pos[t] > pos[tag])
         images[c] = chart.gen(target, (-1) ** (later % 2))
-    return Derivation(chart, lift_shift(tag), 1, images)
+    return Derivation(chart, shift, 1, images)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class WeightError(ValueError):
@@ -423,23 +423,6 @@ def max_multiplicities(ws: WeightSystem) -> Multiplicities:
 # closed subsystems
 # ---------------------------------------------------------------------------
 
-def _decompositions(target: Weight, pool: list[Weight], start: int = 0) -> Iterator[tuple[Weight, ...]]:
-    """All multisets of >= 1 nonzero pool elements summing to ``target``.
-
-    Pool elements and target must be non-negative; pruning relies on it.
-    """
-    if target.is_zero:
-        yield ()
-        return
-    for idx in range(start, len(pool)):
-        part = pool[idx]
-        rest = target - part
-        if not rest.is_nonnegative:
-            continue
-        for tail in _decompositions(rest, pool, idx):
-            yield (part,) + tail
-
-
 def is_closed_subsystem(ws: WeightSystem, subset: Iterable[Weight]) -> bool:
     """Whether ``subset`` is closed under decomposition inside ``ws``.
 
@@ -448,6 +431,12 @@ def is_closed_subsystem(ws: WeightSystem, subset: Iterable[Weight]) -> bool:
     element decomposes as itself plus the zero weight, a nonempty closed
     subset with a nonzero element must contain zero.  Restricting a chart
     to a closed subset again yields a chart.
+
+    Otherwise the subset fails exactly when a nonzero element ``t`` of it
+    and a nonzero system element ``p`` outside it leave a difference
+    ``t - p`` that is a nonzero sum of nonzero system elements.  Those sums
+    are collected once, bounded componentwise by the subset's largest
+    coefficients, since no larger sum is such a difference.
     """
     sub = set(subset)
     if not sub <= ws.elements:
@@ -456,14 +445,24 @@ def is_closed_subsystem(ws: WeightSystem, subset: Iterable[Weight]) -> bool:
         raise WeightError("closure testing requires a non-negative system")
     if any(not w.is_zero for w in sub) and ZERO in ws.elements and ZERO not in sub:
         return False
-    pool = sorted((w for w in ws.elements if not w.is_zero), key=lambda w: w.sort_key)
-    for target in sub:
-        for parts in _decompositions(target, pool):
-            if len(parts) < 2:
-                continue
-            if any(p not in sub for p in parts):
-                return False
-    return True
+    targets = [w for w in sub if not w.is_zero]
+    pool = [w for w in ws.elements if not w.is_zero]
+    cap: dict[BasisSymbol, int] = {}
+    for t in targets:
+        for s, c in t.items:
+            cap[s] = max(cap.get(s, 0), c)
+
+    def fits(w: Weight) -> bool:
+        return all(c <= cap.get(s, 0) for s, c in w.items)
+
+    sums: set[Weight] = set()
+    frontier = {p for p in pool if fits(p)}
+    while frontier:
+        sums |= frontier
+        frontier = {w for w in (f + p for f in frontier for p in pool)
+                    if fits(w)} - sums
+    return not any(t - p in sums for t in targets for p in pool
+                   if p not in sub)
 
 
 # ---------------------------------------------------------------------------

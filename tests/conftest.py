@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,21 @@ def full_lift(src):
     for tag in lift_symbols(src.system):
         lifted = tangent_lift(lifted, tag)
     return lifted
+
+
+def dense(rows, width):
+    """Dense ``Fraction`` lists of sparse rows (``linalg``'s form) of the
+    given width.  Every stored entry must be a nonzero ``Fraction`` at a
+    column inside the width."""
+    for row in rows:
+        assert all(type(x) is Fraction and x != 0 and 0 <= k < width
+                   for k, x in row.items())
+    return [[row.get(k, Fraction(0)) for k in range(width)] for row in rows]
+
+
+def sparse(rows):
+    """The sparse form of dense rows: their nonzero entries by column."""
+    return [{k: x for k, x in enumerate(row) if x} for row in rows]
 
 
 def random_nonneg_system(rng: random.Random, max_rank=2, max_mult=3):

@@ -40,7 +40,8 @@ from gradedvb import (
 )
 from gradedvb.cli import main as cli_main
 
-from conftest import degree_system, random_chart, random_nonneg_system, rank1_chart
+from conftest import (dense, degree_system, random_chart, random_nonneg_system,
+                      rank1_chart)
 from test_linearize import random_morphism
 
 HERE = os.path.dirname(__file__)
@@ -215,7 +216,7 @@ def test_criterion_5_composite_round_trips():
                                                comp.of_weight(delta))
             for v in kvecs[:3]:
                 fker = lc.chart.zero()
-                for m, c in zip(basis, v):
+                for m, c in zip(basis, dense([v], len(basis))[0]):
                     if c:
                         fker = fker + monomial_poly(lc.chart, m, c)
                 F = solve_inverse(lc, lam, fker)

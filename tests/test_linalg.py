@@ -3,7 +3,10 @@
 The reference below is plain Gauss–Jordan on ``Fraction`` lists, one dense
 row operation at a time.  The reduced row echelon form is unique, so every
 public function of ``linalg`` must agree with it exactly, entry by entry,
-and return ``Fraction`` entries.
+once its sparse rows are made dense: ``rref`` with the nonzero rows of the
+reference, whose remaining rows are zero, and the others with the
+reference's whole answer.  Every stored entry must be a nonzero
+``Fraction`` (checked by ``dense``).
 """
 
 import random
@@ -12,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from gradedvb import linalg
+from conftest import dense, sparse
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +135,36 @@ def rand_matrix(rng, rows, cols):
     return a
 
 
-def all_fractions(m):
-    return all(type(x) is Fraction for row in m for x in row)
-
-
 def check_all(a, cols, rng):
-    red, pivots = linalg.rref(a)
-    assert (red, pivots) == ref_rref(a)
-    assert all_fractions(red)
-    assert linalg.rank(a) == ref_rank(a)
-    kernel = linalg.nullspace(a, cols)
-    assert kernel == ref_nullspace(a, cols) and all_fractions(kernel)
+    """Compare every function on the dense matrix ``a``, whose kernel is
+    taken on a ``cols``-dimensional domain."""
+    width = len(a[0]) if a else 0
+    sa = sparse(a)
+    red, pivots = linalg.rref(sa)
+    ref_red, ref_pivots = ref_rref(a)
+    assert pivots == ref_pivots
+    assert dense(red, width) == ref_red[:len(pivots)]
+    assert all(x == 0 for row in ref_red[len(pivots):] for x in row)
+    assert linalg.rank(sa) == ref_rank(a)
+    kernel = linalg.nullspace(sa, cols)
+    assert dense(kernel, cols) == ref_nullspace(a, cols)
     x = [rand_entry(rng) for _ in range(cols)]
-    b = linalg.matvec(a, x)
-    assert b == ref_matvec(a, x) and all_fractions([b])
-    for rhs in (b, [rand_entry(rng) for _ in range(len(a))]):
-        sol = linalg.solve(a, rhs)
-        assert sol == ref_solve(a, rhs)
+    b = linalg.matvec(sa, sparse([x])[0])
+    assert dense([b], len(a)) == [ref_matvec(a, x)]
+    for rhs in (dense([b], len(a))[0], [rand_entry(rng) for _ in range(len(a))]):
+        sol = linalg.solve(sa, sparse([rhs])[0], width)
+        want = ref_solve(a, rhs)
+        assert (sol is None) == (want is None)
         if sol is not None:
-            assert all_fractions([sol])
+            assert dense([sol], width) == [want]
     other = rand_matrix(rng, cols, rng.randint(0, 4))
-    product = linalg.matmul(a, other)
-    assert product == ref_matmul(a, other) and all_fractions(product)
-    inverse = linalg.inv(a)
-    assert inverse == ref_inv(a)
+    product = linalg.matmul(sa, sparse(other))
+    assert dense(product, len(other[0]) if other else 0) == ref_matmul(a, other)
+    inverse = linalg.inv(sa, width)
+    want = ref_inv(a)
+    assert (inverse is None) == (want is None)
     if inverse is not None:
-        assert all_fractions(inverse)
+        assert dense(inverse, width) == want
 
 
 def test_randomized_against_dense_reference():
@@ -175,19 +183,19 @@ def test_randomized_against_dense_reference():
 
 def test_inconsistent_systems_and_singular_matrices():
     one, two = Fraction(1), Fraction(2)
-    a = [[one, two], [two, 4 * one]]
-    assert linalg.solve(a, [one, one]) is None
-    assert linalg.solve(a, [one, two]) == [one, Fraction(0)]
-    assert linalg.inv(a) is None
+    a = sparse([[one, two], [two, 4 * one]])
+    assert linalg.solve(a, {0: one, 1: one}, 2) is None
+    assert dense([linalg.solve(a, {0: one, 1: two}, 2)], 2) == [[one, Fraction(0)]]
+    assert linalg.inv(a, 2) is None
     assert linalg.rank(a) == 1
-    assert linalg.nullspace(a, 2) == [[-two, one]]
+    assert dense(linalg.nullspace(a, 2), 2) == [[-two, one]]
 
 
 def test_non_integer_entries():
     a = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-2, 5), Fraction(7, 4)]]
-    inverse = linalg.inv(a)
-    assert inverse == ref_inv(a)
-    assert linalg.matmul(a, inverse) == [[1, 0], [0, 1]]
+    inverse = linalg.inv(sparse(a), 2)
+    assert dense(inverse, 2) == ref_inv(a)
+    assert dense(linalg.matmul(sparse(a), inverse), 2) == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("a, cols", [([], 0), ([], 3), ([[], []], 0),
@@ -197,8 +205,9 @@ def test_empty_and_zero_matrices(a, cols):
 
 
 def test_empty_matrix_kernel_is_whole_domain():
-    assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
-    assert linalg.nullspace([[], []], 0) == []
+    assert dense(linalg.nullspace([], 2), 2) == [[1, 0], [0, 1]]
+    assert linalg.nullspace([{}, {}], 0) == []
     assert linalg.rref([]) == ([], [])
-    assert linalg.rref([[], []]) == ([[], []], [])
-    assert linalg.inv([]) == []
+    # zero rows have no pivot, so the form has no row at all
+    assert linalg.rref([{}, {}]) == ([], [])
+    assert linalg.inv([], 0) == []

@@ -29,7 +29,7 @@ from gradedvb import (
     weight,
 )
 from gradedvb.specfile import parse_spec
-from conftest import full_lift
+from conftest import dense, full_lift, sparse
 
 sympy = pytest.importorskip("sympy")
 
@@ -44,10 +44,16 @@ def m3_linearized():
         return linearize_chart(parse_spec(fh.read()).chart())
 
 
-def to_sympy(entries, cols):
-    return sympy.Matrix(len(entries), cols,
+def to_sympy(rows, cols):
+    """The sympy matrix of sparse rows of width ``cols``."""
+    return sympy.Matrix(len(rows), cols,
                         [sympy.Rational(x.numerator, x.denominator)
-                         for row in entries for x in row])
+                         for row in dense(rows, cols) for x in row])
+
+
+def column(v, dim):
+    """A sparse vector as a sympy column of height ``dim``."""
+    return to_sympy([v], dim).T
 
 
 def operator_matrices():
@@ -68,21 +74,21 @@ def check_against_oracle(entries, cols, rng):
     kernel = linalg.nullspace(entries, cols)
     assert len(kernel) == cols - rank == len(ours.nullspace())
     if kernel:
-        kmat = to_sympy([list(r) for r in zip(*kernel)], len(kernel))
+        kmat = to_sympy(kernel, cols).T
         assert (ours * kmat).is_zero_matrix
         assert kmat.rank() == len(kernel)
         theirs = sympy.Matrix.hstack(*ours.nullspace())
         assert sympy.Matrix.hstack(kmat, theirs).rank() == len(kernel)
     # solve: a consistent right-hand side is solved exactly, and a random
     # one is rejected exactly when the oracle finds it inconsistent
-    x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+    x = sparse([[Fraction(rng.randint(-3, 3)) for _ in range(cols)]])[0]
     b = linalg.matvec(entries, x)
-    sol = linalg.solve(entries, b)
+    sol = linalg.solve(entries, b, cols)
     assert sol is not None
-    assert ours * to_sympy([[v] for v in sol], 1) == to_sympy([[v] for v in b], 1)
-    b = [Fraction(rng.randint(-3, 3)) for _ in range(len(entries))]
-    consistent = sympy.Matrix.hstack(ours, to_sympy([[v] for v in b], 1)).rank() == rank
-    assert (linalg.solve(entries, b) is not None) == consistent
+    assert ours * column(sol, cols) == column(b, len(entries))
+    b = sparse([[Fraction(rng.randint(-3, 3)) for _ in range(len(entries))]])[0]
+    consistent = sympy.Matrix.hstack(ours, column(b, len(entries))).rank() == rank
+    assert (linalg.solve(entries, b, cols) is not None) == consistent
 
 
 def test_m3_component_matrices_match_oracle():
@@ -99,9 +105,9 @@ def test_inverse_solve_systems_match_oracle(monkeypatch):
     seen = []
     solve = linalg.solve
 
-    def recording_solve(a, b):
-        seen.append(([row[:] for row in a], list(b)))
-        return solve(a, b)
+    def recording_solve(a, b, cols):
+        seen.append(([dict(row) for row in a], dict(b), cols))
+        return solve(a, b, cols)
 
     monkeypatch.setattr(linalg, "solve", recording_solve)
     # two steps on the m3 invert golden, and one step on a dense preimage
@@ -116,14 +122,12 @@ def test_inverse_solve_systems_match_oracle(monkeypatch):
 
     assert len(seen) == 3
     rng = random.Random(11)
-    for a, b in seen:
-        cols = len(a[0])
-        sol = solve(a, b)
+    for a, b, cols in seen:
+        sol = solve(a, b, cols)
         assert sol is not None
-        assert to_sympy(a, cols) * to_sympy([[v] for v in sol], 1) == \
-            to_sympy([[v] for v in b], 1)
+        assert to_sympy(a, cols) * column(sol, cols) == column(b, len(a))
         # the oracle's own solution solves the same system
-        _, params = to_sympy(a, cols).gauss_jordan_solve(to_sympy([[v] for v in b], 1))
+        _, params = to_sympy(a, cols).gauss_jordan_solve(column(b, len(a)))
         assert params.shape[0] == cols - linalg.rank(a)
         check_against_oracle(a, cols, rng)
 
@@ -143,7 +147,7 @@ def test_m3_transfer_matrices_match_oracle():
                 continue
             assert not bm.truncated
             theirs = to_sympy(bm.entries, bm.dom_dim)
-            inverse = linalg.inv(bm.entries)
+            inverse = linalg.inv(bm.entries, bm.dom_dim)
             if theirs.det() == 0:
                 assert inverse is None
                 continue
@@ -158,7 +162,7 @@ def test_m3_transfer_matrices_match_oracle():
                 if not fm.dom_dim:
                     continue
                 product = linalg.matmul(inverse, fm.entries)
-                assert all(isinstance(x, Fraction) for row in product for x in row)
+                # dense() checks every entry is a nonzero Fraction
                 assert to_sympy(product, fm.dom_dim) == \
                     theirs.inv() * to_sympy(fm.entries, fm.dom_dim)
                 transfers += 1

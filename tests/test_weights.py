@@ -123,6 +123,43 @@ class TestClosedSubsystems:
             assert is_closed_subsystem(ws, x | y)
             assert is_closed_subsystem(ws, x & y)
 
+    def test_matches_exhaustive_decomposition_search(self):
+        rng = random.Random(20261018)
+        outcomes = {True: 0, False: 0}
+        for _ in range(120):
+            ws = random_nonneg_system(rng, max_rank=3, max_mult=3)
+            els = sorted(ws.elements, key=lambda w: w.sort_key)
+            for _ in range(20):
+                # with zero, so that only the sums decide
+                sub = {ZERO} | {w for w in els if rng.random() < 0.6}
+                got = is_closed_subsystem(ws, sub)
+                assert got == ref_is_closed(ws, sub)
+                outcomes[got] += 1
+        assert min(outcomes.values()) > 200
+
+
+def ref_decompositions(target, pool, start=0):
+    """All multisets of >= 1 nonzero pool elements summing to ``target``."""
+    if target.is_zero:
+        yield ()
+        return
+    for idx in range(start, len(pool)):
+        rest = target - pool[idx]
+        if rest.is_nonnegative:
+            for tail in ref_decompositions(rest, pool, idx):
+                yield (pool[idx],) + tail
+
+
+def ref_is_closed(ws, sub):
+    """Closure by enumerating every decomposition of every element."""
+    if any(not w.is_zero for w in sub) and ZERO in ws.elements and ZERO not in sub:
+        return False
+    pool = sorted((w for w in ws.elements if not w.is_zero),
+                  key=lambda w: w.sort_key)
+    return all(all(p in sub for p in parts)
+               for t in sub for parts in ref_decompositions(t, pool)
+               if len(parts) >= 2)
+
 
 class TestLinearizedSystem:
     def test_degree_two(self):
