@@ -133,6 +133,17 @@ class TestJsonGolden:
         assert out == golden(name)
 
 
+class TestTextGolden:
+    # the same invocations without --json; goldens share the stem, ".txt"
+    @pytest.mark.parametrize("name,argv", JSON_GOLDENS,
+                             ids=[g[0][:-len(".json")] for g in JSON_GOLDENS])
+    def test_byte_exact(self, name, argv):
+        cmd, spec, *rest = argv
+        code, out = run_cli(cmd, data(spec), *rest)
+        assert code == 0
+        assert out == golden(name[:-len(".json")] + ".txt")
+
+
 class TestValidateCommand:
     def test_valid_file(self):
         code, out = run_cli("validate", data("m2.spec"))
