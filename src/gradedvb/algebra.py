@@ -399,9 +399,6 @@ class Polynomial:
             raise AlgebraError("polynomial is not parity-homogeneous")
         return next(iter(ps))
 
-    def max_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key)
 
@@ -529,16 +526,18 @@ def chart_dump(chart: Chart) -> list[dict]:
     ]
 
 
+def aligned_table(header: list[str], rows: list[list[str]]) -> list[str]:
+    """The lines ``"  a | b"`` of a table whose columns are padded to
+    their widest cell, trailing spaces stripped."""
+    widths = [max(len(c) for c in col) for col in zip(header, *rows)]
+    return ["  " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+            for cells in [header, *rows]]
+
+
 def chart_dump_text(chart: Chart) -> str:
     """Aligned text table of :func:`chart_dump`."""
     rows = [[r["name"], ",".join(r["tags"]) or "-",
              "(" + ",".join(str(v) for v in r["weight"]) + ")",
              r["label"], str(r["parity"])] for r in chart_dump(chart)]
-    header = ["name", "tags", "weight", "label", "parity"]
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows
-              else len(header[c]) for c in range(len(header))]
-    lines = []
-    for cells in [header] + rows:
-        lines.append("  " + " | ".join(x.ljust(w)
-                                       for x, w in zip(cells, widths)).rstrip())
-    return "\n".join(lines)
+    return "\n".join(aligned_table(
+        ["name", "tags", "weight", "label", "parity"], rows))

@@ -1,12 +1,17 @@
 """Command-line front end.
 
 Subcommands: validate | linearize | check | invert | dualize | reconstruct.
-Text tables and ``--json`` output come from the same data, every output is
-deterministic for a fixed input and flags, and the effective truncation
-degree is recorded in the header of any output that used one.
+Each subcommand builds its ``--json`` data and its text lines from the
+same values; every output is deterministic for a fixed input and flags,
+and the effective truncation degree is recorded in the header of any
+output that used one.
 
-Exit codes: 0 success, 1 failed check, unsolvable inverse or invalid
-weight system, 2 parse or usage error (including ``--trunc`` below 1).
+Errors take one of two forms.  A usage or input error is one
+``error: ...`` line on stderr with nothing on stdout: exit 2 for a parse
+or usage error (including ``--trunc`` below 1), exit 1 for an invalid
+weight system or an input the computation cannot carry (a truncation
+that would drop terms).  A failed check or solve is a report on stdout,
+text or ``--json``, with exit 1; success exits 0.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ import random
 import sys
 
 from . import analysis
-from .algebra import (AlgebraError, Chart, TruncationOverflow, chart_dump,
-                      multiply)
+from .algebra import AlgebraError, Chart, aligned_table, chart_dump, multiply
 from .linearize import coordinate_table, linearize_chart
 from .specfile import SpecParseError, parse_polynomial, parse_spec, parse_weight_row
 from .weights import (
@@ -33,6 +37,14 @@ from .weights import (
 )
 
 
+class CliError(Exception):
+    """A usage or input error: ``main`` prints ``error: <message>`` on
+    stderr and exits with ``code``."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message, code)
+
+
 def _read_spec(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -45,6 +57,21 @@ def _read_spec(path: str):
         raise SystemExit(2)
 
 
+def _load(args, chart: bool):
+    """The spec of ``args.file`` and the effective truncation degree:
+    ``--trunc``, else the chart block's value, else 3.  Stops with exit 2
+    when ``chart`` is set and the spec has no chart block, then with exit
+    1 on an invalid system, then with exit 2 when ``--trunc`` is below 1."""
+    spec = _read_spec(args.file)
+    if chart and not spec.has_chart:
+        raise CliError(f"{args.command} needs a chart block")
+    if not validate(spec.system).is_valid:
+        raise CliError("input system is not valid; run validate", 1)
+    if args.trunc is not None and args.trunc < 1:
+        raise CliError(f"--trunc must be >= 1, got {args.trunc}")
+    return spec, args.trunc or spec.truncation or 3
+
+
 def _system_json(ws: WeightSystem) -> dict:
     return {
         "rank": ws.rank,
@@ -55,116 +82,91 @@ def _system_json(ws: WeightSystem) -> dict:
     }
 
 
-def _table(rows: list[list[str]], header: list[str]) -> list[str]:
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows
-              else len(header[c]) for c in range(len(header))]
-    def fmt(cells):
-        return "  " + " | ".join(c.ljust(w) for c, w in zip(cells, widths))
-    out = [fmt(header)]
-    for r in rows:
-        out.append(fmt(r))
-    return [line.rstrip() for line in out]
-
-
-def _truncation(args, spec) -> int | None:
-    """The effective truncation degree: ``--trunc``, else the chart
-    block's value, else 3.  Prints an error and returns None when
-    ``--trunc`` is below 1."""
-    if args.trunc is not None:
-        if args.trunc < 1:
-            print(f"error: --trunc must be >= 1, got {args.trunc}",
-                  file=sys.stderr)
-            return None
-        return args.trunc
-    return 3 if spec.truncation is None else spec.truncation
-
-
-def _reject_invalid(ws: WeightSystem) -> bool:
-    """Print an error and return True when ``ws`` is not a valid system."""
-    if validate(ws).is_valid:
-        return False
-    print("error: input system is not valid; run validate", file=sys.stderr)
-    return True
-
-
 def _elements_line(ws: WeightSystem) -> str:
     labels = [w.label for w in ws.sorted_elements()]
     return f"elements ({len(labels)}): " + ", ".join(labels)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, --json data, text lines)
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    spec = _read_spec(args.file)
-    ws = spec.system
+Result = tuple[int, dict, list[str]]
+
+
+def cmd_validate(args) -> Result:
+    ws = _read_spec(args.file).system
     rep = validate(ws)
     mf = is_multiplicity_free(ws)
+    c2 = rep.has_zero and rep.has_units
     data = {
         "command": "validate",
         "system": _system_json(ws),
         "finite": rep.finite,
-        "has_zero_and_units": rep.has_zero and rep.has_units,
+        "has_zero_and_units": c2,
         "nonnegative": rep.is_nonnegative,
         "valid": rep.is_valid,
         "multiplicity_free": mf,
     }
-    mults = max_multiplicities(ws) if rep.is_valid else None
-    if mults is not None:
-        data["max_multiplicities"] = {s.label: n for s, n in mults.by_symbol}
-        data["extra_lifts"] = mults.extra
-    if args.json:
-        print(json.dumps(data, indent=2))
-        return 0 if rep.is_valid else 1
-    print("# gradedvb validate")
-    print(f"rank: {ws.rank}")
-    print("parities: " + " ".join(str(s.parity) for s in ws.basic_symbols))
-    print(_elements_line(ws))
-    print(f"condition 1 (finite): {'PASS' if rep.finite else 'FAIL'}")
-    c2 = rep.has_zero and rep.has_units
     detail = ""
     if not rep.has_zero:
         detail = "  [zero weight missing]"
     elif rep.missing_units:
         detail = "  [missing: " + ", ".join(s.label for s in rep.missing_units) + "]"
-    print(f"condition 2 (zero and unit weights): {'PASS' if c2 else 'FAIL'}{detail}")
     neg = ""
     if rep.negative_elements:
         neg = "  [negative: " + ", ".join(w.label for w in rep.negative_elements) + "]"
-    print(f"condition 3 (non-negative): {'PASS' if rep.is_nonnegative else 'FAIL'}{neg}")
-    print(f"valid: {'yes' if rep.is_valid else 'no'}")
-    print(f"multiplicity-free: {'yes' if mf else 'no'}")
-    if mults is not None:
+    lines = [
+        "# gradedvb validate",
+        f"rank: {ws.rank}",
+        "parities: " + " ".join(str(s.parity) for s in ws.basic_symbols),
+        _elements_line(ws),
+        f"condition 1 (finite): {'PASS' if rep.finite else 'FAIL'}",
+        f"condition 2 (zero and unit weights): {'PASS' if c2 else 'FAIL'}{detail}",
+        f"condition 3 (non-negative): {'PASS' if rep.is_nonnegative else 'FAIL'}{neg}",
+        f"valid: {'yes' if rep.is_valid else 'no'}",
+        f"multiplicity-free: {'yes' if mf else 'no'}",
+    ]
+    if rep.is_valid:
+        mults = max_multiplicities(ws)
+        data["max_multiplicities"] = {s.label: n for s, n in mults.by_symbol}
+        data["extra_lifts"] = mults.extra
         pairs = " ".join(f"{s.label}={n}" for s, n in mults.by_symbol)
-        print(f"max multiplicities: {pairs} (extra lifts: {mults.extra})")
-    return 0 if rep.is_valid else 1
+        lines.append(f"max multiplicities: {pairs} (extra lifts: {mults.extra})")
+    return (0 if rep.is_valid else 1), data, lines
 
 
-def cmd_linearize(args) -> int:
-    spec = _read_spec(args.file)
+def cmd_linearize(args) -> Result:
+    spec, trunc = _load(args, chart=False)
     ws = spec.system
-    if _reject_invalid(ws):
-        return 1
-    trunc = _truncation(args, spec)
-    if trunc is None:
-        return 2
     derived = linearized_system(ws)
-    fibers = [(d, delta_prime_fiber(ws, d)) for d in ws.sorted_elements()]
     data = {
         "command": "linearize",
         "truncation": trunc,
         "input": _system_json(ws),
         "derived": _system_json(derived),
         "fibers": [
-            {"delta": d.label, "fiber": [w.label for w in fib]}
-            for d, fib in fibers
+            {"delta": d.label,
+             "fiber": [w.label for w in delta_prime_fiber(ws, d)]}
+            for d in ws.sorted_elements()
         ],
     }
-    lc = None
+    lines = [
+        "# gradedvb linearize",
+        f"# truncation: {trunc}",
+        f"input: rank {ws.rank}; parities "
+        + " ".join(str(s.parity) for s in ws.basic_symbols),
+        _elements_line(ws),
+        f"derived: rank {derived.rank}; basis "
+        + " ".join(s.label for s in derived.basis),
+        _elements_line(derived),
+    ]
+    if args.fibers:
+        lines.append("fibers:")
+        lines += aligned_table(["delta", "fiber"], [
+            [f["delta"], ", ".join(f["fiber"])] for f in data["fibers"]])
     if spec.has_chart:
         lc = linearize_chart(spec.chart(trunc))
-        table = coordinate_table(lc)
         data["generators"] = [
             {
                 "weight": e.delta_prime.label,
@@ -172,7 +174,7 @@ def cmd_linearize(args) -> int:
                 "from": e.delta.label,
                 "composition": [s.label for s in e.composition],
             }
-            for e in table
+            for e in coordinate_table(lc)
         ]
         data["operators"] = {
             sym.label: {c.name: op.of(c).text()
@@ -181,36 +183,16 @@ def cmd_linearize(args) -> int:
                                   key=lambda kv: kv[0].sort_key)
         }
         data["chart"] = chart_dump(lc.chart)
-    if args.json:
-        print(json.dumps(data, indent=2))
-        return 0
-    print("# gradedvb linearize")
-    print(f"# truncation: {trunc}")
-    print(f"input: rank {ws.rank}; parities " +
-          " ".join(str(s.parity) for s in ws.basic_symbols))
-    print(_elements_line(ws))
-    print(f"derived: rank {derived.rank}; basis " +
-          " ".join(s.label for s in derived.basis))
-    print(_elements_line(derived))
-    if args.fibers:
-        print("fibers:")
-        rows = [[d.label, ", ".join(w.label for w in fib)] for d, fib in fibers]
-        for line in _table(rows, ["delta", "fiber"]):
-            print(line)
-    if lc is not None:
-        print("generators:")
-        rows = [[e.delta_prime.label, e.generator.name, e.delta.label,
-                 " o ".join(f"D[{s.label}]" for s in e.composition) or "id"]
-                for e in table]
-        for line in _table(rows, ["weight", "name", "from", "composition"]):
-            print(line)
-        print("operators:")
-        for sym, op in sorted(lc.operators.items(), key=lambda kv: kv[0].sort_key):
-            for c in lc.chart.coordinates:
-                img = op.of(c)
-                if not img.is_zero:
-                    print(f"  D[{sym.label}]({c.name}) = {img.text()}")
-    return 0
+        lines.append("generators:")
+        lines += aligned_table(["weight", "name", "from", "composition"], [
+            [g["weight"], g["name"], g["from"],
+             " o ".join(f"D[{s}]" for s in g["composition"]) or "id"]
+            for g in data["generators"]])
+        lines.append("operators:")
+        lines += [f"  D[{sym}]({name}) = {img}"
+                  for sym, images in data["operators"].items()
+                  for name, img in images.items()]
+    return 0, data, lines
 
 
 def _spot_checks(lc, seed: int) -> bool:
@@ -234,145 +216,94 @@ def _spot_checks(lc, seed: int) -> bool:
     return ok
 
 
-def cmd_check(args) -> int:
-    spec = _read_spec(args.file)
-    if not spec.has_chart:
-        print("error: check needs a chart block", file=sys.stderr)
-        return 2
-    trunc = _truncation(args, spec)
-    if trunc is None:
-        return 2
-    try:
-        lc = linearize_chart(spec.chart(trunc))
-        rep = analysis.check_all_properties(lc.chart, lc.operators)
-    except (WeightError, AlgebraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_check(args) -> Result:
+    spec, trunc = _load(args, chart=True)
+    lc = linearize_chart(spec.chart(trunc))
+    rep = analysis.check_all_properties(lc.chart, lc.operators)
     spot = _spot_checks(lc, args.seed)
+    ok = rep.all_passed and spot
     data = rep.to_json()
     data.update({"command": "check", "truncation": trunc, "seed": args.seed,
                  "spot_checks": spot})
-    if args.json:
-        print(json.dumps(data, indent=2))
-        return 0 if rep.all_passed and spot else 1
-    print("# gradedvb check")
-    print(f"# truncation: {trunc}")
-    print(f"# seed: {args.seed}")
-    for k, name, status, count, witness in rep.summary_rows():
-        line = f"property {k} ({name}): {status} (checked {count})"
-        if witness:
-            line += f"  witness: {witness}"
-        print(line)
-    print(f"spot checks (seed {args.seed}): {'PASS' if spot else 'FAIL'}")
-    print(f"result: {'ALL PASS' if rep.all_passed and spot else 'FAIL'}")
-    return 0 if rep.all_passed and spot else 1
+    lines = ["# gradedvb check", f"# truncation: {trunc}", f"# seed: {args.seed}"]
+    for p in data["properties"]:
+        line = (f"property {p['index']} ({p['name']}): {p['status']} "
+                f"(checked {p['checked']})")
+        if p["witness"]:
+            line += f"  witness: {p['witness']}"
+        lines.append(line)
+    lines.append(f"spot checks (seed {args.seed}): {'PASS' if spot else 'FAIL'}")
+    lines.append(f"result: {'ALL PASS' if ok else 'FAIL'}")
+    return (0 if ok else 1), data, lines
 
 
-def cmd_invert(args) -> int:
-    spec = _read_spec(args.file)
-    if not spec.has_chart:
-        print("error: invert needs a chart block", file=sys.stderr)
-        return 2
-    if _reject_invalid(spec.system):
-        return 1
-    trunc = _truncation(args, spec)
-    if trunc is None:
-        return 2
+def cmd_invert(args) -> Result:
+    spec, trunc = _load(args, chart=True)
     lc = linearize_chart(spec.chart(trunc))
+    by_label = {s.label: s for s in lc.lift_sequence}
     syms = []
     for label in args.lam.split(","):
         label = label.strip()
-        sym = next((s for s in lc.lift_sequence if s.label == label), None)
-        if sym is None:
-            print(f"error: unknown operator {label!r}", file=sys.stderr)
-            return 2
-        syms.append(sym)
+        if label not in by_label:
+            raise CliError(f"unknown operator {label!r}")
+        syms.append(by_label[label])
     try:
         f = parse_polynomial(lc.quotient, args.rhs)
+    except AlgebraError as exc:
+        raise CliError(f"--rhs: {exc}")
+    data = {"command": "invert", "truncation": trunc}
+    lines = ["# gradedvb invert", f"# truncation: {trunc}"]
+    try:
         F = analysis.solve_inverse(lc, tuple(syms), f)
     except (AlgebraError, analysis.AnalysisError) as exc:
-        if args.json:
-            print(json.dumps({"command": "invert", "truncation": trunc,
-                              "error": str(exc)}, indent=2))
-        else:
-            print("# gradedvb invert")
-            print(f"# truncation: {trunc}")
-            print(f"error: {exc}")
-        return 1
-    if args.json:
-        print(json.dumps({"command": "invert", "truncation": trunc,
-                          "lam": [s.label for s in syms],
-                          "rhs": f.text(), "solution": F.text()}, indent=2))
-        return 0
-    print("# gradedvb invert")
-    print(f"# truncation: {trunc}")
-    print("composition: " + " o ".join(f"d[{s.label}]" for s in syms))
-    print(f"rhs: {f.text()}")
-    print(f"solution: {F.text()}")
-    return 0
+        data["error"] = str(exc)
+        return 1, data, lines + [f"error: {exc}"]
+    data.update({"lam": [s.label for s in syms], "rhs": f.text(),
+                 "solution": F.text()})
+    return 0, data, lines + [
+        "composition: " + " o ".join(f"d[{s}]" for s in data["lam"]),
+        f"rhs: {data['rhs']}",
+        f"solution: {data['solution']}",
+    ]
 
 
-def cmd_dualize(args) -> int:
-    spec = _read_spec(args.file)
-    ws = spec.system
-    base = []
+def cmd_dualize(args) -> Result:
+    ws = _read_spec(args.file).system
     try:
-        for k, row in enumerate(args.base.split(";")):
-            base.append(parse_weight_row(row.strip(), ws, k + 1))
+        base = [parse_weight_row(row.strip(), ws, k + 1)
+                for k, row in enumerate(args.base.split(";"))]
     except SpecParseError as exc:
-        print(f"error: --base: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"--base: {exc}")
+    data = {"command": "dualize"}
+    lines = ["# gradedvb dualize"]
     try:
         res = dualize(ws, base)
     except WeightError as exc:
-        if args.json:
-            print(json.dumps({"command": "dualize", "error": str(exc)}, indent=2))
-        else:
-            print("# gradedvb dualize")
-            print(f"error: {exc}")
-        return 1
-    data = {
-        "command": "dualize",
+        data["error"] = str(exc)
+        return 1, data, lines + [f"error: {exc}"]
+    data.update({
         "fiber_direction": res.fiber_symbol.label,
         "dual": _system_json(res.system),
         "suggested_basis": [w.label for w in res.suggested_basis],
         "suggestion_valid": res.suggestion_valid,
-    }
-    if args.json:
-        print(json.dumps(data, indent=2))
-        return 0
-    print("# gradedvb dualize")
-    print(f"fiber direction: {res.fiber_symbol.label}")
-    print(_elements_line(res.system))
-    print("suggested basis: " + ", ".join(w.label for w in res.suggested_basis)
-          + f" (valid: {'yes' if res.suggestion_valid else 'no'})")
-    return 0
+    })
+    return 0, data, lines + [
+        f"fiber direction: {data['fiber_direction']}",
+        _elements_line(res.system),
+        "suggested basis: " + ", ".join(data["suggested_basis"])
+        + f" (valid: {'yes' if res.suggestion_valid else 'no'})",
+    ]
 
 
-def cmd_reconstruct(args) -> int:
-    spec = _read_spec(args.file)
-    if not spec.has_chart:
-        print("error: reconstruct needs a chart block", file=sys.stderr)
-        return 2
+def cmd_reconstruct(args) -> Result:
+    spec, trunc = _load(args, chart=True)
     ws = spec.system
-    if _reject_invalid(ws):
-        return 1
-    mults = max_multiplicities(ws)
-    if ws.rank != 1 or mults.extra != 1 or len(ws.elements) != 3:
-        print("error: reconstruct expects a degree-2 system {0, a1, 2a1}",
-              file=sys.stderr)
-        return 2
-    trunc = _truncation(args, spec)
-    if trunc is None:
-        return 2
+    if ws.rank != 1 or max_multiplicities(ws).extra != 1 or len(ws.elements) != 3:
+        raise CliError("reconstruct expects a degree-2 system {0, a1, 2a1}")
     chart = spec.chart(trunc)
     lc = linearize_chart(chart)
     (b21,) = lc.chart.system.additional_symbols
-    try:
-        res = analysis.reconstruct_degree2(lc.chart, lc.operators[b21])
-    except analysis.AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    res = analysis.reconstruct_degree2(lc.chart, lc.operators[b21])
     same = res.m2.dims == chart.dims
     def dimline(c: Chart) -> str:
         return " ".join(f"{w.label}:{n}" for w, n in
@@ -386,17 +317,16 @@ def cmd_reconstruct(args) -> int:
         "round_trip_dims_match": same,
         "isomorphism_verified": res.verified,
     }
-    if args.json:
-        print(json.dumps(data, indent=2))
-        return 0 if res.verified and same else 1
-    print("# gradedvb reconstruct")
-    print(f"# truncation: {trunc}")
-    print(f"input dims: {dimline(chart)}")
-    print(f"double-bundle dims: {dimline(lc.chart)}")
-    print(f"reconstructed dims: {dimline(res.m2)}")
-    print(f"round trip dims match: {'yes' if same else 'no'}")
-    print(f"isomorphism verified: {'yes' if res.verified else 'no'}")
-    return 0 if res.verified and same else 1
+    lines = [
+        "# gradedvb reconstruct",
+        f"# truncation: {trunc}",
+        f"input dims: {data['input_dims']}",
+        f"double-bundle dims: {data['double_bundle_dims']}",
+        f"reconstructed dims: {data['reconstructed_dims']}",
+        f"round trip dims match: {'yes' if same else 'no'}",
+        f"isomorphism verified: {'yes' if res.verified else 'no'}",
+    ]
+    return (0 if res.verified and same else 1), data, lines
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser serves every call in a process: parse_args keeps no state
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for dest, value in (("json", False), ("trunc", None), ("seed", 0)):
         if not hasattr(args, dest):
             setattr(args, dest, value)
     try:
-        return args.func(args)
-    except TruncationOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, data, lines = args.func(args)
+        print(json.dumps(data, indent=2) if args.json else "\n".join(lines))
+        return code
+    except CliError as exc:
+        message, code = exc.args
+    except (AlgebraError, WeightError, analysis.AnalysisError) as exc:
+        message, code = str(exc), 1   # e.g. a TruncationOverflow
     except BrokenPipeError:  # pragma: no cover
         return 0
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -163,10 +163,6 @@ class Weight:
         return 0
 
     @property
-    def support(self) -> tuple[BasisSymbol, ...]:
-        return tuple(s for s, _ in self.items)
-
-    @property
     def parity(self) -> int:
         return sum(c * s.parity for s, c in self.items) % 2
 

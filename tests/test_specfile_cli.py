@@ -214,17 +214,29 @@ class TestInvertCommand:
         assert code == 1
         assert "error" in out
 
-    def test_zero_denominator_is_an_error_not_a_traceback(self):
+    # an --rhs that does not parse is a usage error: exit 2, one stderr line
+    def test_zero_denominator_is_an_error_not_a_traceback(self, capsys):
         code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
                             "--rhs", "1/0")
-        assert code == 1
-        assert out.splitlines()[-1] == "error: malformed coefficient '1/0'"
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == "error: --rhs: malformed coefficient '1/0'\n"
 
-    def test_zero_denominator_json(self):
+    def test_zero_denominator_json(self, capsys):
         code, out = run_cli("--json", "invert", data("m2.spec"), "--lam",
                             "b2_1", "--rhs", "1/0")
-        assert code == 1
-        assert json.loads(out)["error"] == "malformed coefficient '1/0'"
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == "error: --rhs: malformed coefficient '1/0'\n"
+
+    def test_malformed_factor_exits_two(self, capsys):
+        code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
+                            "--rhs", "zz")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "error: --rhs: malformed factor 'zz'\n"
 
     def test_unknown_operator_exits_two(self):
         code, out = run_cli("invert", data("m3.spec"), "--lam", "b9_9",
@@ -324,7 +336,8 @@ class TestInvalidSystem:
         ["invert", "--json", "--lam", "b2_1", "--rhs", "x1"],
         ["reconstruct"],
         ["linearize"],
-    ], ids=["invert", "invert-json", "reconstruct", "linearize"])
+        ["check"],
+    ], ids=["invert", "invert-json", "reconstruct", "linearize", "check"])
     def test_negative_weight_is_an_error_not_a_traceback(self, argv, tmp_path,
                                                          capsys):
         spec = tmp_path / "neg.spec"
