@@ -19,6 +19,12 @@ per weight from :func:`component_map`, memoized in its declared
 :meth:`ComponentMatrix.capped` instead of building the matrix again, and
 its inverse is computed once, in the matrix's declared ``inverse`` field.
 
+Every check takes ``(chart, ops, ...)``, with lift steps as symbols, and
+reads ``ops`` only through :func:`_operators`.  Where the checks of
+properties 3, 5 and 6 apply is stated once, as the reason a check does
+not apply (``_image_obstacle``, ``_steps_obstacle``, ``_swap_obstacle``):
+the check raises it and :func:`check_all_properties` skips the case.
+
 Truncation is never allowed to lie: any matrix built from images that
 lost over-degree terms is flagged, and flagged matrices refuse to
 participate in exact arguments.  Each caller picks its own policy for a
@@ -230,34 +236,79 @@ def _in_span(vectors: list[linalg.Vector], r: int, v: linalg.Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# non-degeneracy
+# the operator family, where the checks apply, and non-degeneracy
 # ---------------------------------------------------------------------------
 
-def is_nondegenerate(lc_or_chart, sym: BasisSymbol, delta: Weight,
-                     ops: dict | None = None) -> bool:
-    """Whether one operator restricts to a bijection out of ``delta``.
+def _operators(ops: dict, syms) -> list[Derivation]:
+    """The operators of the family ``ops`` named by ``syms``, in order."""
+    for s in syms:
+        if s not in ops:
+            raise AnalysisError(f"operator family misses {s.label}")
+    return [ops[s] for s in syms]
 
-    The image weight must again be a system element; the check runs the
-    exact rank test at every truncation degree up to the chart's, each on
-    a slice of the one full-degree matrix.
+
+def _require(reason: str | None) -> None:
+    """Raise the reason a check does not apply, if there is one."""
+    if reason is not None:
+        raise AnalysisError(reason)
+
+
+def _image_obstacle(system: WeightSystem, delta: Weight, shift: Weight,
+                    ) -> str | None:
+    """Why non-degeneracy of an operator of weight ``shift`` is not
+    asserted out of ``delta``, or None: both ``delta`` and its image weight
+    must be system elements."""
+    target = delta + shift
+    if delta in system.elements and target in system.elements:
+        return None
+    return (f"image weight {target.label} is not a system element; "
+            "non-degeneracy is not asserted there")
+
+
+def _steps_obstacle(steps: tuple[BasisSymbol, ...]) -> str | None:
+    """Why ``steps`` is not a tuple of distinct lift steps over one basic
+    direction, or None."""
+    if len(set(steps)) != len(steps):
+        return "steps must be pairwise distinct"
+    if any(s.kind != "additional" or s.i != steps[0].i for s in steps):
+        return "steps must be lift steps over one basic direction"
+    return None
+
+
+def _swap_obstacle(system: WeightSystem, held: BasisSymbol,
+                   others: tuple[BasisSymbol, ...], delta: Weight,
+                   ) -> str | None:
+    """Why trading the step ``held`` for each of ``others`` at ``delta``
+    is not asserted, or None, for steps that pass :func:`_steps_obstacle`:
+    ``delta`` must be a system element holding ``held`` and its basic
+    direction once and none of ``others``, and every trade must give a
+    system element."""
+    if delta not in system.elements:
+        return f"{delta.label} is not a system element"
+    if (delta.coeff(paired_basic(held)) != 1 or delta.coeff(held) != 1
+            or any(delta.coeff(s) != 0 for s in others)):
+        return ("weight must contain the basic direction and the held step "
+                "once, and no other named step")
+    for s in others:
+        need = _swap(delta, held, s)
+        if need not in system.elements:
+            return f"required weight {need.label} is not a system element"
+    return None
+
+
+def is_nondegenerate(chart: Chart, ops: dict, sym: BasisSymbol,
+                     delta: Weight) -> bool:
+    """Whether the operator ``ops[sym]`` is a bijection out of ``delta``.
+
+    The check applies where :func:`_image_obstacle` finds nothing; it runs
+    the exact rank test at every truncation degree up to the chart's, each
+    on a slice of the one full-degree matrix.
     """
-    chart, operators = _chart_and_ops(lc_or_chart, ops)
-    op = operators[sym]
-    target = delta + op.weight_shift
-    if delta not in chart.system.elements or target not in chart.system.elements:
-        raise AnalysisError(f"image weight {target.label} is not a system "
-                            "element; non-degeneracy is not asserted there")
+    (op,) = _operators(ops, (sym,))
+    _require(_image_obstacle(chart.system, delta, op.weight_shift))
     full = component_map(op, delta)
     return all(full.capped(d).is_bijective()
                for d in range(1, chart.truncation + 1))
-
-
-def _chart_and_ops(lc_or_chart, ops):
-    if isinstance(lc_or_chart, LinearizedChart):
-        return lc_or_chart.chart, (ops or lc_or_chart.operators)
-    if ops is None:
-        raise AnalysisError("operator family required alongside a bare chart")
-    return lc_or_chart, ops
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +328,18 @@ class DecompositionResult:
     witness: Polynomial | None
 
 
-def check_decomposition(lc_or_chart, delta_prime: Weight,
-                        ops: dict | None = None) -> DecompositionResult:
+def check_decomposition(chart: Chart, ops: dict, delta_prime: Weight,
+                        ) -> DecompositionResult:
     """Verify that a weight component is spanned by decomposable monomials
     together with the joint kernel of the operators named by the weight's
     additional support.  The spanning is verified exactly; the dimension
     of the overlap of the two parts is reported, not constrained."""
-    chart, operators = _chart_and_ops(lc_or_chart, ops)
     basis = component_basis(chart, delta_prime)
     product = [k for k, m in enumerate(basis)
                if sum(e for c, e in m.factors if not c.weight.is_zero) >= 2]
     product_basis = [basis[k] for k in product]
     kbasis, kvecs = kernel_intersection(
-        chart, [operators[s] for s in _bsupport(delta_prime)], delta_prime)
+        chart, _operators(ops, _bsupport(delta_prime)), delta_prime)
     cols = [{k: _ONE} for k in product] + kvecs
     spanned = linalg.rank(cols)
     passes = spanned == len(basis)
@@ -398,20 +448,18 @@ class CocycleResult:
     witness: Polynomial | None
 
 
-def check_cocycle(lc_or_chart, i: int, j: int, j1: int, j2: int,
-                  delta: Weight, ops: dict | None = None) -> CocycleResult:
-    """The signed compatibility identity between step changes, restricted
-    to the kernel of the operator named in the weight."""
-    chart, operators = _chart_and_ops(lc_or_chart, ops)
-    syms = _triple_symbols(chart, i, j, j1, j2)
-    b_j, b_j1, b_j2 = syms
-    _require_cocycle_weight(delta, i, b_j, b_j1, b_j2, chart)
-    for need in (_swap(delta, b_j, b_j1), _swap(delta, b_j, b_j2)):
-        if need not in chart.system.elements:
-            raise AnalysisError(f"required weight {need.label} is not a "
-                                "system element")
-    lhs, rhs = _cocycle_sides(operators, syms, delta)
-    kmat = component_map(operators[b_j], delta)
+def check_cocycle(chart: Chart, ops: dict,
+                  steps: tuple[BasisSymbol, BasisSymbol, BasisSymbol],
+                  delta: Weight) -> CocycleResult:
+    """The signed compatibility identity between the step changes of
+    ``steps = (b_j, b_j1, b_j2)``, restricted to the kernel of ``D[b_j]``
+    on the ``delta`` component, where ``b_j`` trades for ``b_j1`` and
+    ``b_j2`` (:func:`_swap_obstacle`)."""
+    _require(_steps_obstacle(steps)
+             or _swap_obstacle(chart.system, steps[0], steps[1:], delta))
+    fam = _operators(ops, steps)
+    lhs, rhs = _cocycle_sides(steps, fam, delta)
+    kmat = component_map(fam[0], delta)
     kmat.require_exact()
     kvecs = linalg.nullspace(kmat.entries, kmat.dom_dim)
     for v in kvecs:
@@ -441,45 +489,19 @@ def _transfer(op_fwd: Derivation, op_back: Derivation, src: Weight,
     return linalg.matmul(back_inv, fwd.entries)
 
 
-def _cocycle_sides(operators: dict, syms, delta: Weight,
+def _cocycle_sides(steps, fam: list[Derivation], delta: Weight,
                    ) -> tuple[linalg.Matrix, linalg.Matrix]:
-    """The two sides of the cocycle identity for the steps ``syms = (b_j,
-    b_j1, b_j2)``, as matrices from the ``delta`` component to the one
-    with ``b_j2`` in place of ``b_j``: the direct step change, and the one
-    through ``b_j1``."""
-    b_j, b_j1, b_j2 = syms
+    """The two sides of the cocycle identity for the steps ``(b_j, b_j1,
+    b_j2)`` with operators ``fam``, as matrices from the ``delta``
+    component to the one with ``b_j2`` in place of ``b_j``: the direct
+    step change, and the one through ``b_j1``."""
+    b_j, b_j1, b_j2 = steps
+    d_j, d_j1, d_j2 = fam
     d1, d2 = _swap(delta, b_j, b_j1), _swap(delta, b_j, b_j2)
-    lhs = _transfer(operators[b_j2], operators[b_j], delta, d2)
-    step1 = _transfer(operators[b_j1], operators[b_j], delta, d1)
-    step2 = _transfer(operators[b_j2], operators[b_j1], d1, d2)
+    lhs = _transfer(d_j2, d_j, delta, d2)
+    step1 = _transfer(d_j1, d_j, delta, d1)
+    step2 = _transfer(d_j2, d_j1, d1, d2)
     return lhs, linalg.matmul(step2, step1)
-
-
-def _step_symbol(chart: Chart, i: int, j: int) -> BasisSymbol | None:
-    return next((s for s in chart.system.additional_symbols
-                 if s.i == i and s.j == j), None)
-
-
-def _triple_symbols(chart: Chart, i: int, j: int, j1: int, j2: int):
-    if len({j, j1, j2}) != 3:
-        raise AnalysisError("step indices must be pairwise distinct")
-    syms = tuple(_step_symbol(chart, i, step) for step in (j, j1, j2))
-    for step, sym in zip((j, j1, j2), syms):
-        if sym is None:
-            raise AnalysisError(f"no operator b{step}_{i} in this chart")
-    return syms
-
-
-def _require_cocycle_weight(delta: Weight, i: int, b_j, b_j1, b_j2,
-                            chart: Chart) -> None:
-    a_i = paired_basic(b_j)
-    if delta not in chart.system.elements:
-        raise AnalysisError(f"{delta.label} is not a system element")
-    if delta.coeff(a_i) != 1 or delta.coeff(b_j) != 1:
-        raise AnalysisError("weight must contain the basic direction and the "
-                            "named step exactly once")
-    if delta.coeff(b_j1) != 0 or delta.coeff(b_j2) != 0:
-        raise AnalysisError("weight must not contain the other two steps")
 
 
 @dataclass(eq=False)
@@ -490,27 +512,30 @@ class CocycleWitness:
     sides_differ: bool
 
 
-def counterexample_off_kernel(lc_or_chart, i: int, j: int, j1: int, j2: int,
-                              ops: dict | None = None) -> CocycleWitness:
-    """Exhibit a component element outside the kernel on which the two
-    sides of the cocycle identity disagree (in both sign readings)."""
-    chart, operators = _chart_and_ops(lc_or_chart, ops)
-    syms = _triple_symbols(chart, i, j, j1, j2)
-    b_j = syms[0]
+def counterexample_off_kernel(chart: Chart, ops: dict,
+                              steps: tuple[BasisSymbol, BasisSymbol,
+                                           BasisSymbol]) -> CocycleWitness:
+    """Exhibit an element of the ``a_i + b_j`` component outside the kernel
+    of ``D[b_j]`` on which the two sides of the cocycle identity for
+    ``steps = (b_j, b_j1, b_j2)`` disagree (in both sign readings)."""
+    _require(_steps_obstacle(steps))
+    b_j, b_j1, b_j2 = steps
     a_i = paired_basic(b_j)
+    delta = weight({a_i: 1, b_j: 1})
+    _require(_swap_obstacle(chart.system, b_j, (b_j1, b_j2), delta))
+    fam = _operators(ops, steps)
     gens = [c for c in chart.coordinates if c.weight == weight({a_i: 1})]
     if len(gens) < 2:
         raise AnalysisError("need two generators of the basic weight for the "
                             "off-kernel witness")
-    f = multiply(chart.gen(gens[0]), operators[b_j].of(gens[1]))
-    delta = weight({a_i: 1, b_j: 1})
+    f = multiply(chart.gen(gens[0]), fam[0].of(gens[1]))
     basis = component_basis(chart, delta)
     fv, over = _expand(f, {m: k for k, m in enumerate(basis)})
     if over:
         raise TruncationOverflow("witness construction hit the truncation")
-    lhs, rhs = _cocycle_sides(operators, syms, delta)
+    lhs, rhs = _cocycle_sides(steps, fam, delta)
     lv, rv = linalg.matvec(lhs, fv), linalg.matvec(rhs, fv)
-    cod = component_basis(chart, _swap(delta, b_j, syms[2]))
+    cod = component_basis(chart, _swap(delta, b_j, b_j2))
     return CocycleWitness(
         f=f,
         lhs=_vec_poly(chart, cod, lv),
@@ -529,32 +554,22 @@ class KernelPreservationResult:
     witness: Polynomial | None
 
 
-def check_kernel_preservation(lc_or_chart, i: int, j: int, j0: int,
-                              delta: Weight, delta_prime: Weight,
-                              ops: dict | None = None) -> KernelPreservationResult:
-    """Whether the step change carries one joint-kernel subsheaf onto the
-    other: the weight swaps step ``j0`` for step ``j`` while keeping the
-    basic direction."""
-    chart, operators = _chart_and_ops(lc_or_chart, ops)
-    if j == j0:
-        raise AnalysisError("step indices must differ")
-    b_j, b_j0 = _step_symbol(chart, i, j), _step_symbol(chart, i, j0)
-    if b_j is None or b_j0 is None:
-        raise AnalysisError("missing operators for the requested steps")
-    a_i = paired_basic(b_j)
-    if delta.coeff(a_i) != 1 or delta.coeff(b_j0) != 1 or delta.coeff(b_j) != 0:
-        raise AnalysisError("source weight must contain the basic direction "
-                            "and step j0 once, and not step j")
-    if delta_prime != _swap(delta, b_j0, b_j):
-        raise AnalysisError("target weight must swap the two steps")
-    for need in (delta, delta_prime):
-        if need not in chart.system.elements:
-            raise AnalysisError(f"{need.label} is not a system element")
+def check_kernel_preservation(chart: Chart, ops: dict,
+                              steps: tuple[BasisSymbol, BasisSymbol],
+                              delta: Weight) -> KernelPreservationResult:
+    """Whether the step change of ``steps = (b_j, b_j0)`` carries the
+    joint-kernel subsheaf at ``delta`` onto the one at ``delta`` with
+    ``b_j0`` traded for ``b_j`` (:func:`_swap_obstacle`)."""
+    b_j, b_j0 = steps
+    _require(_steps_obstacle(steps)
+             or _swap_obstacle(chart.system, b_j0, (b_j,), delta))
+    d_j, d_j0 = _operators(ops, steps)
+    delta_prime = _swap(delta, b_j0, b_j)
     _, src_k = kernel_intersection(
-        chart, [operators[s] for s in _bsupport(delta)], delta)
+        chart, _operators(ops, _bsupport(delta)), delta)
     dst_basis, dst_k = kernel_intersection(
-        chart, [operators[s] for s in _bsupport(delta_prime)], delta_prime)
-    tr = _transfer(operators[b_j], operators[b_j0], delta, delta_prime)
+        chart, _operators(ops, _bsupport(delta_prime)), delta_prime)
+    tr = _transfer(d_j, d_j0, delta, delta_prime)
     image = [linalg.matvec(tr, v) for v in src_k]
     r_img, r_dst = linalg.rank(image), linalg.rank(dst_k)
     passes = r_img == r_dst == linalg.rank(image + dst_k)
@@ -640,38 +655,6 @@ class PropertyReport:
         }
 
 
-def _step_tuples(system: WeightSystem, k: int):
-    """Each ordered ``k``-tuple of distinct lift steps over one basic
-    direction ``i``, paired with every system element holding ``a<i>``
-    exactly once."""
-    by_dir: dict[int, list[BasisSymbol]] = {}
-    for s in system.additional_symbols:
-        by_dir.setdefault(s.i, []).append(s)
-    for i, syms in sorted(by_dir.items()):
-        for steps in itertools.permutations(sorted(syms, key=lambda s: s.j), k):
-            a_i = paired_basic(steps[0])
-            for delta in system.sorted_elements():
-                if delta.coeff(a_i) == 1:
-                    yield i, steps, delta
-
-
-def _applicable_cocycle_tuples(system: WeightSystem):
-    for i, (b_j, b_j1, b_j2), delta in _step_tuples(system, 3):
-        if (delta.coeff(b_j) == 1 and delta.coeff(b_j1) == 0
-                and delta.coeff(b_j2) == 0):
-            if (_swap(delta, b_j, b_j1) in system.elements
-                    and _swap(delta, b_j, b_j2) in system.elements):
-                yield (i, b_j.j, b_j1.j, b_j2.j, delta)
-
-
-def _applicable_kernel_tuples(system: WeightSystem):
-    for i, (b_j, b_j0), delta in _step_tuples(system, 2):
-        if delta.coeff(b_j0) == 1 and delta.coeff(b_j) == 0:
-            dp = _swap(delta, b_j0, b_j)
-            if dp in system.elements:
-                yield (i, b_j.j, b_j0.j, delta, dp)
-
-
 def _zero_check(label: str, p: Polynomial) -> PropertyCheck:
     """The check that ``p`` vanishes; a zero left only by dropped terms
     is refused."""
@@ -691,9 +674,7 @@ def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
     system = chart.system
     if not all(w.is_multiplicity_free for w in system.elements):
         raise AnalysisError("chart system must be multiplicity free")
-    for s in system.additional_symbols:
-        if s not in ops:
-            raise AnalysisError(f"operator family misses {s.label}")
+    _operators(ops, system.additional_symbols)
     checks: dict[int, list[PropertyCheck]] = {k: [] for k in range(1, 7)}
 
     syms = sorted(ops, key=lambda t: t.sort_key)
@@ -708,21 +689,22 @@ def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
                     f"[D[{sa.label}],D[{sb.label}]]({c.name})",
                     ops[sa].apply(ops[sb].apply(g)) + ops[sb].apply(ops[sa].apply(g))))
 
+    elements = system.sorted_elements()
     for s in syms:
         shift = ops[s].weight_shift
-        for delta in system.sorted_elements():
-            if delta + shift not in system.elements:
+        for delta in elements:
+            if _image_obstacle(system, delta, shift):
                 continue
-            ok = is_nondegenerate(chart, s, delta, ops)
+            ok = is_nondegenerate(chart, ops, s, delta)
             checks[3].append(PropertyCheck(
                 f"D[{s.label}] bijective out of ({delta.label})", ok,
                 None if ok else f"D[{s.label}] not bijective on the "
                                 f"({delta.label}) component"))
 
-    for delta in system.sorted_elements():
+    for delta in elements:
         if delta.is_zero:
             continue
-        res = check_decomposition(chart, delta, ops)
+        res = check_decomposition(chart, ops, delta)
         checks[4].append(PropertyCheck(
             f"decomposition at ({delta.label}) "
             f"[overlap dim {res.intersection_dim}]", res.passes,
@@ -730,27 +712,43 @@ def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
             f"({delta.label}): {res.witness.text() if res.witness else '?'} "
             "is not spanned"))
 
-    for (i, j, j1, j2, delta) in _applicable_cocycle_tuples(system):
-        label = f"cocycle (i={i}, j={j}, j1={j1}, j2={j2}) at ({delta.label})"
-        try:
-            res = check_cocycle(chart, i, j, j1, j2, delta, ops)
-        except AnalysisError as exc:
-            checks[5].append(PropertyCheck(label, False, str(exc)))
+    # tuples of distinct steps over one direction, by direction, then step
+    steps = sorted(system.additional_symbols, key=lambda t: t.sort_key)
+    for triple in itertools.permutations(steps, 3):
+        if _steps_obstacle(triple):
             continue
-        checks[5].append(PropertyCheck(
-            label, res.passes,
-            None if res.passes else f"fails on {res.witness.text()}"))
+        b_j, b_j1, b_j2 = triple
+        head = f"cocycle (i={b_j.i}, j={b_j.j}, j1={b_j1.j}, j2={b_j2.j}) at "
+        for delta in elements:
+            if _swap_obstacle(system, b_j, (b_j1, b_j2), delta):
+                continue
+            label = f"{head}({delta.label})"
+            try:
+                res = check_cocycle(chart, ops, triple, delta)
+            except AnalysisError as exc:
+                checks[5].append(PropertyCheck(label, False, str(exc)))
+                continue
+            checks[5].append(PropertyCheck(
+                label, res.passes,
+                None if res.passes else f"fails on {res.witness.text()}"))
 
-    for (i, j, j0, delta, dp) in _applicable_kernel_tuples(system):
-        label = f"kernels (i={i}, j={j}, j0={j0}) ({delta.label}) -> ({dp.label})"
-        try:
-            res = check_kernel_preservation(chart, i, j, j0, delta, dp, ops)
-        except AnalysisError as exc:
-            checks[6].append(PropertyCheck(label, False, str(exc)))
+    for pair in itertools.permutations(steps, 2):
+        if _steps_obstacle(pair):
             continue
-        checks[6].append(PropertyCheck(
-            label, res.passes, None if res.passes else
-            f"mismatch witness {res.witness.text() if res.witness else '?'}"))
+        b_j, b_j0 = pair
+        head = f"kernels (i={b_j.i}, j={b_j.j}, j0={b_j0.j}) "
+        for delta in elements:
+            if _swap_obstacle(system, b_j0, (b_j,), delta):
+                continue
+            label = f"{head}({delta.label}) -> ({_swap(delta, b_j0, b_j).label})"
+            try:
+                res = check_kernel_preservation(chart, ops, pair, delta)
+            except AnalysisError as exc:
+                checks[6].append(PropertyCheck(label, False, str(exc)))
+                continue
+            checks[6].append(PropertyCheck(
+                label, res.passes, None if res.passes else
+                f"mismatch witness {res.witness.text() if res.witness else '?'}"))
 
     return PropertyReport(checks)
 

@@ -48,6 +48,7 @@ HERE = os.path.dirname(__file__)
 A = basic_symbol(1, 1)
 B2 = additional_symbol(2, 1, 1)
 B3 = additional_symbol(3, 1, 1)
+B4 = additional_symbol(4, 1, 1)
 
 FAMILY_SEED = 987654321
 FAMILY_SIZE = 200
@@ -235,12 +236,12 @@ def test_criterion_6_cocycle_identity_and_counterexample():
         chart = rank1_chart(4, dims)
         lc = linearize_chart(chart)
         for (j, j1, j2) in itertools.permutations((2, 3, 4), 3):
-            b_j = additional_symbol(j, 1, 1)
-            delta = weight({A: 1, b_j: 1})
-            res = check_cocycle(lc, 1, j, j1, j2, delta)
+            steps = tuple(additional_symbol(k, 1, 1) for k in (j, j1, j2))
+            delta = weight({A: 1, steps[0]: 1})
+            res = check_cocycle(lc.chart, lc.operators, steps, delta)
             assert res.passes
             cases += 1
-        wit = counterexample_off_kernel(lc, 1, 2, 3, 4)
+        wit = counterexample_off_kernel(lc.chart, lc.operators, (B2, B3, B4))
         assert wit.sides_differ
     assert cases == 72
     print(f"ACCEPTANCE 6 (cocycle identity, {cases} kernel checks, "

@@ -141,7 +141,7 @@ class TestOverflowPolicy:
     def test_is_nondegenerate_raises(self):
         chart, op = self.degree_raising()
         with pytest.raises(TruncationOverflow) as err:
-            is_nondegenerate(chart, A, weight({A: 1}), {A: op})
+            is_nondegenerate(chart, {A: op}, A, weight({A: 1}))
         assert str(err.value) == EXACT
 
     def test_property_certificate_raises(self):
@@ -187,7 +187,7 @@ class TestOverflowPolicy:
         assert full.overflow == [False, False] and full.is_bijective()
         assert_same_matrix(full.capped(1), direct_build(op, weight({a: 2}), 1))
         with pytest.raises(TruncationOverflow) as err:
-            is_nondegenerate(chart, a, weight({a: 2}), {a: op})
+            is_nondegenerate(chart, {a: op}, a, weight({a: 2}))
         assert str(err.value) == EXACT
 
     @pytest.mark.parametrize("coordinate", ["x1", "xi{a1}_1"])
@@ -311,31 +311,31 @@ class TestNondegeneracy:
         for sym, op in lc.operators.items():
             for delta in lc.chart.system.sorted_elements():
                 if delta + op.weight_shift in lc.chart.system.elements:
-                    assert is_nondegenerate(lc, sym, delta)
+                    assert is_nondegenerate(lc.chart, lc.operators, sym, delta)
 
     def test_zero_dimensional_component_vacuous(self):
         lc = linearize_chart(rank1_chart(2, [1, 0, 1]))
-        assert is_nondegenerate(lc, B2, weight({A: 1}))
+        assert is_nondegenerate(lc.chart, lc.operators, B2, weight({A: 1}))
 
     def test_corrupted_operator_detected(self):
         chart = rank1_chart(2, [1, 2, 1])
         lc = linearize_chart(chart)
         broken = lc.operators[B2].with_zeroed(
             lc.chart.coordinate("xi{a1}_1"))
-        assert not is_nondegenerate(lc.chart, B2, weight({A: 1}),
-                                    {B2: broken})
+        assert not is_nondegenerate(lc.chart, {B2: broken}, B2,
+                                    weight({A: 1}))
 
     def test_image_weight_outside_system_rejected(self):
         lc = m3_linearized()
         with pytest.raises(AnalysisError):
-            is_nondegenerate(lc, B2, weight({B3: 1}))
+            is_nondegenerate(lc.chart, lc.operators, B2, weight({B3: 1}))
 
 
 class TestDecomposition:
     def test_degree_three_mixed_component(self):
         lc = m3_linearized()
         dp = weight({A: 1, B3: 1})
-        res = check_decomposition(lc, dp)
+        res = check_decomposition(lc.chart, lc.operators, dp)
         assert res.passes
         prod_names = {m.text() for m in res.product_basis}
         assert "xi{a1}_1 * xi{a1}_1[b3_1]" in prod_names
@@ -347,7 +347,7 @@ class TestDecomposition:
 
     def test_unit_weight_is_all_kernel_part(self):
         lc = m3_linearized()
-        res = check_decomposition(lc, weight({A: 1}))
+        res = check_decomposition(lc.chart, lc.operators, weight({A: 1}))
         assert res.passes
         assert res.product_dim == 0
         assert res.kernel_dim == res.component_dim
@@ -359,7 +359,7 @@ class TestDecomposition:
             for dp in lc.chart.system.sorted_elements():
                 if dp.is_zero:
                     continue
-                assert check_decomposition(lc, dp).passes
+                assert check_decomposition(lc.chart, lc.operators, dp).passes
 
 
 class TestSolveInverse:
@@ -556,14 +556,14 @@ class TestCocycle:
     def test_identity_on_kernel_all_triples(self):
         lc = m4_linearized()
         for (j, j1, j2) in itertools.permutations((2, 3, 4), 3):
-            b_j = additional_symbol(j, 1, 1)
-            delta = weight({A: 1, b_j: 1})
-            res = check_cocycle(lc, 1, j, j1, j2, delta)
+            steps = tuple(additional_symbol(k, 1, 1) for k in (j, j1, j2))
+            delta = weight({A: 1, steps[0]: 1})
+            res = check_cocycle(lc.chart, lc.operators, steps, delta)
             assert res.passes
 
     def test_off_kernel_witness_sides_differ(self):
         lc = m4_linearized()
-        wit = counterexample_off_kernel(lc, 1, 2, 3, 4)
+        wit = counterexample_off_kernel(lc.chart, lc.operators, (B2, B3, B4))
         assert wit.sides_differ
         assert not wit.lhs.is_zero and not wit.rhs_composite.is_zero
 
@@ -571,33 +571,36 @@ class TestCocycle:
         lc = m4_linearized((1, 1, 1, 1, 1))
         # with a single side generator the witness cannot be formed
         with pytest.raises(AnalysisError):
-            counterexample_off_kernel(lc, 1, 2, 3, 4)
+            counterexample_off_kernel(lc.chart, lc.operators, (B2, B3, B4))
         for (j, j1, j2) in itertools.permutations((2, 3, 4), 3):
-            b_j = additional_symbol(j, 1, 1)
-            res = check_cocycle(lc, 1, j, j1, j2, weight({A: 1, b_j: 1}))
+            steps = tuple(additional_symbol(k, 1, 1) for k in (j, j1, j2))
+            res = check_cocycle(lc.chart, lc.operators, steps,
+                                weight({A: 1, steps[0]: 1}))
             assert res.passes
 
     def test_weight_hypotheses_enforced(self):
         lc = m4_linearized()
         with pytest.raises(AnalysisError):
-            check_cocycle(lc, 1, 2, 3, 4, weight({A: 1}))
+            check_cocycle(lc.chart, lc.operators, (B2, B3, B4), weight({A: 1}))
         with pytest.raises(AnalysisError):
-            check_cocycle(lc, 1, 2, 2, 4, weight({A: 1, B2: 1}))
+            check_cocycle(lc.chart, lc.operators, (B2, B2, B4),
+                          weight({A: 1, B2: 1}))
 
 
 class TestKernelPreservation:
     def test_degree_three_swap(self):
         lc = m3_linearized((1, 2, 1, 1))
         delta = weight({A: 1, B3: 1})
-        dp = weight({A: 1, B2: 1})
-        res = check_kernel_preservation(lc, 1, 2, 3, delta, dp)
+        res = check_kernel_preservation(lc.chart, lc.operators, (B2, B3),
+                                        delta)
         assert res.passes
+        assert res.delta_prime == weight({A: 1, B2: 1})
 
     def test_zero_kernel_vacuous(self):
         lc = linearize_chart(rank1_chart(3, [1, 1, 0, 1]))
         delta = weight({A: 1, B3: 1})
-        dp = weight({A: 1, B2: 1})
-        res = check_kernel_preservation(lc, 1, 2, 3, delta, dp)
+        res = check_kernel_preservation(lc.chart, lc.operators, (B2, B3),
+                                        delta)
         assert res.passes
 
     def test_corrupted_family_detected(self):
@@ -605,11 +608,10 @@ class TestKernelPreservation:
         # the stated hypotheses still hold and the mismatch is observable
         lc = m3_linearized((1, 2, 1, 1))
         delta = weight({A: 1, B3: 1})
-        dp = weight({A: 1, B2: 1})
         broken = dict(lc.operators)
         broken[B2] = lc.operators[B2].with_zeroed(
             lc.chart.coordinate("xi{2a1}_1[b3_1]"))
-        res = check_kernel_preservation(lc.chart, 1, 2, 3, delta, dp, broken)
+        res = check_kernel_preservation(lc.chart, broken, (B2, B3), delta)
         assert not res.passes
         assert res.witness is not None
 
@@ -653,12 +655,76 @@ class TestKernelPreservation:
     def test_inverted_operator_must_be_bijective(self):
         lc = m3_linearized((1, 2, 1, 1))
         delta = weight({A: 1, B3: 1})
-        dp = weight({A: 1, B2: 1})
         broken = dict(lc.operators)
         broken[B3] = lc.operators[B3].with_zeroed(
             lc.chart.coordinate("xi{2a1}_1[b2_1]"))
         with pytest.raises(AnalysisError):
-            check_kernel_preservation(lc.chart, 1, 2, 3, delta, dp, broken)
+            check_kernel_preservation(lc.chart, broken, (B2, B3), delta)
+
+
+class TestCallingForm:
+    """Every check takes ``(chart, ops, ...)``; what it needs of ``ops`` and
+    where it applies are decided once, for the check and the certificate
+    alike."""
+
+    # each check asks for b3_1, which the family below lacks
+    CHECKS = {
+        "is_nondegenerate": lambda c, ops: is_nondegenerate(
+            c, ops, B3, weight({A: 1})),
+        "check_decomposition": lambda c, ops: check_decomposition(
+            c, ops, weight({A: 1, B3: 1})),
+        "check_cocycle": lambda c, ops: check_cocycle(
+            c, ops, (B2, B3, B4), weight({A: 1, B2: 1})),
+        "counterexample_off_kernel": lambda c, ops: counterexample_off_kernel(
+            c, ops, (B2, B3, B4)),
+        "check_kernel_preservation": lambda c, ops: check_kernel_preservation(
+            c, ops, (B2, B3), weight({A: 1, B3: 1})),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_missing_step_is_named(self, name):
+        lc = m4_linearized()
+        with pytest.raises(AnalysisError,
+                           match=r"^operator family misses b3_1$"):
+            self.CHECKS[name](lc.chart, {B2: lc.operators[B2]})
+
+    @pytest.mark.parametrize("n,dims", [(3, [1, 2, 1, 1]),
+                                        (4, [1, 2, 1, 1, 1])])
+    def test_check_raises_exactly_where_the_certificate_skips(self, n, dims):
+        lc = linearize_chart(rank1_chart(n, dims))
+        chart, ops = lc.chart, lc.operators
+        report = check_all_properties(chart, ops)
+        steps = sorted(chart.system.additional_symbols,
+                       key=lambda s: s.sort_key)
+        elements = chart.system.sorted_elements()
+
+        def runs(check, *args):
+            try:
+                check(chart, ops, *args)
+            except AnalysisError:
+                return False
+            return True
+
+        ran = {3: {}, 5: {}, 6: {}}  # label -> whether the check ran
+        for delta in elements:
+            for s in steps:
+                ran[3][f"D[{s.label}] bijective out of ({delta.label})"] = \
+                    runs(is_nondegenerate, s, delta)
+            for b_j, b_j1, b_j2 in itertools.permutations(steps, 3):
+                ran[5][f"cocycle (i=1, j={b_j.j}, j1={b_j1.j}, j2={b_j2.j}) "
+                       f"at ({delta.label})"] = \
+                    runs(check_cocycle, (b_j, b_j1, b_j2), delta)
+            for b_j, b_j0 in itertools.permutations(steps, 2):
+                dp = delta - weight({b_j0: 1}) + weight({b_j: 1})
+                ran[6][f"kernels (i=1, j={b_j.j}, j0={b_j0.j}) "
+                       f"({delta.label}) -> ({dp.label})"] = \
+                    runs(check_kernel_preservation, (b_j, b_j0), delta)
+        for k in (3, 5, 6):
+            labels = [c.label for c in report.checks[k]]
+            assert len(labels) == len(set(labels))
+            assert set(labels) == {t for t, ok in ran[k].items() if ok}
+            # m3 has no step triples; elsewhere the check both runs and skips
+            assert set(ran[k].values()) == ({True, False} if ran[k] else set())
 
 
 class TestCheckAllProperties:

@@ -52,12 +52,14 @@ def cocycle_and_decomposition():
     out = []
     for dims in OFF_KERNEL:
         lc = linearize_chart(rank1_chart(4, dims))
-        wit = counterexample_off_kernel(lc, 1, 2, 3, 4)
+        wit = counterexample_off_kernel(
+            lc.chart, lc.operators,
+            tuple(additional_symbol(j, 1, 1) for j in (2, 3, 4)))
         decompositions = []
         for delta in lc.chart.system.sorted_elements():
             if delta.is_zero:
                 continue
-            res = check_decomposition(lc, delta)
+            res = check_decomposition(lc.chart, lc.operators, delta)
             decompositions.append({
                 "delta": delta.label,
                 "passes": res.passes,

@@ -1,14 +1,21 @@
-"""Every name the benchmark tracer wraps exists in the package.
+"""Every name the benchmark tracer wraps exists in the package, and the
+certificate reaches its checks through those names.
 
 ``perfbench/tracer.py`` lists its targets as ``(group, module, attribute)``
 and fails at install time when one is missing, so a rename in the package
 would only show when the benchmark runs traced.  The list is read with
-``ast``; nothing under ``perfbench/`` is imported.
+``ast``; nothing under ``perfbench/`` is imported.  The tracer wraps a
+module attribute, so a check called by another route than its module
+name would run but leave no span.
 """
 
 import ast
 import importlib
 import os
+from collections import Counter
+
+from gradedvb import analysis, linearize_chart
+from conftest import rank1_chart
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -40,3 +47,24 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+# what check_all_properties calls, by the names the tracer wraps
+CERTIFICATE_CHECKS = ("is_nondegenerate", "check_decomposition",
+                      "check_cocycle", "check_kernel_preservation",
+                      "kernel_intersection")
+
+
+def test_certificate_calls_the_traced_checks(monkeypatch):
+    traced = {attr for _, module, attr in traced_targets()
+              if module == "analysis"}
+    assert set(CERTIFICATE_CHECKS) <= traced
+    calls = Counter()
+    for name in CERTIFICATE_CHECKS:
+        def counted(*args, _name=name, _real=getattr(analysis, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(analysis, name, counted)
+    lc = linearize_chart(rank1_chart(4, [1, 2, 1, 1, 1]))
+    assert analysis.check_all_properties(lc.chart, lc.operators).all_passed
+    assert [n for n in CERTIFICATE_CHECKS if not calls[n]] == []
