@@ -81,7 +81,21 @@ class TestPolynomialText:
 
 
 class TestGolden:
-    # the byte-exact linearize tables are pinned by TestTextGolden
+    def test_degree_two_fiber_table(self):
+        code, out = run_cli("linearize", data("m2.spec"), "--fibers")
+        assert code == 0
+        assert out == golden("m2_linearize.txt")
+
+    def test_rank_two_fiber_table(self):
+        code, out = run_cli("linearize", data("b2pos.spec"), "--fibers")
+        assert code == 0
+        assert out == golden("b2pos_linearize.txt")
+
+    def test_degree_three_generator_table(self):
+        code, out = run_cli("linearize", data("m3.spec"), "--fibers")
+        assert code == 0
+        assert out == golden("m3_linearize.txt")
+
     def test_output_is_deterministic(self):
         outs = {run_cli("linearize", data("m3.spec"), "--fibers")[1]
                 for _ in range(3)}
