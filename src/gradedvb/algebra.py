@@ -13,6 +13,8 @@ input.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -463,30 +465,69 @@ def homogeneous_component(p: Polynomial, w: Weight) -> Polynomial:
 # component bases
 # ---------------------------------------------------------------------------
 
-def _gen_monomials(coords: list[Coordinate], idx: int, target: Weight,
-                   budget: int, prefix: list[tuple[Coordinate, int]],
-                   out: list[Monomial], nonneg: bool) -> None:
-    if idx == len(coords):
-        if target.is_zero:
-            out.append(Monomial(tuple(prefix)))
-        return
-    head = coords[idx]
-    cap = min(1 if head.parity else budget, budget)
-    rem = target
-    for e in range(0, cap + 1):
-        if e > 0:
-            rem = rem - head.weight
-            if nonneg and not rem.is_nonnegative:
-                # non-negative factor weights only sink further
-                break
-        _gen_monomials(coords, idx + 1, rem, budget - e,
-                       prefix + ([(head, e)] if e else []), out, nonneg)
+def _dense(w: Weight, index: dict[BasisSymbol, int]) -> tuple[int, ...] | None:
+    """``w`` as an int tuple over the basis ``index`` numbers, or None if
+    ``w`` uses a symbol outside it."""
+    out = [0] * len(index)
+    for s, c in w.items:
+        k = index.get(s)
+        if k is None:
+            return None
+        out[k] = c
+    return tuple(out)
+
+
+def _count_vectors(vecs: list[tuple[int, ...]], limits: list[int],
+                   target: tuple[int, ...], cap: int,
+                   ) -> list[tuple[tuple[int, int], ...]]:
+    """Every count vector ``n`` with ``sum(n[k] * vecs[k]) == target``,
+    ``n[k] <= limits[k]`` and ``sum(n) <= cap``, as its nonzero entries
+    ``(k, n[k])`` in increasing ``k``.
+
+    The search picks the next index with a nonzero count, so it spends no
+    step on an index that counts zero.  When no entry of ``vecs`` is
+    negative, the remainder only shrinks: a vector above the target in
+    some entry is never used, and a remainder with a negative entry ends
+    its branch."""
+    nonneg = all(x >= 0 for v in vecs for x in v)
+    usable = [k for k, v in enumerate(vecs)
+              if not nonneg or all(x <= t for x, t in zip(v, target))]
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def search(start: int, rem: tuple[int, ...], budget: int,
+               picked: tuple) -> None:
+        if not any(rem):
+            out.append(picked)
+        for i in range(start, len(usable)):
+            k = usable[i]
+            left = rem
+            for n in range(1, min(limits[k], budget) + 1):
+                left = tuple(map(operator.sub, left, vecs[k]))
+                if nonneg and min(left, default=0) < 0:
+                    break
+                search(i + 1, left, budget - n, picked + ((k, n),))
+
+    search(0, target, cap, ())
+    return out
+
+
+def _powers(multiset: tuple[Coordinate, ...]) -> tuple[tuple[Coordinate, int], ...]:
+    """The factors of a sorted run of coordinates, repeats as exponents."""
+    return tuple((c, len(list(g))) for c, g in itertools.groupby(multiset))
 
 
 def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
                     ) -> list[Monomial]:
     """All canonical monomials of weight ``w`` and total degree at most the
     chart truncation (or ``max_degree``), in a deterministic order.
+
+    The search runs over the chart's distinct coordinate weights, as int
+    tuples over the system basis.  First it finds every count vector: how
+    many factors each weight contributes, with the weights summing to
+    ``w`` within the degree cap.  Then it expands each count vector into
+    monomials, one multiset of coordinates per weight (an odd coordinate at
+    most once), combined over the weights.  A weight using a symbol
+    outside the basis, or a negative cap, has no monomials.
 
     Results are memoized in the chart's declared ``basis_memo`` field,
     keyed by weight and degree cap; the memo is a pure function of the
@@ -497,10 +538,28 @@ def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
     hit = chart.basis_memo.get(key)
     if hit is not None:
         return list(hit)
-    coords = list(chart.coordinates)
-    nonneg = all(c.weight.is_nonnegative for c in coords)
+    index = {s: k for k, s in enumerate(chart.system.basis)}
+    target = _dense(w, index)
     out: list[Monomial] = []
-    _gen_monomials(coords, 0, w, cap, [], out, nonneg)
+    if target is not None and cap >= 0:
+        # coordinates are sorted by weight first, so each weight's
+        # coordinates form one sorted run, and one multiset per run, joined
+        # in run order, lists the factors of a monomial in sorted order
+        groups: dict[Weight, list[Coordinate]] = {}
+        for c in chart.coordinates:
+            groups.setdefault(c.weight, []).append(c)
+        runs = list(groups.values())
+        vecs = [_dense(u, index) for u in groups]
+        limits = [len(run) if run[0].parity else cap for run in runs]
+        for counts in _count_vectors(vecs, limits, target, cap):
+            choices = []
+            for k, n in counts:
+                run = runs[k]
+                pick = (itertools.combinations if run[0].parity
+                        else itertools.combinations_with_replacement)
+                choices.append([_powers(ms) for ms in pick(run, n)])
+            for parts in itertools.product(*choices):
+                out.append(Monomial(tuple(itertools.chain.from_iterable(parts))))
     out.sort(key=lambda m: m.sort_key)
     chart.basis_memo[key] = tuple(out)
     return out

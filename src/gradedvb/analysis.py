@@ -458,13 +458,14 @@ def check_cocycle(chart: Chart, ops: dict,
     _require(_steps_obstacle(steps)
              or _swap_obstacle(chart.system, steps[0], steps[1:], delta))
     fam = _operators(ops, steps)
-    lhs, rhs = _cocycle_sides(steps, fam, delta)
+    # the identity reads lhs v == -rhs v, so one product with the sum
+    # of the sides tests it
+    total = linalg.matadd(*_cocycle_sides(steps, fam, delta))
     kmat = component_map(fam[0], delta)
     kmat.require_exact()
     kvecs = linalg.nullspace(kmat.entries, kmat.dom_dim)
     for v in kvecs:
-        left, right = linalg.matvec(lhs, v), linalg.matvec(rhs, v)
-        if left != _negated(right):
+        if linalg.matvec(total, v):
             return CocycleResult(delta, False, len(kvecs),
                                  _vec_poly(chart, kmat.domain_basis, v))
     return CocycleResult(delta, True, len(kvecs), None)

@@ -58,6 +58,16 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def matadd(a: Matrix, b: Matrix) -> Matrix:
+    out = []
+    for ai, bi in zip(a, b, strict=True):
+        oi = dict(ai)
+        for j, x in bi.items():
+            oi[j] = oi.get(j, 0) + x
+        out.append({j: x for j, x in oi.items() if x})
+    return out
+
+
 def _integer_row(row: Vector) -> dict[int, int]:
     """The entries of a row times the lcm of their denominators."""
     den = lcm(*(x.denominator for x in row.values()))

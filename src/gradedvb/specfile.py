@@ -204,7 +204,8 @@ def _split_terms(body: str) -> list[str]:
 def parse_polynomial(chart: Chart, text: str) -> Polynomial:
     """Parse the deterministic term format ``coeff * factor * ...`` with
     terms joined by '+'; a term without a leading rational gets
-    coefficient 1."""
+    coefficient 1, and a term of degree above the chart's truncation is
+    refused."""
     poly = chart.zero()
     body = text.strip()
     if not body or body == "0":
@@ -225,15 +226,24 @@ def parse_polynomial(chart: Chart, text: str) -> Polynomial:
         elif parts[0].startswith("-"):
             coeff = Fraction(-1)
             parts[0] = parts[0][1:].strip()
-        raw = []
+        powers = []
         for p in parts[start:]:
             fm = _FACTOR.match(p)
             if not fm:
                 raise AlgebraError(f"malformed factor {p!r}")
             name = fm.group(1) + (fm.group(2) or "")
-            exp = int(fm.group(3) or 1)
             c = chart.coordinate(name)
-            raw.extend([c] * exp)
+            try:
+                powers.append((c, int(fm.group(3) or 1)))
+            except ValueError:  # more digits than int() converts
+                raise AlgebraError(f"exponent of {name} is too large") from None
+        # the chart holds no term above its truncation, and a huge exponent
+        # must not be expanded into a factor list first
+        degree = sum(e for _, e in powers)
+        if degree > chart.truncation:
+            raise AlgebraError(f"term degree {degree} exceeds truncation "
+                               f"{chart.truncation}")
+        raw = [c for c, e in powers for _ in range(e)]
         if not raw:
             poly = poly + monomial_poly(chart, Monomial(()), coeff)
             continue

@@ -172,7 +172,6 @@ class Weight:
 
     @property
     def is_nonnegative(self) -> bool:
-        # a plain loop: this prunes every step of the monomial search
         for _, c in self.items:
             if c < 0:
                 return False

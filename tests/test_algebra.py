@@ -10,12 +10,15 @@ from gradedvb import (
     basic_symbol,
     component_basis,
     homogeneous_component,
+    lift_symbols,
+    linearize_chart,
     monomial_poly,
     multiply,
     normalize,
     weight,
 )
-from conftest import degree_system, random_chart, random_nonneg_system, rank1_chart
+from conftest import (degree_system, full_lift, random_chart,
+                      random_nonneg_system, rank1_chart)
 
 
 def odd_pair_chart():
@@ -221,6 +224,89 @@ class TestComponentBasis:
             for w in chart.system.sorted_elements():
                 assert set(component_basis(chart, w)) == \
                     brute_force_basis(chart, w, 3)
+
+
+def coordinate_search(chart, w, cap):
+    """Reference: the coordinate-by-coordinate recursion that
+    ``component_basis`` ran before it grouped the coordinates by weight,
+    with its output order."""
+    coords = list(chart.coordinates)
+    nonneg = all(c.weight.is_nonnegative for c in coords)
+    out = []
+
+    def gen(idx, target, budget, prefix):
+        if idx == len(coords):
+            if target.is_zero:
+                out.append(Monomial(tuple(prefix)))
+            return
+        head = coords[idx]
+        rem = target
+        for e in range(0, min(1 if head.parity else budget, budget) + 1):
+            if e > 0:
+                rem = rem - head.weight
+                if nonneg and not rem.is_nonnegative:
+                    break
+            gen(idx + 1, rem, budget - e, prefix + ([(head, e)] if e else []))
+
+    gen(0, w, cap, [])
+    out.sort(key=lambda m: m.sort_key)
+    return out
+
+
+class TestGroupedSearch:
+    """``component_basis`` against :func:`coordinate_search`, list for list
+    and in order, at every degree cap up to the truncation."""
+
+    OFF_BASIS = weight({basic_symbol(9, 0): 1})
+
+    def assert_matches(self, chart, weights):
+        for w in weights:
+            for cap in range(chart.truncation + 1):
+                assert component_basis(chart, w, cap) == \
+                    coordinate_search(chart, w, cap), (w.label, cap)
+
+    def weights(self, rng, chart, pairs=6):
+        elements = chart.system.sorted_elements()
+        sums = [u + v for u, v in itertools.combinations_with_replacement(
+            elements, 2)]
+        a1 = chart.system.basis[0]
+        return (elements + rng.sample(sums, min(pairs, len(sums)))
+                + [self.OFF_BASIS, self.OFF_BASIS + weight({a1: 1})])
+
+    def test_family_charts_and_their_linearizations(self, rng):
+        for _ in range(8):
+            ws = random_nonneg_system(rng, max_rank=2, max_mult=3)
+            chart = random_chart(rng, ws, max_dim=2, trunc=3)
+            lc = linearize_chart(chart)
+            for c in (chart, lc.quotient, lc.chart):
+                self.assert_matches(c, self.weights(rng, c))
+
+    def test_full_lifts_with_negative_weights(self, rng):
+        sources = [rank1_chart(2, [1, 1, 1]), rank1_chart(3, [1, 1, 1, 1], 0)]
+        while len(sources) < 5:
+            ws = random_nonneg_system(rng, max_rank=2, max_mult=2)
+            if lift_symbols(ws):
+                sources.append(random_chart(rng, ws, max_dim=1))
+        for src in sources:
+            lifted = full_lift(src)
+            assert not all(c.weight.is_nonnegative for c in lifted.coordinates)
+            self.assert_matches(lifted, self.weights(rng, lifted, pairs=3))
+
+    @pytest.mark.parametrize("n,dims", [(4, [2, 2, 2, 1, 1]), (5, [1] * 6)])
+    def test_rank1_ladder(self, rng, n, dims):
+        lc = linearize_chart(rank1_chart(n, dims))
+        for c in (lc.source, lc.quotient, lc.chart):
+            self.assert_matches(c, self.weights(rng, c))
+
+    def test_no_coordinates(self):
+        chart = Chart(degree_system(1), (), 3)
+        assert component_basis(chart, ZERO) == [Monomial(())]
+        assert component_basis(chart, weight({basic_symbol(1, 1): 1})) == []
+
+    def test_negative_cap(self):
+        chart = rank1_chart(2, [1, 1, 1])
+        assert component_basis(chart, ZERO, -1) == []
+        assert coordinate_search(chart, ZERO, -1) == []
 
 
 class TestChart:

@@ -238,6 +238,21 @@ class TestInvertCommand:
         assert out == ""
         assert capsys.readouterr().err == "error: --rhs: malformed factor 'zz'\n"
 
+    # a term above the truncation is refused before its factors are
+    # expanded, so a huge exponent costs nothing
+    @pytest.mark.parametrize("rhs,msg", [
+        ("x1^3000000", "term degree 3000000 exceeds truncation 3"),
+        ("x1^5", "term degree 5 exceeds truncation 3"),
+        ("x1^2 * x1^2", "term degree 4 exceeds truncation 3"),
+        ("x1^" + "9" * 5000, "exponent of x1 is too large"),
+    ])
+    def test_over_degree_term_exits_two(self, capsys, rhs, msg):
+        code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
+                            "--rhs", rhs)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: --rhs: {msg}\n"
+
     def test_unknown_operator_exits_two(self):
         code, out = run_cli("invert", data("m3.spec"), "--lam", "b9_9",
                             "--rhs", "xi{2a1}_1[b2_1]")
