@@ -2,13 +2,16 @@
 
 Usage (from the root of a checkout):
 
-    python3 scripts/frontier.py --out BENCH_10.json
+    python3 scripts/frontier.py --out BENCH_11.json [--large]
 
 Each chart is built through the public API and linearized outside the
 timed region; one ``check_all_properties`` call on the linearized chart is
 timed.  The charts are the rank-1 charts of degrees 4 to 7 and the rank-2
 box ``{0..3}^2``, all with odd basic parity and truncation 3.  The degree-7
-chart takes about ten seconds, which is why Tier-1 does not run it.
+chart takes several seconds, which is why Tier-1 does not run it.  With
+``--large`` the run also times the rank-2 box ``{0..4}^2`` and the rank-3
+box ``{0..3}^3`` (256 and 512 linearized coordinates), which take about a
+minute or more together on a 2-vCPU machine.
 
 The script appends one run record to the output file, keeping the records
 already there, so runs on two revisions land side by side: the git
@@ -20,6 +23,7 @@ digests across revisions mean the certificate came out the same.
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -51,13 +55,13 @@ def rank1_chart(dims: list[int]) -> Chart:
                            TRUNCATION)
 
 
-def box_chart(n: int) -> Chart:
-    """Rank 2, one generator at every weight of ``{0..n}^2``."""
-    a1, a2 = basic_symbol(1, 1), basic_symbol(2, 1)
-    rows = [[i, j] for i in range(n + 1) for j in range(n + 1)]
-    ws = system_from_rows([1, 1], rows)
-    return Chart.from_dims(ws, {weight({a1: i, a2: j}): 1 for i, j in rows},
-                           TRUNCATION)
+def box_chart(n: int, rank: int = 2) -> Chart:
+    """One generator at every weight of ``{0..n}^rank``."""
+    basis = [basic_symbol(i, 1) for i in range(1, rank + 1)]
+    rows = list(itertools.product(range(n + 1), repeat=rank))
+    ws = system_from_rows([1] * rank, rows)
+    return Chart.from_dims(ws, {weight(dict(zip(basis, row))): 1
+                                for row in rows}, TRUNCATION)
 
 
 CHARTS = [
@@ -68,15 +72,20 @@ CHARTS = [
     ("rank2 box {0..3}^2", lambda: box_chart(3)),
 ]
 
+LARGE = [
+    ("rank2 box {0..4}^2", lambda: box_chart(4)),
+    ("rank3 box {0..3}^3", lambda: box_chart(3, 3)),
+]
+
 
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_record() -> dict:
+def run_record(large: bool) -> dict:
     charts = []
-    for name, build in CHARTS:
+    for name, build in CHARTS + (LARGE if large else []):
         lc = linearize_chart(build())
         start = perf_counter()
         report = check_all_properties(lc.chart, lc.operators)
@@ -94,6 +103,7 @@ def run_record() -> dict:
         "src_modified": bool(git("status", "--porcelain", "--", "src")),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
+        "large": large,
         "charts": charts,
     }
 
@@ -102,9 +112,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True,
                     help="JSON file to append the run record to")
+    ap.add_argument("--large", action="store_true",
+                    help="also time the boxes {0..4}^2 and {0..3}^3")
     args = ap.parse_args()
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
-    runs.append(run_record())
+    runs.append(run_record(args.large))
     args.out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
 
 

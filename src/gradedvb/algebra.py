@@ -122,9 +122,11 @@ class Chart:
 
     ``applied_lifts`` records the lift symbols in application order; it is
     empty for charts that were never lifted.  ``coordinate_set`` holds the
-    same coordinates as ``coordinates``, for membership tests;
-    ``basis_memo`` holds the component bases already enumerated (see
-    :func:`component_basis`).
+    same coordinates as ``coordinates``, for membership tests, and
+    ``coordinate_names`` maps each coordinate's name to it.
+    ``basis_memo`` holds the component bases already enumerated and
+    ``search_index`` the coordinates grouped for that search, built on the
+    chart's first search (see :func:`component_basis`).
     """
 
     system: WeightSystem
@@ -132,8 +134,11 @@ class Chart:
     truncation: int
     applied_lifts: tuple[BasisSymbol, ...] = ()
     coordinate_set: frozenset = field(init=False, repr=False, compare=False)
+    coordinate_names: dict = field(init=False, repr=False, compare=False)
     basis_memo: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
+    search_index: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self) -> None:
         if self.truncation < 1:
@@ -141,9 +146,10 @@ class Chart:
         coords = tuple(sorted(self.coordinates, key=lambda c: c.sort_key))
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "coordinate_set", frozenset(coords))
-        names = [c.name for c in coords]
-        if len(set(names)) != len(names):
+        names = {c.name: c for c in coords}
+        if len(names) != len(coords):
             raise AlgebraError("duplicate coordinate names in chart")
+        object.__setattr__(self, "coordinate_names", names)
         for c in coords:
             for s, _ in c.weight.items:
                 if s not in self.system.basis:
@@ -181,10 +187,10 @@ class Chart:
         return sum(1 for c in self.coordinates if c.weight.is_zero)
 
     def coordinate(self, name: str) -> Coordinate:
-        for c in self.coordinates:
-            if c.name == name:
-                return c
-        raise AlgebraError(f"no coordinate named {name!r}")
+        c = self.coordinate_names.get(name)
+        if c is None:
+            raise AlgebraError(f"no coordinate named {name!r}")
+        return c
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -207,7 +213,9 @@ class Monomial:
 
     Factors are sorted by the global coordinate order; odd coordinates
     appear with exponent exactly 1.  Weight, parity and degree are
-    precomputed.
+    precomputed: the constructor checks the factors and sums their
+    weights, while :meth:`_trusted` takes all three from a caller that
+    knows them.
     """
 
     __slots__ = ("factors", "weight", "parity", "degree", "_key", "_hash")
@@ -227,11 +235,25 @@ class Monomial:
             w = w + c.weight * e
             par += e * c.parity
             deg += e
+        self._fill(factors, w, par % 2, deg)
+
+    @classmethod
+    def _trusted(cls, factors: tuple[tuple[Coordinate, int], ...],
+                 weight: Weight, parity: int, degree: int) -> "Monomial":
+        """A monomial of canonical ``factors`` whose weight, parity and
+        degree the caller already knows; for the algebra's own products
+        and searches, never for outside input."""
+        m = cls.__new__(cls)
+        m._fill(factors, weight, parity, degree)
+        return m
+
+    def _fill(self, factors: tuple[tuple[Coordinate, int], ...],
+              weight: Weight, parity: int, degree: int) -> None:
         self.factors = factors
-        self.weight = w
-        self.parity = par % 2
-        self.degree = deg
-        self._key = tuple((c.sort_key, e) for c, e in factors)
+        self.weight = weight
+        self.parity = parity
+        self.degree = degree
+        self._key = tuple([(c.sort_key, e) for c, e in factors])
         self._hash = hash(self._key)
 
     @property
@@ -443,7 +465,9 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
             factors, sign = merge_factors(ma.factors, mb.factors)
             if sign == 0:
                 continue
-            m = Monomial(factors)
+            m = Monomial._trusted(factors, ma.weight + mb.weight,
+                                  (ma.parity + mb.parity) % 2,
+                                  ma.degree + mb.degree)
             v = acc.get(m, Fraction(0)) + sign * ca * cb
             if v:
                 acc[m] = v
@@ -477,37 +501,76 @@ def _dense(w: Weight, index: dict[BasisSymbol, int]) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _count_vectors(vecs: list[tuple[int, ...]], limits: list[int],
-                   target: tuple[int, ...], cap: int,
-                   ) -> list[tuple[tuple[int, int], ...]]:
-    """Every count vector ``n`` with ``sum(n[k] * vecs[k]) == target``,
-    ``n[k] <= limits[k]`` and ``sum(n) <= cap``, as its nonzero entries
-    ``(k, n[k])`` in increasing ``k``.
+def _search_index(chart: Chart) -> dict:
+    """The chart's coordinates grouped for :func:`component_basis`, built
+    on its first search and kept in its ``search_index`` field.
 
-    The search picks the next index with a nonzero count, so it spends no
-    step on an index that counts zero.  When no entry of ``vecs`` is
-    negative, the remainder only shrinks: a vector above the target in
+    ``position`` numbers the basis symbols.  ``runs`` lists the sorted
+    coordinates of each distinct weight, in coordinate order; coordinates
+    are sorted by weight first, so each weight's coordinates form one run.
+    ``vecs`` holds each run's weight as an int tuple over ``position``,
+    ``odd`` its parity, and ``run_of`` maps such a tuple back to its run.
+    ``nonneg`` says that no entry of ``vecs`` is negative.
+    """
+    index = chart.search_index
+    if not index:
+        position = {s: k for k, s in enumerate(chart.system.basis)}
+        groups: dict[Weight, list[Coordinate]] = {}
+        for c in chart.coordinates:
+            groups.setdefault(c.weight, []).append(c)
+        vecs = [_dense(u, position) for u in groups]
+        index.update(
+            position=position, runs=list(groups.values()), vecs=vecs,
+            odd=[u.parity for u in groups],
+            run_of={v: k for k, v in enumerate(vecs)},
+            nonneg=all(x >= 0 for v in vecs for x in v))
+    return index
+
+
+def _count_vectors(index: dict, target: tuple[int, ...], cap: int,
+                   ) -> list[tuple[tuple[int, int], ...]]:
+    """Every count vector ``n`` over the runs of ``index`` with
+    ``sum(n[k] * vecs[k]) == target``, at most ``len(runs[k])`` for an
+    odd run and ``sum(n) <= cap``, as its nonzero entries ``(k, n[k])`` in
+    increasing ``k``.
+
+    The search picks the next run with a nonzero count, so it spends no
+    step on a run that counts zero.  The last step of a count vector is
+    found by lookup: ``n`` copies of one later run close the remainder
+    exactly when ``run_of`` holds ``rem / n``.  When no entry of ``vecs``
+    is negative, the remainder only shrinks: a run above the target in
     some entry is never used, and a remainder with a negative entry ends
     its branch."""
-    nonneg = all(x >= 0 for v in vecs for x in v)
+    runs, vecs, run_of = index["runs"], index["vecs"], index["run_of"]
+    nonneg = index["nonneg"]
+    limits = [len(run) if odd else cap
+              for run, odd in zip(runs, index["odd"])]
     usable = [k for k, v in enumerate(vecs)
               if not nonneg or all(x <= t for x, t in zip(v, target))]
-    out: list[tuple[tuple[int, int], ...]] = []
+    out: list[tuple[tuple[int, int], ...]] = [()] if not any(target) else []
 
-    def search(start: int, rem: tuple[int, ...], budget: int,
+    def search(start: int, last: int, rem: tuple[int, ...], budget: int,
                picked: tuple) -> None:
-        if not any(rem):
-            out.append(picked)
+        for n in range(1, budget + 1):
+            if any(x % n for x in rem):
+                continue
+            k = run_of.get(tuple(x // n for x in rem))
+            if k is not None and k > last and n <= limits[k]:
+                out.append(picked + ((k, n),))
+        if budget < 2:
+            return
         for i in range(start, len(usable)):
             k = usable[i]
             left = rem
-            for n in range(1, min(limits[k], budget) + 1):
+            # a step that leaves no budget can only close the remainder,
+            # which the lookup above has done
+            for n in range(1, min(limits[k], budget - 1) + 1):
                 left = tuple(map(operator.sub, left, vecs[k]))
                 if nonneg and min(left, default=0) < 0:
                     break
-                search(i + 1, left, budget - n, picked + ((k, n),))
+                search(i + 1, k, left, budget - n, picked + ((k, n),))
 
-    search(0, target, cap, ())
+    search(0, -1, target, cap, ())
     return out
 
 
@@ -522,44 +585,45 @@ def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
     chart truncation (or ``max_degree``), in a deterministic order.
 
     The search runs over the chart's distinct coordinate weights, as int
-    tuples over the system basis.  First it finds every count vector: how
-    many factors each weight contributes, with the weights summing to
-    ``w`` within the degree cap.  Then it expands each count vector into
-    monomials, one multiset of coordinates per weight (an odd coordinate at
-    most once), combined over the weights.  A weight using a symbol
-    outside the basis, or a negative cap, has no monomials.
+    tuples over the system basis, read from the chart's search index (see
+    :func:`_search_index`); a search converts only ``w``.  First it finds
+    every count vector: how many factors each weight contributes, with the
+    weights summing to ``w`` within the degree cap.  Then it expands each
+    count vector into monomials, one multiset of coordinates per weight
+    (an odd coordinate at most once), combined over the weights.  Each
+    monomial is built with the weight ``w``, its parity and the degree
+    the count vector gives, so no factor weights are summed again.  A
+    weight using a symbol outside the basis, or a negative cap, has no
+    monomials.
 
     Results are memoized in the chart's declared ``basis_memo`` field,
-    keyed by weight and degree cap; the memo is a pure function of the
-    chart's immutable data, and every call returns a fresh list.
+    keyed by weight and degree cap; the memo and the index are pure
+    functions of the chart's immutable data, and every call returns a
+    fresh list.
     """
     cap = chart.truncation if max_degree is None else max_degree
     key = (w, cap)
     hit = chart.basis_memo.get(key)
     if hit is not None:
         return list(hit)
-    index = {s: k for k, s in enumerate(chart.system.basis)}
-    target = _dense(w, index)
+    index = _search_index(chart)
+    target = _dense(w, index["position"])
     out: list[Monomial] = []
     if target is not None and cap >= 0:
-        # coordinates are sorted by weight first, so each weight's
-        # coordinates form one sorted run, and one multiset per run, joined
-        # in run order, lists the factors of a monomial in sorted order
-        groups: dict[Weight, list[Coordinate]] = {}
-        for c in chart.coordinates:
-            groups.setdefault(c.weight, []).append(c)
-        runs = list(groups.values())
-        vecs = [_dense(u, index) for u in groups]
-        limits = [len(run) if run[0].parity else cap for run in runs]
-        for counts in _count_vectors(vecs, limits, target, cap):
+        # one multiset per run, joined in run order, lists the factors of
+        # a monomial in sorted order
+        runs, odd, parity = index["runs"], index["odd"], w.parity
+        for counts in _count_vectors(index, target, cap):
             choices = []
             for k, n in counts:
-                run = runs[k]
-                pick = (itertools.combinations if run[0].parity
+                pick = (itertools.combinations if odd[k]
                         else itertools.combinations_with_replacement)
-                choices.append([_powers(ms) for ms in pick(run, n)])
+                choices.append([_powers(ms) for ms in pick(runs[k], n)])
+            degree = sum(n for _, n in counts)
             for parts in itertools.product(*choices):
-                out.append(Monomial(tuple(itertools.chain.from_iterable(parts))))
+                out.append(Monomial._trusted(
+                    tuple(itertools.chain.from_iterable(parts)), w, parity,
+                    degree))
     out.sort(key=lambda m: m.sort_key)
     chart.basis_memo[key] = tuple(out)
     return out

@@ -222,6 +222,9 @@ def parse_polynomial(chart: Chart, text: str) -> Polynomial:
                 coeff = Fraction(parts[0])
             except ZeroDivisionError:
                 raise AlgebraError(f"malformed coefficient {parts[0]!r}") from None
+            except ValueError:  # more digits than int() converts
+                raise AlgebraError(f"coefficient of {len(parts[0])} "
+                                   "characters is too large") from None
             start = 1
         elif parts[0].startswith("-"):
             coeff = Fraction(-1)

@@ -25,8 +25,8 @@ from .algebra import (
     CoordinateId,
     Monomial,
     Polynomial,
-    monomial_poly,
-    multiply,
+    merge_factors,
+    multiply,  # noqa: F401 - perfbench/tests reads tangent.multiply
     tagged_coordinate,
 )
 from .weights import BasisSymbol, Weight, WeightSystem, lift_shift
@@ -41,7 +41,10 @@ class Derivation:
     """A graded derivation of a chart algebra, given on generators.
 
     ``images`` maps coordinates to polynomials over the same chart;
-    missing coordinates map to zero.  The derivation extends to products
+    missing coordinates map to zero.  Every nonzero image is checked to be
+    homogeneous of the coordinate's weight plus ``weight_shift`` and of
+    its parity plus ``parity``, which lets :meth:`apply` build each
+    product monomial told its weight.  The derivation extends to products
     by the graded Leibniz rule: moving an odd derivation past an odd
     factor costs a sign.  ``matrix_memo`` holds the component matrices
     already built for this derivation by the analysis layer.
@@ -69,36 +72,56 @@ class Derivation:
     def of(self, c) -> Polynomial:
         return self.images.get(c, self.chart.zero())
 
-    def apply_monomial(self, m: Monomial) -> Polynomial:
-        out = self.chart.zero()
-        factors = m.factors
-        parities = [c.parity * e for c, e in factors]
-        prefix = 0
-        for k, (c, e) in enumerate(factors):
-            img = self.images.get(c)
-            if img is not None and not img.is_zero:
-                suffix = (e - 1) * c.parity + sum(parities[k + 1:])
-                sign_exp = self.parity * prefix + (self.parity + c.parity) * suffix
-                rest = list(factors)
-                if e == 1:
-                    rest.pop(k)
-                else:
-                    rest[k] = (c, e - 1)
-                coeff = Fraction(e) * ((-1) ** (sign_exp % 2))
-                term = multiply(monomial_poly(self.chart, Monomial(tuple(rest)), coeff), img)
-                out = out + term
-            prefix += parities[k]
-        return out
-
     def apply(self, p: Polynomial) -> Polynomial:
+        """The image of ``p``, by one Leibniz merge over its terms.
+
+        For each term and each factor with a nonzero image, the cofactor
+        (the term with one copy of that factor taken out) is merged with
+        each term of the image, and the product is added with the sign of
+        moving the derivation past the factors before it and the image
+        past the factors after it.  Every product has the weight of the
+        term plus ``weight_shift`` and its parity plus ``parity``, which
+        ``__post_init__`` checked for every image, so each product
+        monomial is built once, with no factor weights summed.  A product
+        above the chart truncation is dropped and flags the result, as
+        does a flagged ``p`` or a flagged image that is used.
+        """
         if p.chart != self.chart:
             p = p.in_chart(self.chart)
-        out = self.chart.zero()
-        for m, c in p.terms.items():
-            out = out + self.apply_monomial(m).scale(c)
-        if p.truncated:
-            out = Polynomial(out.chart, out.terms, True)
-        return out
+        cap = self.chart.truncation
+        acc: dict[Monomial, Fraction] = {}
+        truncated = p.truncated
+        for m, coeff in p.terms.items():
+            factors = m.factors
+            weight = m.weight + self.weight_shift
+            parity = (m.parity + self.parity) % 2
+            odd = sum(c.parity * e for c, e in factors)
+            before = 0
+            for k, (c, e) in enumerate(factors):
+                img = self.images.get(c)
+                if img is not None and img.terms:
+                    truncated = truncated or img.truncated
+                    after = odd - before - c.parity
+                    sign_exp = self.parity * before + (self.parity + c.parity) * after
+                    scale = Fraction(e * (-1) ** (sign_exp % 2)) * coeff
+                    rest = factors[:k] + (((c, e - 1),) if e > 1 else ()) \
+                        + factors[k + 1:]
+                    for t, tc in img.terms.items():
+                        degree = m.degree - 1 + t.degree
+                        if degree > cap:
+                            truncated = True
+                            continue
+                        merged, sign = merge_factors(rest, t.factors)
+                        if sign == 0:
+                            continue
+                        mono = Monomial._trusted(merged, weight, parity, degree)
+                        v = acc.get(mono, 0) + sign * scale * tc
+                        if v:
+                            acc[mono] = v
+                        else:
+                            acc.pop(mono, None)
+                before += c.parity * e
+        return Polynomial(self.chart, acc, truncated)
 
     def with_zeroed(self, coord) -> "Derivation":
         """Copy with one generator image replaced by zero (mutation tests)."""

@@ -6,10 +6,14 @@ import pytest
 
 from gradedvb import (
     Chart,
+    Monomial,
+    Polynomial,
     WeightSystem,
     ZERO,
     basic_symbol,
     lift_symbols,
+    monomial_poly,
+    multiply,
     system_from_rows,
     tangent_lift,
     weight,
@@ -42,6 +46,52 @@ def full_lift(src):
     for tag in lift_symbols(src.system):
         lifted = tangent_lift(lifted, tag)
     return lifted
+
+
+def leibniz_reference(d, p):
+    """``d.apply(p)`` term by term, as ``Derivation.apply`` computed it
+    before the Leibniz merge: for each factor with a nonzero image, the
+    cofactor as a one-term polynomial times the image, summed, scaled by
+    the term's coefficient and summed again.  The reference for the
+    merge."""
+    def apply_monomial(m):
+        out = d.chart.zero()
+        factors = m.factors
+        parities = [c.parity * e for c, e in factors]
+        prefix = 0
+        for k, (c, e) in enumerate(factors):
+            img = d.images.get(c)
+            if img is not None and not img.is_zero:
+                suffix = (e - 1) * c.parity + sum(parities[k + 1:])
+                sign_exp = d.parity * prefix + (d.parity + c.parity) * suffix
+                rest = list(factors)
+                if e == 1:
+                    rest.pop(k)
+                else:
+                    rest[k] = (c, e - 1)
+                coeff = Fraction(e) * ((-1) ** (sign_exp % 2))
+                out = out + multiply(
+                    monomial_poly(d.chart, Monomial(tuple(rest)), coeff), img)
+            prefix += parities[k]
+        return out
+
+    if p.chart != d.chart:
+        p = p.in_chart(d.chart)
+    out = d.chart.zero()
+    for m, c in p.terms.items():
+        out = out + apply_monomial(m).scale(c)
+    if p.truncated:
+        out = Polynomial(out.chart, out.terms, True)
+    return out
+
+
+def assert_canonical(monomials):
+    """Each monomial equals the one the validating constructor builds from
+    its factors, in weight, parity, degree, key and hash."""
+    for m in monomials:
+        ref = Monomial(m.factors)
+        assert (m.weight, m.parity, m.degree, m.sort_key, hash(m)) == \
+            (ref.weight, ref.parity, ref.degree, ref.sort_key, hash(ref))
 
 
 def dense(rows, width):

@@ -17,8 +17,8 @@ from gradedvb import (
     normalize,
     weight,
 )
-from conftest import (degree_system, full_lift, random_chart,
-                      random_nonneg_system, rank1_chart)
+from conftest import (assert_canonical, degree_system, full_lift,
+                      random_chart, random_nonneg_system, rank1_chart)
 
 
 def odd_pair_chart():
@@ -309,12 +309,49 @@ class TestGroupedSearch:
         assert coordinate_search(chart, ZERO, -1) == []
 
 
+class TestTrustedMonomials:
+    """The monomials ``component_basis`` and ``multiply`` build with a
+    known weight, parity and degree are the ones the validating
+    constructor builds from their factors."""
+
+    def charts(self, rng):
+        for _ in range(5):
+            ws = random_nonneg_system(rng, max_rank=2, max_mult=2)
+            lc = linearize_chart(random_chart(rng, ws, max_dim=2))
+            yield from (lc.source, lc.quotient, lc.chart)
+        yield full_lift(rank1_chart(2, [1, 1, 1]))
+
+    def test_component_basis(self, rng):
+        for chart in self.charts(rng):
+            for w in chart.system.sorted_elements():
+                for cap in range(chart.truncation + 1):
+                    assert_canonical(component_basis(chart, w, cap))
+
+    def test_multiply(self, rng):
+        for chart in self.charts(rng):
+            terms = [monomial_poly(chart, m, rng.randint(1, 3))
+                     for w in chart.system.sorted_elements()
+                     for m in component_basis(chart, w)]
+            p = sum(rng.sample(terms, min(8, len(terms))), chart.zero())
+            q = sum(rng.sample(terms, min(8, len(terms))), chart.zero())
+            prod = multiply(p, q)
+            assert prod.terms
+            assert_canonical(prod.terms)
+
+
 class TestChart:
     def test_dims_round_trip(self):
         chart = rank1_chart(2, [2, 1, 2])
         a = basic_symbol(1, 1)
         assert chart.dims == {ZERO: 2, weight({a: 1}): 1, weight({a: 2}): 2}
         assert chart.base_dim == 2
+
+    def test_coordinate_by_name(self):
+        chart = rank1_chart(2, [2, 1, 2])
+        for c in chart.coordinates:
+            assert chart.coordinate(c.name) is c
+        with pytest.raises(AlgebraError, match="no coordinate named 'x9'"):
+            chart.coordinate("x9")
 
     def test_dims_must_be_elements(self):
         ws = degree_system(1)

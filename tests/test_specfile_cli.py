@@ -231,6 +231,17 @@ class TestInvertCommand:
         err = capsys.readouterr().err
         assert err == "error: --rhs: malformed coefficient '1/0'\n"
 
+    @pytest.mark.parametrize("rhs,msg", [
+        ("9" * 5000 + " * x1", "coefficient of 5000 characters is too large"),
+        ("1/" + "9" * 5000, "coefficient of 5002 characters is too large"),
+    ])
+    def test_long_coefficient_exits_two(self, capsys, rhs, msg):
+        code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
+                            "--rhs", rhs)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: --rhs: {msg}\n"
+
     def test_malformed_factor_exits_two(self, capsys):
         code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
                             "--rhs", "zz")

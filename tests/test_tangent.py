@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -7,11 +8,16 @@ from gradedvb import (
     AlgebraError,
     Chart,
     ChartMorphism,
+    Derivation,
+    Polynomial,
     ZERO,
     additional_symbol,
     basic_symbol,
+    component_basis,
     de_rham,
     lift_symbols,
+    linearize_chart,
+    monomial_poly,
     multiplicity_free_restriction,
     multiply,
     quotient_chart,
@@ -20,7 +26,9 @@ from gradedvb import (
     tangent_lift_unchecked,
     weight,
 )
-from conftest import degree_system, random_chart, random_nonneg_system, rank1_chart
+from conftest import (assert_canonical, degree_system, full_lift,
+                      leibniz_reference, random_chart, random_nonneg_system,
+                      rank1_chart)
 
 A = basic_symbol(1, 1)
 B2 = additional_symbol(2, 1, 1)
@@ -255,6 +263,119 @@ class TestReorderIsomorphism:
             db = de_rham(cb, tag)
             for c in cb.coordinates:
                 assert iso.apply(db.of(c)) == da.apply(iso.pullback[c])
+
+
+def inputs(rng, chart):
+    """The polynomials a derivation is checked on: every basis monomial of
+    every system weight as a one-term polynomial (a component matrix's
+    columns), a random combination of them over all weights, and that
+    combination flagged."""
+    ps = [monomial_poly(chart, m, rng.choice([1, -2, 3]))
+          for w in chart.system.sorted_elements()
+          for m in component_basis(chart, w)]
+    mix = sum(rng.sample(ps, min(12, len(ps))), chart.zero())
+    return ps + [mix, Polynomial(chart, mix.terms, True)]
+
+
+def random_derivation(rng, chart, shift, parity):
+    """A derivation whose image of each coordinate is a random combination
+    of the basis monomials of the shifted weight: multi-term images that
+    raise the degree."""
+    images = {}
+    for c in chart.coordinates:
+        basis = component_basis(chart, c.weight + shift)
+        terms = {m: Fraction(rng.randint(-2, 2)) for m in basis}
+        images[c] = Polynomial(chart, terms)
+    return Derivation(chart, shift, parity, images)
+
+
+class TestLeibnizMerge:
+    """``Derivation.apply`` against :func:`leibniz_reference`: equal terms
+    and truncation flags, and every product monomial the one the
+    validating constructor builds."""
+
+    def assert_matches(self, d, ps):
+        flags = set()
+        for p in ps:
+            got, want = d.apply(p), leibniz_reference(d, p)
+            assert got.terms == want.terms
+            assert got.truncated == want.truncated
+            assert all(type(c) is Fraction for c in got.terms.values())
+            assert_canonical(got.terms)
+            flags.add(got.truncated)
+        return flags
+
+    def test_family_charts_and_mutations(self, rng):
+        charts = 0
+        while charts < 5:
+            ws = random_nonneg_system(rng, max_rank=2, max_mult=3)
+            if not lift_symbols(ws):
+                continue
+            charts += 1
+            lc = linearize_chart(random_chart(rng, ws, max_dim=2))
+            for ops, chart in ((lc.operators, lc.chart),
+                               (lc.quotient_derivations, lc.quotient)):
+                ps = inputs(rng, chart)
+                for op in ops.values():
+                    self.assert_matches(op, ps)
+                    used = [c for c, img in op.images.items() if img.terms]
+                    if used:
+                        zeroed = op.with_zeroed(rng.choice(used))
+                        self.assert_matches(zeroed, ps)
+
+    def test_full_lifts_with_negative_weights(self, rng):
+        sources = [rank1_chart(2, [1, 1, 1]), rank1_chart(3, [1, 1, 1, 1], 0)]
+        for src in sources:
+            lifted = full_lift(src)
+            assert not all(c.weight.is_nonnegative for c in lifted.coordinates)
+            ps = inputs(rng, lifted)
+            for tag in lift_symbols(src.system):
+                self.assert_matches(de_rham(lifted, tag), ps)
+
+    def test_multi_term_images_truncate_like_the_reference(self, rng):
+        for dims in ([1, 1, 1], [1, 2, 1]):
+            lc = linearize_chart(rank1_chart(2, dims))
+            ps = inputs(rng, lc.chart)
+            # the odd lift shifts, and an even derivation of weight zero
+            shifts = [(op.weight_shift, 1) for op in lc.operators.values()]
+            for shift, parity in shifts + [(ZERO, 0)]:
+                d = random_derivation(rng, lc.chart, shift, parity)
+                assert self.assert_matches(d, ps) == {False, True}
+
+    def test_headroom_operator_of_the_degree2_reconstruction(self, rng):
+        # the operator reconstruct_degree2 builds on a chart with two
+        # degrees of headroom, from multi-term images
+        dvb = linearize_chart(rank1_chart(2, [1, 1, 1])).chart
+        xi = dvb.coordinate("xi{a1}_1")
+        dxi = dvb.coordinate("xi{a1}_1[b2_1]")
+        eta = dvb.coordinate("xi{2a1}_1[b2_1]")
+        x1 = dvb.coordinate("x1")
+        images = {
+            xi: dvb.gen(dxi) + multiply(dvb.gen(x1), dvb.gen(dxi)),
+            eta: multiply(dvb.gen(dxi), dvb.gen(dxi)),
+        }
+        big = Chart(dvb.system, dvb.coordinates, dvb.truncation + 2,
+                    dvb.applied_lifts)
+        op_big = Derivation(big, weight({B2: 1, A: -1}), 1,
+                            {c: Polynomial(big, img.terms)
+                             for c, img in images.items()})
+        self.assert_matches(op_big, inputs(rng, big))
+        op = Derivation(dvb, op_big.weight_shift, 1, images)
+        assert self.assert_matches(op, inputs(rng, dvb)) == {False, True}
+
+    def test_flagged_images(self, rng):
+        lc = linearize_chart(rank1_chart(2, [1, 2, 1]))
+        op = lc.operators[B2]
+        chart = lc.chart
+        ps = inputs(rng, chart)
+        used = sorted((c for c, img in op.images.items() if img.terms),
+                      key=lambda c: c.sort_key)
+        flagged = dict(op.images)
+        flagged[used[0]] = Polynomial(chart, op.images[used[0]].terms, True)
+        # a zero image is never used, so its flag reaches no result
+        flagged[used[1]] = Polynomial(chart, {}, True)
+        d = Derivation(chart, op.weight_shift, op.parity, flagged)
+        assert self.assert_matches(d, ps) == {False, True}
 
 
 class TestChartDump:
