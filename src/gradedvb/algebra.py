@@ -510,7 +510,9 @@ def _search_index(chart: Chart) -> dict:
     are sorted by weight first, so each weight's coordinates form one run.
     ``vecs`` holds each run's weight as an int tuple over ``position``,
     ``odd`` its parity, and ``run_of`` maps such a tuple back to its run.
-    ``nonneg`` says that no entry of ``vecs`` is negative.
+    ``nonneg`` says that no entry of ``vecs`` is negative; then
+    ``below[j][t]`` is the set of runs whose entry ``j`` is at most ``t``,
+    for ``t`` up to the largest such entry.
     """
     index = chart.search_index
     if not index:
@@ -519,11 +521,15 @@ def _search_index(chart: Chart) -> dict:
         for c in chart.coordinates:
             groups.setdefault(c.weight, []).append(c)
         vecs = [_dense(u, position) for u in groups]
+        nonneg = all(x >= 0 for v in vecs for x in v)
+        below = [[frozenset(k for k, v in enumerate(vecs) if v[j] <= t)
+                  for t in range(max((v[j] for v in vecs), default=0) + 1)]
+                 for j in range(len(position))] if nonneg else None
         index.update(
             position=position, runs=list(groups.values()), vecs=vecs,
             odd=[u.parity for u in groups],
             run_of={v: k for k, v in enumerate(vecs)},
-            nonneg=all(x >= 0 for v in vecs for x in v))
+            nonneg=nonneg, below=below)
     return index
 
 
@@ -545,8 +551,14 @@ def _count_vectors(index: dict, target: tuple[int, ...], cap: int,
     nonneg = index["nonneg"]
     limits = [len(run) if odd else cap
               for run, odd in zip(runs, index["odd"])]
-    usable = [k for k, v in enumerate(vecs)
-              if not nonneg or all(x <= t for x, t in zip(v, target))]
+    if not nonneg:
+        usable = list(range(len(runs)))
+    elif min(target, default=0) < 0:
+        usable = []
+    else:
+        usable = sorted(set(range(len(runs))).intersection(
+            *(below_j[min(t, len(below_j) - 1)]
+              for below_j, t in zip(index["below"], target))))
     out: list[tuple[tuple[int, int], ...]] = [()] if not any(target) else []
 
     def search(start: int, last: int, rem: tuple[int, ...], budget: int,
