@@ -63,6 +63,8 @@ class Derivation:
                 raise AlgebraError(f"image given for foreign coordinate {c.name}")
             if img.is_zero:
                 continue
+            if img.chart is not self.chart and img.chart != self.chart:
+                raise AlgebraError(f"image of {c.name} lives on another chart")
             if img.homogeneous_weight() != c.weight + self.weight_shift:
                 raise AlgebraError(f"image of {c.name} is not homogeneous of "
                                    "the shifted weight")
@@ -86,7 +88,7 @@ class Derivation:
         above the chart truncation is dropped and flags the result, as
         does a flagged ``p`` or a flagged image that is used.
         """
-        if p.chart != self.chart:
+        if p.chart is not self.chart and p.chart != self.chart:
             p = p.in_chart(self.chart)
         cap = self.chart.truncation
         acc: dict[Monomial, Fraction] = {}

@@ -363,6 +363,14 @@ class TestLeibnizMerge:
         op = Derivation(dvb, op_big.weight_shift, 1, images)
         assert self.assert_matches(op, inputs(rng, dvb)) == {False, True}
 
+    def test_image_on_another_chart_is_refused(self):
+        chart = rank1_chart(2, [1, 1, 1])
+        other = rank1_chart(2, [1, 1, 1], trunc=2)
+        xi = chart.coordinate("xi{a1}_1")
+        image = other.gen(other.coordinate("xi{a1}_1"))
+        with pytest.raises(AlgebraError, match="lives on another chart"):
+            Derivation(chart, ZERO, 0, {xi: image})
+
     def test_flagged_images(self, rng):
         lc = linearize_chart(rank1_chart(2, [1, 2, 1]))
         op = lc.operators[B2]
