@@ -545,8 +545,8 @@ def _count_vectors(index: dict, target: tuple[int, ...], cap: int,
     found by lookup: ``n`` copies of one later run close the remainder
     exactly when ``run_of`` holds ``rem / n``.  When no entry of ``vecs``
     is negative, the remainder only shrinks: a run above the target in
-    some entry is never used, and a remainder with a negative entry ends
-    its branch."""
+    some entry is never used (the index's ``below`` sets give the others),
+    and a remainder with a negative entry ends its branch."""
     runs, vecs, run_of = index["runs"], index["vecs"], index["run_of"]
     nonneg = index["nonneg"]
     limits = [len(run) if odd else cap
