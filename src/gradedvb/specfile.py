@@ -27,8 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (AlgebraError, Chart, Monomial, Polynomial,
-                      monomial_poly, normalize)
+from .algebra import AlgebraError, Chart, Monomial, Polynomial, normalize
 from .weights import Weight, WeightSystem, ZERO, system_from_rows, weight
 
 
@@ -201,15 +200,13 @@ def _split_terms(body: str) -> list[str]:
     return terms
 
 
-def parse_polynomial(chart: Chart, text: str) -> Polynomial:
-    """Parse the deterministic term format ``coeff * factor * ...`` with
-    terms joined by '+'; a term without a leading rational gets
-    coefficient 1, and a term of degree above the chart's truncation is
-    refused."""
-    poly = chart.zero()
+def _parsed_terms(chart: Chart, text: str):
+    """Yield ``(monomial, coefficient)`` for each term of ``text`` in
+    order, raising at the first malformed term; a term whose odd factor
+    repeats is zero and yields nothing."""
     body = text.strip()
     if not body or body == "0":
-        return poly
+        return
     for term in _split_terms(body):
         term = term.strip()
         if not term:
@@ -248,10 +245,24 @@ def parse_polynomial(chart: Chart, text: str) -> Polynomial:
                                f"{chart.truncation}")
         raw = [c for c, e in powers for _ in range(e)]
         if not raw:
-            poly = poly + monomial_poly(chart, Monomial(()), coeff)
+            yield Monomial(()), coeff
             continue
         mono, sign = normalize(raw)
-        if sign == 0:
-            continue
-        poly = poly + monomial_poly(chart, mono, coeff * sign)
-    return poly
+        if sign:
+            yield mono, coeff * sign
+
+
+def parse_polynomial(chart: Chart, text: str) -> Polynomial:
+    """Parse the deterministic term format ``coeff * factor * ...`` with
+    terms joined by '+'; a term without a leading rational gets
+    coefficient 1, and a term of degree above the chart's truncation is
+    refused.  The terms are summed in one dict, so parsing is linear in
+    the number of terms."""
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in _parsed_terms(chart, text):
+        v = acc.get(mono, 0) + coeff
+        if v:
+            acc[mono] = v
+        else:
+            acc.pop(mono, None)
+    return Polynomial(chart, acc)

@@ -84,9 +84,11 @@ class Derivation:
         past the factors after it.  Every product has the weight of the
         term plus ``weight_shift`` and its parity plus ``parity``, which
         ``__post_init__`` checked for every image, so each product
-        monomial is built once, with no factor weights summed.  A product
-        above the chart truncation is dropped and flags the result, as
-        does a flagged ``p`` or a flagged image that is used.
+        monomial is built once, with no factor weights summed; that weight
+        is computed on the term's first product, so a term that gives none
+        costs no weight arithmetic.  A product above the chart truncation
+        is dropped and flags the result, as does a flagged ``p`` or a
+        flagged image that is used.
         """
         if p.chart is not self.chart and p.chart != self.chart:
             p = p.in_chart(self.chart)
@@ -95,8 +97,7 @@ class Derivation:
         truncated = p.truncated
         for m, coeff in p.terms.items():
             factors = m.factors
-            weight = m.weight + self.weight_shift
-            parity = (m.parity + self.parity) % 2
+            weight = None  # built on the term's first product
             odd = sum(c.parity * e for c, e in factors)
             before = 0
             for k, (c, e) in enumerate(factors):
@@ -116,6 +117,9 @@ class Derivation:
                         merged, sign = merge_factors(rest, t.factors)
                         if sign == 0:
                             continue
+                        if weight is None:
+                            weight = m.weight + self.weight_shift
+                            parity = (m.parity + self.parity) % 2
                         mono = Monomial._trusted(merged, weight, parity, degree)
                         v = acc.get(mono, 0) + sign * scale * tc
                         if v:

@@ -25,13 +25,15 @@ tuples once and drop the entries that cancel; unary ``-`` and scaling by
 an integer keep the entry order.  :func:`weight` builds a weight from
 arbitrary input (a dict or pairs in any order, zeros allowed).
 
-All values are immutable and all functions are pure.
+All values are immutable and all functions are pure.  A weight system
+keeps what the functions below derive from it in its ``memo``, so each is
+computed once per system.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -279,10 +281,21 @@ def lift_shift(tag: BasisSymbol) -> Weight:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """A finite set of weights over a fixed, ordered basis."""
+    """A finite set of weights over a fixed, ordered basis.
+
+    ``memo`` holds what this module's functions derive from the system,
+    each filled on the function's first call: the validation report, the
+    multiplicities, the lift symbols, the fiber over each element, the
+    derived system (always the same object, so its own memo serves the
+    derived chart) and the sorted elements.  Every entry is a pure
+    function of ``basis`` and ``elements``; equality and hashing ignore
+    the memo, and a call that raises stores nothing.
+    """
 
     basis: tuple[BasisSymbol, ...]
     elements: frozenset[Weight]
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self) -> None:
         keys = [s.sort_key for s in self.basis]
@@ -308,7 +321,12 @@ class WeightSystem:
         return tuple(s for s in self.basis if s.kind == "additional")
 
     def sorted_elements(self) -> list[Weight]:
-        return sorted(self.elements, key=lambda w: w.sort_key)
+        """The elements in ``sort_key`` order, as a fresh list."""
+        hit = self.memo.get("sorted_elements")
+        if hit is None:
+            hit = self.memo["sorted_elements"] = tuple(
+                sorted(self.elements, key=lambda w: w.sort_key))
+        return list(hit)
 
     def unit(self, sym: BasisSymbol) -> Weight:
         return Weight(((sym, 1),))
@@ -370,15 +388,18 @@ class ValidationReport:
 
 
 def validate(ws: WeightSystem) -> ValidationReport:
-    missing = tuple(s for s in ws.basis if ws.unit(s) not in ws.elements)
-    negative = tuple(sorted((w for w in ws.elements if not w.is_nonnegative),
-                            key=lambda w: w.sort_key))
-    return ValidationReport(
-        finite=True,
-        has_zero=ZERO in ws.elements,
-        missing_units=missing,
-        negative_elements=negative,
-    )
+    rep = ws.memo.get("validate")
+    if rep is None:
+        missing = tuple(s for s in ws.basis if ws.unit(s) not in ws.elements)
+        negative = tuple(sorted((w for w in ws.elements if not w.is_nonnegative),
+                                key=lambda w: w.sort_key))
+        rep = ws.memo["validate"] = ValidationReport(
+            finite=True,
+            has_zero=ZERO in ws.elements,
+            missing_units=missing,
+            negative_elements=negative,
+        )
+    return rep
 
 
 def is_multiplicity_free(ws: WeightSystem) -> bool:
@@ -407,11 +428,14 @@ class Multiplicities:
 
 
 def max_multiplicities(ws: WeightSystem) -> Multiplicities:
-    rep = validate(ws)
-    if not rep.is_nonnegative:
-        raise WeightError("multiplicities are only defined for non-negative systems")
-    pairs = tuple((s, max(w.coeff(s) for w in ws.elements)) for s in ws.basis)
-    return Multiplicities(pairs)
+    mults = ws.memo.get("max_multiplicities")
+    if mults is None:
+        if not validate(ws).is_nonnegative:
+            raise WeightError("multiplicities are only defined for "
+                              "non-negative systems")
+        mults = ws.memo["max_multiplicities"] = Multiplicities(tuple(
+            (s, max(w.coeff(s) for w in ws.elements)) for s in ws.basis))
+    return mults
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +495,9 @@ def lift_symbols(ws: WeightSystem) -> tuple[BasisSymbol, ...]:
     direction ``i``, in canonical sequence order.  Directions that are
     already multiplicity free contribute nothing.
     """
+    hit = ws.memo.get("lift_symbols")
+    if hit is not None:
+        return hit
     mults = max_multiplicities(ws)
     for s in ws.additional_symbols:
         if mults.of(s) > 1:
@@ -480,7 +507,8 @@ def lift_symbols(ws: WeightSystem) -> tuple[BasisSymbol, ...]:
     for s in ws.basic_symbols:
         for j in range(2, mults.of(s) + 1):
             syms.append(additional_symbol(j, s.i, s.parity))
-    return tuple(sorted(syms, key=lambda t: t.sort_key))
+    hit = ws.memo["lift_symbols"] = tuple(sorted(syms, key=lambda t: t.sort_key))
+    return hit
 
 
 def delta_prime_fiber(ws: WeightSystem, delta: Weight) -> tuple[Weight, ...]:
@@ -491,6 +519,10 @@ def delta_prime_fiber(ws: WeightSystem, delta: Weight) -> tuple[Weight, ...]:
     ``a_i - 1`` and trade ``|I|`` copies of ``a<i>`` for the chosen
     ``b<j>_<i>``.  The result is always multiplicity free.
     """
+    key = ("delta_prime_fiber", delta)
+    hit = ws.memo.get(key)
+    if hit is not None:
+        return hit
     if delta not in ws.elements:
         raise WeightError(f"{delta.label} is not an element of the system")
     mults = max_multiplicities(ws)
@@ -512,7 +544,8 @@ def delta_prime_fiber(ws: WeightSystem, delta: Weight) -> tuple[Weight, ...]:
         for shift in choice:
             w = w + shift
         fiber.add(w)
-    return tuple(sorted(fiber, key=lambda w: w.sort_key))
+    hit = ws.memo[key] = tuple(sorted(fiber, key=lambda w: w.sort_key))
+    return hit
 
 
 def linearized_system(ws: WeightSystem) -> WeightSystem:
@@ -522,14 +555,18 @@ def linearized_system(ws: WeightSystem) -> WeightSystem:
     of the fibers over all elements of ``ws``.  For multiplicity-free input
     this is the identity on elements.
     """
-    rep = validate(ws)
-    if not rep.is_valid:
+    hit = ws.memo.get("linearized_system")
+    if hit is not None:
+        return hit
+    if not validate(ws).is_valid:
         raise WeightError("linearization requires a valid non-negative system")
     new_basis = tuple(sorted(ws.basis + lift_symbols(ws), key=lambda s: s.sort_key))
     elements = set()
     for delta in ws.elements:
         elements.update(delta_prime_fiber(ws, delta))
-    return WeightSystem(new_basis, frozenset(elements))
+    hit = ws.memo["linearized_system"] = WeightSystem(new_basis,
+                                                      frozenset(elements))
+    return hit
 
 
 def projection_G(w: Weight) -> Weight:

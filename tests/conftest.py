@@ -18,6 +18,7 @@ from gradedvb import (
     tangent_lift,
     weight,
 )
+from gradedvb.specfile import _parsed_terms
 
 
 def make_system(parities, rows):
@@ -83,6 +84,16 @@ def leibniz_reference(d, p):
     if p.truncated:
         out = Polynomial(out.chart, out.terms, True)
     return out
+
+
+def parse_reference(chart, text):
+    """``parse_polynomial`` as it summed before the one-dict sum: each
+    parsed term added to the running polynomial as a one-term polynomial.
+    The reference for that sum."""
+    poly = chart.zero()
+    for mono, coeff in _parsed_terms(chart, text):
+        poly = poly + monomial_poly(chart, mono, coeff)
+    return poly
 
 
 def assert_canonical(monomials):

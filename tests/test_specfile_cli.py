@@ -1,6 +1,8 @@
 import io
 import json
 import os
+from collections import Counter
+from fractions import Fraction
 from contextlib import redirect_stdout
 
 import pytest
@@ -12,8 +14,9 @@ from gradedvb.specfile import (
     parse_spec,
     serialize_spec,
 )
-from gradedvb import multiply
-from conftest import random_chart, random_nonneg_system, rank1_chart
+from gradedvb import AlgebraError, multiply
+from conftest import (parse_reference, random_chart, random_nonneg_system,
+                      rank1_chart)
 
 HERE = os.path.dirname(__file__)
 
@@ -78,6 +81,78 @@ class TestPolynomialText:
         chart = rank1_chart(2, [1, 1, 1])
         p = parse_polynomial(chart, "xi{a1}_1 * x1")
         assert p.text() == "1 * x1 * xi{a1}_1"
+
+
+def term_text(coeff, factors):
+    if not factors:
+        return str(coeff)
+    body = " * ".join(factors)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return "-" + body
+    return f"{coeff} * {body}"
+
+
+def random_polynomial_text(rng, chart, n_terms, kinds):
+    """Terms of at most the truncation degree, some repeated, some
+    cancelling an earlier one, some constant and some with a repeated odd
+    factor; ``kinds`` counts each kind made."""
+    names = [c.name for c in chart.coordinates]
+    odd = [c.name for c in chart.coordinates if c.parity]
+    terms = []
+    for _ in range(n_terms):
+        roll = rng.random()
+        if terms and roll < 0.2:
+            kind, term = "repeated", rng.choice(terms)
+        elif terms and roll < 0.4:
+            coeff, factors = rng.choice(terms)
+            kind, term = "cancelling", (-coeff, factors)
+        elif roll < 0.5:
+            kind, term = "constant", (Fraction(rng.randint(-3, 3)), [])
+        else:
+            factors = [rng.choice(names)
+                       for _ in range(rng.randint(1, chart.truncation))]
+            kind = "plain"
+            if odd and roll < 0.6:
+                kind = "odd square"
+                factors[rng.randrange(len(factors))] = odd[0]
+                factors.insert(rng.randrange(len(factors) + 1), odd[0])
+                del factors[chart.truncation:]
+            term = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), factors)
+        kinds[kind] += 1
+        terms.append(term)
+    return " + ".join(term_text(c, f) for c, f in terms)
+
+
+class TestPolynomialSum:
+    """``parse_polynomial`` sums its terms in one dict; the term-by-term
+    sum it replaced (``parse_reference``) is the reference."""
+
+    def test_matches_the_term_by_term_sum(self, rng):
+        kinds = Counter()
+        charts = [rank1_chart(3, [2, 2, 1, 1]), rank1_chart(4, [2, 2, 2, 1, 1])]
+        for _ in range(6):
+            charts.append(random_chart(rng, random_nonneg_system(rng)))
+        for chart in charts:
+            for _ in range(15):
+                text = random_polynomial_text(rng, chart, rng.randint(1, 30),
+                                              kinds)
+                got = parse_polynomial(chart, text)
+                ref = parse_reference(chart, text)
+                assert list(got.terms.items()) == list(ref.terms.items())
+                assert not got.truncated
+        assert set(kinds) == {"repeated", "cancelling", "constant", "plain",
+                              "odd square"}
+
+    def test_errors_are_raised_at_the_same_term(self):
+        chart = rank1_chart(2, [1, 1, 1])
+        for text, message in (("x1 + x1^4 + y1", "exceeds truncation"),
+                              ("x1 + y1 + x1^4", "malformed factor"),
+                              ("x1 + + 2", "empty term"),
+                              ("1/0 * x1 + x1^4", "malformed coefficient")):
+            with pytest.raises(AlgebraError, match=message):
+                parse_polynomial(chart, text)
 
 
 class TestGolden:

@@ -11,10 +11,14 @@ name would run but leave no span.
 
 import ast
 import importlib
+import io
+import json
 import os
+import sys
 from collections import Counter
+from contextlib import redirect_stdout
 
-from gradedvb import analysis, linearize_chart
+from gradedvb import analysis, cli, linearize_chart
 from conftest import rank1_chart
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -68,3 +72,36 @@ def test_certificate_calls_the_traced_checks(monkeypatch):
     lc = linearize_chart(rank1_chart(4, [1, 2, 1, 1, 1]))
     assert analysis.check_all_properties(lc.chart, lc.operators).all_passed
     assert [n for n in CERTIFICATE_CHECKS if not calls[n]] == []
+
+
+# what ``linearize --fibers --json`` must reach, by the names the tracer wraps
+LINEARIZE_PATH = ("weights.validate", "weights.linearized_system",
+                  "weights.delta_prime_fiber", "linearize.linearize_chart",
+                  "linearize.coordinate_table")
+
+
+def test_linearize_reaches_the_traced_names(monkeypatch):
+    traced = {f"{module}.{attr}" for _, module, attr in traced_targets()}
+    assert set(LINEARIZE_PATH) <= traced
+    calls = Counter()
+    for label in LINEARIZE_PATH:
+        module_name, attr = label.split(".")
+        real = getattr(importlib.import_module(f"gradedvb.{module_name}"), attr)
+
+        def counted(*args, _label=label, _real=real, **kwargs):
+            calls[_label] += 1
+            return _real(*args, **kwargs)
+        # every package namespace that binds the function, as the tracer
+        # patches it
+        for name, module in list(sys.modules.items()):
+            if name == "gradedvb" or name.startswith("gradedvb."):
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counted)
+    spec = os.path.join(ROOT, "tests", "data", "m2.spec")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["linearize", spec, "--fibers", "--json"])
+    assert code == 0
+    assert json.loads(buf.getvalue())["command"] == "linearize"
+    assert [label for label in LINEARIZE_PATH if not calls[label]] == []

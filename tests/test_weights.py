@@ -8,12 +8,15 @@ from gradedvb import (
     BasisSymbol,
     Weight,
     WeightError,
+    WeightSystem,
     additional_symbol,
     basic_symbol,
     delta_prime_fiber,
     dualize,
     is_closed_subsystem,
     is_multiplicity_free,
+    lift_symbols,
+    linearize_chart,
     linearized_system,
     max_multiplicities,
     projection_G,
@@ -21,7 +24,8 @@ from gradedvb import (
     weight,
 )
 from gradedvb.weights import _expressible
-from conftest import degree_system, make_system, random_nonneg_system
+from conftest import (degree_system, make_system, random_chart,
+                      random_nonneg_system)
 
 A1 = basic_symbol(1, 0)
 A2 = basic_symbol(2, 1)
@@ -194,6 +198,71 @@ class TestLinearizedSystem:
                 fiber = set(delta_prime_fiber(ws, delta))
                 preimage = {w for w in lin.elements if projection_G(w) == delta}
                 assert fiber == preimage
+
+
+def twin(ws):
+    """An equal system with its own, empty memo."""
+    return WeightSystem(ws.basis, ws.elements)
+
+
+class TestMemo:
+    """Each weight-system function computes its value once per system
+    and keeps it in the system's memo; see ``WeightSystem``."""
+
+    def test_kept_value_equals_a_fresh_computation(self, rng):
+        for _ in range(25):
+            ws = random_nonneg_system(rng)
+            for fn in (validate, max_multiplicities, lift_symbols,
+                       linearized_system):
+                first = fn(ws)
+                assert fn(ws) is first
+                assert fn(twin(ws)) == first
+            for delta in ws.sorted_elements():
+                first = delta_prime_fiber(ws, delta)
+                assert delta_prime_fiber(ws, delta) is first
+                assert delta_prime_fiber(twin(ws), delta) == first
+            fresh = sorted(ws.elements, key=lambda w: w.sort_key)
+            assert ws.sorted_elements() == fresh
+            assert ws.sorted_elements() == fresh
+
+    def test_derived_chart_shares_the_derived_system(self, rng):
+        ws = random_nonneg_system(rng)
+        lc = linearize_chart(random_chart(rng, ws))
+        assert lc.chart.system is linearized_system(lc.source.system)
+
+    def test_memo_is_ignored_by_equality_and_hash(self, rng):
+        for _ in range(10):
+            filled = random_nonneg_system(rng)
+            linearized_system(filled)
+            filled.sorted_elements()
+            empty = twin(filled)
+            assert filled.memo and not empty.memo
+            assert filled == empty
+            assert hash(filled) == hash(empty)
+            assert {filled: 1}[empty] == 1
+
+    def test_sorted_elements_is_a_fresh_list(self):
+        ws = degree_system(3)
+        out = ws.sorted_elements()
+        expected = list(out)
+        out.reverse()
+        out.append(ZERO)
+        assert ws.sorted_elements() == expected
+        assert ws.sorted_elements() is not ws.sorted_elements()
+
+    def test_errors_are_raised_again(self):
+        ws = degree_system(2)
+        outside = weight({basic_symbol(1, 1): 5})
+        negative = make_system([0], [[0], [1], [-1]])
+        b2 = additional_symbol(2, 1, 0)
+        doubled = WeightSystem((A1, b2), frozenset(
+            [ZERO, weight({A1: 1}), weight({b2: 1}), weight({b2: 2})]))
+        for call in (lambda: delta_prime_fiber(ws, outside),
+                     lambda: max_multiplicities(negative),
+                     lambda: lift_symbols(doubled)):
+            for _ in range(2):
+                with pytest.raises(WeightError):
+                    call()
 
 
 class TestProjection:
