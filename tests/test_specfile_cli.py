@@ -2,8 +2,8 @@ import io
 import json
 import os
 from collections import Counter
-from fractions import Fraction
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -111,14 +111,13 @@ def random_polynomial_text(rng, chart, n_terms, kinds):
         elif roll < 0.5:
             kind, term = "constant", (Fraction(rng.randint(-3, 3)), [])
         else:
-            factors = [rng.choice(names)
-                       for _ in range(rng.randint(1, chart.truncation))]
-            kind = "plain"
+            kind, size = "plain", rng.randint(1, chart.truncation)
             if odd and roll < 0.6:
-                kind = "odd square"
-                factors[rng.randrange(len(factors))] = odd[0]
-                factors.insert(rng.randrange(len(factors) + 1), odd[0])
-                del factors[chart.truncation:]
+                kind, size = "odd square", size - 2
+            factors = [rng.choice(names) for _ in range(max(size, 0))]
+            if kind == "odd square":
+                factors += [odd[0], odd[0]]
+                rng.shuffle(factors)
             term = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), factors)
         kinds[kind] += 1
         terms.append(term)
