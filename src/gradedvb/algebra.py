@@ -71,7 +71,10 @@ class Coordinate:
     """A single chart generator: id, weight, parity.
 
     ``sort_key`` orders coordinates by weight, then natural base name,
-    then tags; it is computed once and takes no part in equality.
+    then tags; it is computed once and takes no part in equality.  The
+    hash is that of ``sort_key``, which equal coordinates share: one tuple
+    hash in place of the generated one, which calls the hashes of the id
+    and the weight, for every image and membership lookup.
     """
 
     cid: CoordinateId
@@ -87,6 +90,9 @@ class Coordinate:
             self.weight.sort_key,
             _name_key(self.cid.base_name),
             tuple(sorted(t.sort_key for t in self.cid.tags))))
+
+    def __hash__(self) -> int:
+        return hash(self.sort_key)
 
     @property
     def name(self) -> str:
@@ -201,7 +207,8 @@ class Chart:
     def gen(self, c: Coordinate, coeff: Fraction | int = 1) -> "Polynomial":
         if c not in self.coordinate_set:
             raise AlgebraError(f"{c.name} is not a coordinate of this chart")
-        return Polynomial(self, {Monomial(((c, 1),)): Fraction(coeff)})
+        return Polynomial(self, {Monomial._trusted(((c, 1),), c.weight,
+                                                   c.parity, 1): Fraction(coeff)})
 
 
 # ---------------------------------------------------------------------------

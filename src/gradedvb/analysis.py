@@ -7,10 +7,16 @@ weight-0 functions.  Kernels, images, inverses and the six defining
 properties of an induced operator family are all decided exactly; a
 failing check always produces a concrete witness polynomial.
 
-Every operator matrix is built by one function, :func:`_matrix`: it
-applies an operator to each domain basis monomial and expands the image
-over the codomain basis, nonzero terms only, into the sparse rows of
-:mod:`gradedvb.linalg`.  Vectors are sparse too, and a question about
+Every derivation matrix is built by one function, :func:`_leibniz_matrix`,
+straight from the derivation's generator images: each column is the
+Leibniz sum over the factors of its domain monomial
+(:meth:`Derivation.cofactors`), collected under monomial sort keys and
+indexed into the codomain basis, nonzero entries only, as the sparse
+rows of :mod:`gradedvb.linalg`.  The morphism matrices of the
+reconstruction check come from :func:`_matrix`, which applies a map to
+each domain monomial as a one-term polynomial and expands the image; it
+is also the reference the column builder is tested against.  Vectors
+are sparse too, and a question about
 the span of a family of vectors is asked of the family itself, with
 :func:`linalg.rank`.  Component bases are memoized in the chart's
 declared ``basis_memo`` field.  A derivation gets one full-degree matrix
@@ -45,6 +51,7 @@ from .algebra import (
     Polynomial,
     TruncationOverflow,
     component_basis,
+    merge_factors,
     monomial_poly,
     multiply,
 )
@@ -198,13 +205,67 @@ def _matrix(apply, dom_chart: Chart, dom: list[Monomial], cod: list[Monomial],
     return ComponentMatrix(dom, cod, entries, overflow)
 
 
+def _leibniz_matrix(op: Derivation, dom: list[Monomial], cod: list[Monomial],
+                    fiber_only: bool = False) -> ComponentMatrix:
+    """Matrix of the derivation ``op`` from the span of ``dom`` to the
+    span of ``cod``, built straight from its generator images.
+
+    Each column is the Leibniz sum over the :meth:`Derivation.cofactors`
+    of its domain monomial: the cofactor is merged with each image term
+    and the signed product added into the column under the merged sort
+    key, the key a :class:`Monomial` hashes, so that no polynomial,
+    monomial or weight is built per column or per product.  The column
+    and its flag are those :func:`_matrix` gets from ``op.apply``: a
+    product above the chart truncation or a used flagged image flags the
+    column, as does a nonzero entry outside ``cod``.  With ``fiber_only``
+    products with a weight-0 factor are dropped and only fiber entries
+    outside ``cod`` flag the column.
+    """
+    cap = op.chart.truncation
+    index = {m.sort_key: r for r, m in enumerate(cod)}
+    entries: linalg.Matrix = [{} for _ in cod]
+    overflow = []
+    for k, m in enumerate(dom):
+        col: dict[tuple, Fraction] = {}
+        over = False
+        room = cap - m.degree + 1
+        for rest, scale, img in op.cofactors(m):
+            over = over or img.truncated
+            for t, tc in img.terms.items():
+                if t.degree > room:
+                    over = True
+                    continue
+                merged, sign = merge_factors(rest, t.factors)
+                if sign == 0 or fiber_only and any(
+                        c.weight.is_zero for c, _ in merged):
+                    continue
+                key = tuple([(c.sort_key, e) for c, e in merged])
+                v = sign * scale * tc
+                if key in col:
+                    v += col[key]
+                    if not v:
+                        del col[key]
+                        continue
+                col[key] = v
+        if fiber_only:  # the fiber projection drops the truncation flag
+            over = False
+        for key, x in col.items():
+            r = index.get(key)
+            if r is None:
+                over = True
+            else:
+                entries[r][k] = x
+        overflow.append(over)
+    return ComponentMatrix(dom, cod, entries, overflow)
+
+
 def component_map(op: Derivation, w: Weight) -> ComponentMatrix:
     """Exact matrix of a derivation on the weight-``w`` component, built
     once per weight and memoized in the derivation's ``matrix_memo``."""
     hit = op.matrix_memo.get(w)
     if hit is None:
-        hit = op.matrix_memo[w] = _matrix(
-            op.apply, op.chart, component_basis(op.chart, w),
+        hit = op.matrix_memo[w] = _leibniz_matrix(
+            op, component_basis(op.chart, w),
             component_basis(op.chart, w + op.weight_shift))
     return hit
 
@@ -682,13 +743,14 @@ def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
     zero_coords = [c for c in chart.coordinates if c.weight.is_zero]
     checks[1] = [_zero_check(f"D[{s.label}]({x.name})", ops[s].of(x))
                  for s in syms for x in zero_coords]
+    gens = [chart.gen(c) for c in chart.coordinates]
+    first = {s: [ops[s].apply(g) for g in gens] for s in syms}
     for a_idx, sa in enumerate(syms):
         for sb in syms[a_idx:]:
-            for c in chart.coordinates:
-                g = chart.gen(c)
+            for c, da, db in zip(chart.coordinates, first[sa], first[sb]):
                 checks[2].append(_zero_check(
                     f"[D[{sa.label}],D[{sb.label}]]({c.name})",
-                    ops[sa].apply(ops[sb].apply(g)) + ops[sb].apply(ops[sa].apply(g))))
+                    ops[sa].apply(db) + ops[sb].apply(da)))
 
     elements = system.sorted_elements()
     for s in syms:
@@ -844,16 +906,16 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     # non-degeneracy as a module map: over the truncated coefficient ring
     # a linear map of free modules is invertible exactly when its
     # constant-term matrix is
-    side = _matrix(op_big.apply, big, _fiber_monomials(rl, wa),
-                   _fiber_monomials(rl, wb), fiber_only=True)
+    side = _leibniz_matrix(op_big, _fiber_monomials(rl, wa),
+                           _fiber_monomials(rl, wb), fiber_only=True)
     side.require_exact("side-component image escaped the headroom truncation")
     if not side.is_bijective():
         raise AnalysisError("operator is degenerate between the side "
                             "components")
 
     wc = wa + wb
-    top = _matrix(op_big.apply, big, component_basis(big, wc, rl.truncation),
-                  component_basis(big, wc + op_big.weight_shift))
+    top = _leibniz_matrix(op_big, component_basis(big, wc, rl.truncation),
+                          component_basis(big, wc + op_big.weight_shift))
     top.require_exact("operator image escaped even the headroom truncation")
     basis_c = top.domain_basis
     kern_dim = len(basis_c) - linalg.rank(top.entries)

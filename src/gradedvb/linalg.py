@@ -9,7 +9,8 @@ that need the number of columns (:func:`nullspace`, :func:`solve`,
 The operator matrices of the analysis layer are small, sparse and mostly
 ±1, so :func:`rref` scales each row to integers, eliminates with integer
 row operations (each result divided by the gcd of its entries, so the
-integers stay small) and divides by the pivots once, at the end.  The
+integers stay small) and divides by the pivots once, at the end;
+:func:`rank` counts the pivots of that elimination and divides by none.  The
 reduced row echelon form of a matrix is unique: neither the choice of
 pivot rows nor the scaling of rows on the way changes it.  So :func:`rref`
 returns exactly the nonzero rows of what dense Gauss–Jordan over
@@ -94,9 +95,10 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
             row[k] //= g
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """The nonzero rows of the reduced row echelon form, in pivot order,
-    and their pivot columns."""
+def _echelon(a: Matrix) -> list[tuple[int, dict[int, int]]]:
+    """The integer elimination of :func:`rref`: each pivot column, in
+    increasing order, with its pivot row, cleared in every other pivot
+    column but not yet divided by its pivot."""
     pending = [_integer_row(r) for r in a if r]
     done: list[tuple[int, dict[int, int]]] = []
     for c in sorted(set().union(*pending)):
@@ -110,12 +112,20 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
                 _eliminate(r, pivot, c)
         pending = [r for r in pending if r and r is not pivot]
         done.append((c, pivot))
+    return done
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """The nonzero rows of the reduced row echelon form, in pivot order,
+    and their pivot columns."""
+    done = _echelon(a)
     return ([{k: Fraction(v, r[c]) for k, v in r.items()} for c, r in done],
             [c for c, _ in done])
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    """The number of pivots of the elimination, which divides by none."""
+    return len(_echelon(a))
 
 
 def nullspace(a: Matrix, cols: int) -> list[Vector]:

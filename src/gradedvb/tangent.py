@@ -74,14 +74,36 @@ class Derivation:
     def of(self, c) -> Polynomial:
         return self.images.get(c, self.chart.zero())
 
+    def cofactors(self, m: Monomial) -> list[tuple[tuple, int, Polynomial]]:
+        """One ``(rest, scale, image)`` for each factor of ``m`` whose image
+        is nonzero: ``rest`` is the factor tuple of ``m`` with one copy of
+        that factor taken out, and ``scale`` is the factor's exponent with
+        the sign of moving the derivation past the factors before it and
+        the image past the factors after it.  By the Leibniz rule the
+        image of ``m`` is the sum, over these, of ``scale`` times ``rest``
+        times ``image`` (each product merged with its own sign).
+        """
+        factors = m.factors
+        odd = m.parity
+        out = []
+        before = 0
+        for k, (c, e) in enumerate(factors):
+            img = self.images.get(c)
+            if img is not None and img.terms:
+                after = odd - before - c.parity
+                sign_exp = self.parity * before + (self.parity + c.parity) * after
+                rest = factors[:k] + (((c, e - 1),) if e > 1 else ()) \
+                    + factors[k + 1:]
+                out.append((rest, -e if sign_exp % 2 else e, img))
+            before += c.parity * e
+        return out
+
     def apply(self, p: Polynomial) -> Polynomial:
         """The image of ``p``, by one Leibniz merge over its terms.
 
-        For each term and each factor with a nonzero image, the cofactor
-        (the term with one copy of that factor taken out) is merged with
-        each term of the image, and the product is added with the sign of
-        moving the derivation past the factors before it and the image
-        past the factors after it.  Every product has the weight of the
+        For each term and each of its :meth:`cofactors`, the cofactor is
+        merged with each term of the image, and the product is added with
+        the factor's signed scale.  Every product has the weight of the
         term plus ``weight_shift`` and its parity plus ``parity``, which
         ``__post_init__`` checked for every image, so each product
         monomial is built once, with no factor weights summed; that weight
@@ -96,37 +118,28 @@ class Derivation:
         acc: dict[Monomial, Fraction] = {}
         truncated = p.truncated
         for m, coeff in p.terms.items():
-            factors = m.factors
             weight = None  # built on the term's first product
-            odd = sum(c.parity * e for c, e in factors)
-            before = 0
-            for k, (c, e) in enumerate(factors):
-                img = self.images.get(c)
-                if img is not None and img.terms:
-                    truncated = truncated or img.truncated
-                    after = odd - before - c.parity
-                    sign_exp = self.parity * before + (self.parity + c.parity) * after
-                    scale = Fraction(e * (-1) ** (sign_exp % 2)) * coeff
-                    rest = factors[:k] + (((c, e - 1),) if e > 1 else ()) \
-                        + factors[k + 1:]
-                    for t, tc in img.terms.items():
-                        degree = m.degree - 1 + t.degree
-                        if degree > cap:
-                            truncated = True
-                            continue
-                        merged, sign = merge_factors(rest, t.factors)
-                        if sign == 0:
-                            continue
-                        if weight is None:
-                            weight = m.weight + self.weight_shift
-                            parity = (m.parity + self.parity) % 2
-                        mono = Monomial._trusted(merged, weight, parity, degree)
-                        v = acc.get(mono, 0) + sign * scale * tc
-                        if v:
-                            acc[mono] = v
-                        else:
-                            acc.pop(mono, None)
-                before += c.parity * e
+            room = cap - m.degree + 1
+            for rest, scale, img in self.cofactors(m):
+                truncated = truncated or img.truncated
+                scale = Fraction(scale) * coeff
+                for t, tc in img.terms.items():
+                    if t.degree > room:
+                        truncated = True
+                        continue
+                    merged, sign = merge_factors(rest, t.factors)
+                    if sign == 0:
+                        continue
+                    if weight is None:
+                        weight = m.weight + self.weight_shift
+                        parity = (m.parity + self.parity) % 2
+                    mono = Monomial._trusted(merged, weight, parity,
+                                             m.degree - 1 + t.degree)
+                    v = acc.get(mono, 0) + sign * scale * tc
+                    if v:
+                        acc[mono] = v
+                    else:
+                        acc.pop(mono, None)
         return Polynomial(self.chart, acc, truncated)
 
     def with_zeroed(self, coord) -> "Derivation":

@@ -6,12 +6,16 @@ import pytest
 
 from gradedvb import (
     Chart,
+    Derivation,
     Monomial,
     Polynomial,
     WeightSystem,
     ZERO,
+    additional_symbol,
     basic_symbol,
+    component_basis,
     lift_symbols,
+    linearize_chart,
     monomial_poly,
     multiply,
     system_from_rows,
@@ -84,6 +88,42 @@ def leibniz_reference(d, p):
     if p.truncated:
         out = Polynomial(out.chart, out.terms, True)
     return out
+
+
+def random_derivation(rng, chart, shift, parity, flagged=0.0):
+    """A derivation whose image of each coordinate is a random combination
+    of the basis monomials of the shifted weight: multi-term images that
+    raise the degree.  Each image carries the truncation flag with
+    probability ``flagged``."""
+    images = {}
+    for c in chart.coordinates:
+        basis = component_basis(chart, c.weight + shift)
+        terms = {m: Fraction(rng.randint(-2, 2)) for m in basis}
+        images[c] = Polynomial(chart, terms,
+                               bool(flagged) and rng.random() < flagged)
+    return Derivation(chart, shift, parity, images)
+
+
+def headroom_operators():
+    """An operator with multi-term images on the degree-2 chart, as
+    ``reconstruct_degree2`` receives one, and the same operator on that
+    chart with two degrees of headroom, as ``reconstruct_degree2`` builds
+    it."""
+    dvb = linearize_chart(rank1_chart(2, [1, 1, 1])).chart
+    xi = dvb.coordinate("xi{a1}_1")
+    dxi = dvb.coordinate("xi{a1}_1[b2_1]")
+    eta = dvb.coordinate("xi{2a1}_1[b2_1]")
+    x1 = dvb.coordinate("x1")
+    images = {
+        xi: dvb.gen(dxi) + multiply(dvb.gen(x1), dvb.gen(dxi)),
+        eta: multiply(dvb.gen(dxi), dvb.gen(dxi)),
+    }
+    shift = weight({additional_symbol(2, 1, 1): 1, basic_symbol(1, 1): -1})
+    big = Chart(dvb.system, dvb.coordinates, dvb.truncation + 2,
+                dvb.applied_lifts)
+    op_big = Derivation(big, shift, 1, {c: Polynomial(big, img.terms)
+                                        for c, img in images.items()})
+    return Derivation(dvb, shift, 1, images), op_big
 
 
 def parse_reference(chart, text):

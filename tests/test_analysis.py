@@ -27,6 +27,7 @@ from gradedvb import (
     de_rham,
     is_nondegenerate,
     kernel_intersection,
+    lift_symbols,
     linearize_chart,
     monomial_poly,
     multiply,
@@ -37,11 +38,12 @@ from gradedvb import (
     weight,
 )
 from gradedvb import analysis, linalg
-from gradedvb.analysis import _inverse_matrix, _matrix
+from gradedvb.analysis import _inverse_matrix, _leibniz_matrix, _matrix
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
-from conftest import (dense, full_lift, random_chart, random_nonneg_system,
-                      rank1_chart, sparse)
+from conftest import (dense, full_lift, headroom_operators, random_chart,
+                      random_derivation, random_nonneg_system, rank1_chart,
+                      sparse)
 
 A = basic_symbol(1, 1)
 B2 = additional_symbol(2, 1, 1)
@@ -274,6 +276,85 @@ class TestCappedMatrix:
                     assert_same_matrix(full.capped(d), direct_build(op, w, d))
                     sliced += full.capped(d).dom_dim < full.dom_dim
         assert sliced > 0
+
+
+class TestLeibnizColumns:
+    """``_leibniz_matrix`` against ``_matrix`` over ``Derivation.apply``:
+    the same entries, row by row and in the same order, and the same
+    overflow flags."""
+
+    def assert_matches(self, op, dom, cod, fiber_only=False):
+        got = _leibniz_matrix(op, dom, cod, fiber_only)
+        want = _matrix(op.apply, op.chart, dom, cod, fiber_only)
+        assert [list(r.items()) for r in got.entries] == \
+            [list(r.items()) for r in want.entries]
+        assert got.overflow == want.overflow
+        assert all(type(x) is Fraction for r in got.entries
+                   for x in r.values())
+        return set(got.overflow)
+
+    def assert_components(self, op):
+        """Every system weight of the operator's chart; the set of column
+        flags seen."""
+        flags = set()
+        for w in op.chart.system.sorted_elements():
+            flags |= self.assert_matches(
+                op, component_basis(op.chart, w),
+                component_basis(op.chart, w + op.weight_shift))
+        return flags
+
+    def test_family_charts_and_mutations(self, rng):
+        charts = 0
+        while charts < 5:
+            ws = random_nonneg_system(rng, max_rank=2, max_mult=3)
+            if not lift_symbols(ws):
+                continue
+            charts += 1
+            lc = linearize_chart(random_chart(rng, ws, max_dim=2))
+            for ops in (lc.operators, lc.quotient_derivations):
+                for op in ops.values():
+                    self.assert_components(op)
+                    used = [c for c, img in op.images.items() if img.terms]
+                    if used:
+                        self.assert_components(
+                            op.with_zeroed(rng.choice(used)))
+
+    def test_full_lifts_with_negative_weights(self):
+        for src in (rank1_chart(2, [1, 1, 1]), rank1_chart(3, [1, 1, 1, 1], 0)):
+            lifted = full_lift(src)
+            assert not all(c.weight.is_nonnegative for c in lifted.coordinates)
+            for tag in lift_symbols(src.system):
+                self.assert_components(de_rham(lifted, tag))
+
+    def test_random_multi_term_and_flagged_images(self, rng):
+        for dims in ([1, 1, 1], [1, 2, 1]):
+            lc = linearize_chart(rank1_chart(2, dims))
+            shifts = [(op.weight_shift, 1) for op in lc.operators.values()]
+            for shift, parity in shifts + [(ZERO, 0)]:
+                for flagged in (0.0, 0.3):
+                    op = random_derivation(rng, lc.chart, shift, parity,
+                                           flagged)
+                    assert self.assert_components(op) == {False, True}
+
+    @pytest.mark.parametrize("fiber_only", [True, False])
+    def test_headroom_operator(self, fiber_only):
+        # the side and top matrices of reconstruct_degree2, on the chart
+        # with headroom and on the chart itself, and the top matrix into
+        # the degree-1 part of its codomain, where fiber columns overflow
+        op, op_big = headroom_operators()
+        wa, wc = weight({A: 1}), weight({A: 2, B2: 1})
+        flags = set()
+        for d in (op, op_big):
+            flags |= self.assert_matches(
+                d, analysis._fiber_monomials(op.chart, wa),
+                analysis._fiber_monomials(op.chart, wa + d.weight_shift),
+                fiber_only)
+            for cap in (1, d.chart.truncation):
+                flags |= self.assert_matches(
+                    d, component_basis(d.chart, wc, op.chart.truncation),
+                    component_basis(d.chart, wc + d.weight_shift, cap),
+                    fiber_only)
+        assert flags == {False, True}
 
 
 class TestComponentMap:

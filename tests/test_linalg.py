@@ -181,6 +181,19 @@ def test_randomized_against_dense_reference():
     assert outcomes == {(False, False), (False, True), (True, False)}
 
 
+def test_rank_is_the_pivot_count_of_rref():
+    # rank eliminates without the final division by the pivots
+    rng = random.Random(20261019)
+    deficient = set()
+    for _ in range(600):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        a = rand_matrix(rng, rows, cols)
+        r = linalg.rank(sparse(a))
+        assert r == len(linalg.rref(sparse(a))[1]) == ref_rank(a)
+        deficient.add(r < min(rows, cols))
+    assert deficient == {False, True}
+
+
 def test_inconsistent_systems_and_singular_matrices():
     one, two = Fraction(1), Fraction(2)
     a = sparse([[one, two], [two, 4 * one]])

@@ -27,8 +27,8 @@ from gradedvb import (
     weight,
 )
 from conftest import (assert_canonical, degree_system, full_lift,
-                      leibniz_reference, random_chart, random_nonneg_system,
-                      rank1_chart)
+                      headroom_operators, leibniz_reference, random_chart,
+                      random_derivation, random_nonneg_system, rank1_chart)
 
 A = basic_symbol(1, 1)
 B2 = additional_symbol(2, 1, 1)
@@ -277,18 +277,6 @@ def inputs(rng, chart):
     return ps + [mix, Polynomial(chart, mix.terms, True)]
 
 
-def random_derivation(rng, chart, shift, parity):
-    """A derivation whose image of each coordinate is a random combination
-    of the basis monomials of the shifted weight: multi-term images that
-    raise the degree."""
-    images = {}
-    for c in chart.coordinates:
-        basis = component_basis(chart, c.weight + shift)
-        terms = {m: Fraction(rng.randint(-2, 2)) for m in basis}
-        images[c] = Polynomial(chart, terms)
-    return Derivation(chart, shift, parity, images)
-
-
 class TestLeibnizMerge:
     """``Derivation.apply`` against :func:`leibniz_reference`: equal terms
     and truncation flags, and every product monomial the one the
@@ -345,23 +333,9 @@ class TestLeibnizMerge:
     def test_headroom_operator_of_the_degree2_reconstruction(self, rng):
         # the operator reconstruct_degree2 builds on a chart with two
         # degrees of headroom, from multi-term images
-        dvb = linearize_chart(rank1_chart(2, [1, 1, 1])).chart
-        xi = dvb.coordinate("xi{a1}_1")
-        dxi = dvb.coordinate("xi{a1}_1[b2_1]")
-        eta = dvb.coordinate("xi{2a1}_1[b2_1]")
-        x1 = dvb.coordinate("x1")
-        images = {
-            xi: dvb.gen(dxi) + multiply(dvb.gen(x1), dvb.gen(dxi)),
-            eta: multiply(dvb.gen(dxi), dvb.gen(dxi)),
-        }
-        big = Chart(dvb.system, dvb.coordinates, dvb.truncation + 2,
-                    dvb.applied_lifts)
-        op_big = Derivation(big, weight({B2: 1, A: -1}), 1,
-                            {c: Polynomial(big, img.terms)
-                             for c, img in images.items()})
-        self.assert_matches(op_big, inputs(rng, big))
-        op = Derivation(dvb, op_big.weight_shift, 1, images)
-        assert self.assert_matches(op, inputs(rng, dvb)) == {False, True}
+        op, op_big = headroom_operators()
+        self.assert_matches(op_big, inputs(rng, op_big.chart))
+        assert self.assert_matches(op, inputs(rng, op.chart)) == {False, True}
 
     def test_image_on_another_chart_is_refused(self):
         chart = rank1_chart(2, [1, 1, 1])
