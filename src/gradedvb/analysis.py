@@ -8,15 +8,11 @@ properties of an induced operator family are all decided exactly; a
 failing check always produces a concrete witness polynomial.
 
 Every derivation matrix is built by one function, :func:`_leibniz_matrix`,
-straight from the derivation's generator images: each column is the
-Leibniz sum over the factors of its domain monomial
-(:meth:`Derivation.cofactors`), collected under monomial sort keys and
-indexed into the codomain basis, nonzero entries only, as the sparse
-rows of :mod:`gradedvb.linalg`.  The morphism matrices of the
-reconstruction check come from :func:`_matrix`, which applies a map to
-each domain monomial as a one-term polynomial and expands the image; it
-is also the reference the column builder is tested against.  Vectors
-are sparse too, and a question about
+straight from the derivation's generator images, into the sparse rows of
+:mod:`gradedvb.linalg`, nonzero entries only.  The morphism matrices of
+the reconstruction check come from :func:`_matrix`, which expands the
+image of each domain monomial; it is also the column builder's test
+reference.  Vectors are sparse too, and a question about
 the span of a family of vectors is asked of the family itself, with
 :func:`linalg.rank`.  Component bases are memoized in the chart's
 declared ``basis_memo`` field.  A derivation gets one full-degree matrix
@@ -207,19 +203,15 @@ def _matrix(apply, dom_chart: Chart, dom: list[Monomial], cod: list[Monomial],
 
 def _leibniz_matrix(op: Derivation, dom: list[Monomial], cod: list[Monomial],
                     fiber_only: bool = False) -> ComponentMatrix:
-    """Matrix of the derivation ``op`` from the span of ``dom`` to the
-    span of ``cod``, built straight from its generator images.
+    """:func:`_matrix` of ``op.apply``, built straight from the images.
 
     Each column is the Leibniz sum over the :meth:`Derivation.cofactors`
-    of its domain monomial: the cofactor is merged with each image term
-    and the signed product added into the column under the merged sort
-    key, the key a :class:`Monomial` hashes, so that no polynomial,
-    monomial or weight is built per column or per product.  The column
-    and its flag are those :func:`_matrix` gets from ``op.apply``: a
-    product above the chart truncation or a used flagged image flags the
-    column, as does a nonzero entry outside ``cod``.  With ``fiber_only``
-    products with a weight-0 factor are dropped and only fiber entries
-    outside ``cod`` flag the column.
+    of its domain monomial, each product added under its merged sort key
+    (the key a :class:`Monomial` hashes), so no polynomial, monomial or
+    weight is built per column or product.  A product above the chart
+    truncation, a used flagged image and a nonzero entry outside ``cod``
+    flag the column; with ``fiber_only``, products with a weight-0 factor
+    are dropped and only fiber entries outside ``cod`` flag it.
     """
     cap = op.chart.truncation
     index = {m.sort_key: r for r, m in enumerate(cod)}
