@@ -39,9 +39,7 @@ from .algebra import (
     Polynomial,
     TruncationOverflow,
     chart_dump,
-    chart_dump_text,
     component_basis,
-    homogeneous_component,
     monomial_poly,
     multiply,
     normalize,
@@ -51,7 +49,6 @@ from .tangent import (
     de_rham,
     multiplicity_free_restriction,
     quotient_chart,
-    quotient_polynomial,
     tangent_lift,
     tangent_lift_unchecked,
 )

@@ -296,26 +296,17 @@ def normalize(raw: Iterable[Coordinate]) -> tuple[Monomial | None, int]:
     """Sort a raw factor list into canonical form.
 
     Returns the canonical monomial and the sign picked up from odd-odd
-    transpositions, or ``(None, 0)`` when an odd coordinate repeats.
+    transpositions, or ``(None, 0)`` when an odd coordinate repeats: the
+    factors are merged in one at a time, by :func:`merge_factors`.
     """
-    items = list(raw)
-    # count inversions among odd factors of the given arrangement
-    swaps = 0
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if items[b].sort_key < items[a].sort_key:
-                if items[a].parity and items[b].parity:
-                    swaps += 1
-    items.sort(key=lambda c: c.sort_key)
-    factors: list[tuple[Coordinate, int]] = []
-    for c in items:
-        if factors and factors[-1][0] == c:
-            if c.parity:
-                return None, 0
-            factors[-1] = (c, factors[-1][1] + 1)
-        else:
-            factors.append((c, 1))
-    return Monomial(tuple(factors)), (-1) ** (swaps % 2)
+    factors: tuple[tuple[Coordinate, int], ...] = ()
+    sign = 1
+    for c in raw:
+        factors, s = merge_factors(factors, ((c, 1),))
+        if not s:
+            return None, 0
+        sign *= s
+    return Monomial(factors), sign
 
 
 def merge_factors(fa: tuple[tuple[Coordinate, int], ...],
@@ -485,11 +476,6 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def monomial_poly(chart: Chart, m: Monomial, coeff: Fraction | int = 1) -> Polynomial:
     return Polynomial(chart, {m: Fraction(coeff)})
-
-
-def homogeneous_component(p: Polynomial, w: Weight) -> Polynomial:
-    return Polynomial(p.chart, {m: c for m, c in p.terms.items() if m.weight == w},
-                      p.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +660,3 @@ def aligned_table(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [max(len(c) for c in col) for col in zip(header, *rows)]
     return ["  " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
             for cells in [header, *rows]]
-
-
-def chart_dump_text(chart: Chart) -> str:
-    """Aligned text table of :func:`chart_dump`."""
-    rows = [[r["name"], ",".join(r["tags"]) or "-",
-             "(" + ",".join(str(v) for v in r["weight"]) + ")",
-             r["label"], str(r["parity"])] for r in chart_dump(chart)]
-    return "\n".join(aligned_table(
-        ["name", "tags", "weight", "label", "parity"], rows))

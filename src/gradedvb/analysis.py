@@ -7,12 +7,13 @@ weight-0 functions.  Kernels, images, inverses and the six defining
 properties of an induced operator family are all decided exactly; a
 failing check always produces a concrete witness polynomial.
 
-Every derivation matrix is built by one function, :func:`_leibniz_matrix`,
-straight from the derivation's generator images, into the sparse rows of
-:mod:`gradedvb.linalg`, nonzero entries only.  The morphism matrices of
-the reconstruction check come from :func:`_matrix`, which expands the
-image of each domain monomial; it is also the column builder's test
-reference.  Vectors are sparse too, and a question about
+Every component matrix built from images comes from one function,
+:func:`_component_matrix`, into the sparse rows of :mod:`gradedvb.linalg`,
+nonzero entries only.  Its columns are the images of the domain monomials,
+keyed by sort key: for a derivation, the :meth:`Derivation.leibniz`
+image of each monomial, straight from the generator images; for the
+morphism matrices of the reconstruction check, the terms of each pushed
+forward monomial.  Vectors are sparse too, and a question about
 the span of a family of vectors is asked of the family itself, with
 :func:`linalg.rank`.  Component bases are memoized in the chart's
 declared ``basis_memo`` field.  A derivation gets one full-degree matrix
@@ -47,7 +48,6 @@ from .algebra import (
     Polynomial,
     TruncationOverflow,
     component_basis,
-    merge_factors,
     monomial_poly,
     multiply,
 )
@@ -171,77 +171,27 @@ def _expand(p: Polynomial, index: dict[Monomial, int],
     return v, overflow
 
 
-def _is_fiber(m: Monomial) -> bool:
-    return all(not c.weight.is_zero for c, _ in m.factors)
+def _is_fiber(factors: tuple) -> bool:
+    return all(not c.weight.is_zero for c, _ in factors)
 
 
-def _matrix(apply, dom_chart: Chart, dom: list[Monomial], cod: list[Monomial],
-            fiber_only: bool = False) -> ComponentMatrix:
-    """Matrix of ``apply`` from the span of ``dom`` (monomials over
-    ``dom_chart``) to the span of ``cod``.
-
-    A column is flagged when its image carries the truncation flag or has
-    a term outside ``cod``.  With ``fiber_only`` each image is first
-    projected onto its fiber monomials (no weight-0 factor); the
-    projection drops the image's truncation flag, so only fiber terms
-    outside ``cod`` flag the matrix.
+def _component_matrix(dom: list[Monomial], cod: list[Monomial], columns,
+                      fiber_only: bool = False) -> ComponentMatrix:
+    """The matrix from the span of ``dom`` to the span of ``cod`` whose
+    ``k``-th column is the image of ``dom[k]``, given in the form of
+    :meth:`Derivation.leibniz`.  A column is flagged when its image is
+    flagged or has a nonzero entry outside ``cod``; with ``fiber_only``
+    the image is first projected onto its fiber terms (no weight-0
+    factor), which drops its flag.
     """
-    index = {m: k for k, m in enumerate(cod)}
-    entries: linalg.Matrix = [{} for _ in cod]
-    overflow = []
-    for k, m in enumerate(dom):
-        img = apply(monomial_poly(dom_chart, m))
-        if fiber_only:
-            img = Polynomial(img.chart, {t: c for t, c in img.terms.items()
-                                         if _is_fiber(t)})
-        vec, over = _expand(img, index)
-        for r, x in vec.items():
-            entries[r][k] = x
-        overflow.append(over)
-    return ComponentMatrix(dom, cod, entries, overflow)
-
-
-def _leibniz_matrix(op: Derivation, dom: list[Monomial], cod: list[Monomial],
-                    fiber_only: bool = False) -> ComponentMatrix:
-    """:func:`_matrix` of ``op.apply``, built straight from the images.
-
-    Each column is the Leibniz sum over the :meth:`Derivation.cofactors`
-    of its domain monomial, each product added under its merged sort key
-    (the key a :class:`Monomial` hashes), so no polynomial, monomial or
-    weight is built per column or product.  A product above the chart
-    truncation, a used flagged image and a nonzero entry outside ``cod``
-    flag the column; with ``fiber_only``, products with a weight-0 factor
-    are dropped and only fiber entries outside ``cod`` flag it.
-    """
-    cap = op.chart.truncation
     index = {m.sort_key: r for r, m in enumerate(cod)}
     entries: linalg.Matrix = [{} for _ in cod]
     overflow = []
-    for k, m in enumerate(dom):
-        col: dict[tuple, Fraction] = {}
-        over = False
-        room = cap - m.degree + 1
-        for rest, scale, img in op.cofactors(m):
-            over = over or img.truncated
-            for t, tc in img.terms.items():
-                if t.degree > room:
-                    over = True
-                    continue
-                merged, sign = merge_factors(rest, t.factors)
-                if sign == 0 or fiber_only and any(
-                        c.weight.is_zero for c, _ in merged):
-                    continue
-                key = tuple([(c.sort_key, e) for c, e in merged])
-                v = sign * scale * tc
-                if key in col:
-                    v += col[key]
-                    if not v:
-                        del col[key]
-                        continue
-                col[key] = v
-        if fiber_only:  # the fiber projection drops the truncation flag
-            over = False
-        for key, x in col.items():
+    for k, (values, shapes, over) in enumerate(columns):
+        over = over and not fiber_only
+        for key, x in values.items():
+            if fiber_only and not _is_fiber(shapes[key][0]):
+                continue
             r = index.get(key)
             if r is None:
                 over = True
@@ -256,9 +206,10 @@ def component_map(op: Derivation, w: Weight) -> ComponentMatrix:
     once per weight and memoized in the derivation's ``matrix_memo``."""
     hit = op.matrix_memo.get(w)
     if hit is None:
-        hit = op.matrix_memo[w] = _leibniz_matrix(
-            op, component_basis(op.chart, w),
-            component_basis(op.chart, w + op.weight_shift))
+        dom = component_basis(op.chart, w)
+        hit = op.matrix_memo[w] = _component_matrix(
+            dom, component_basis(op.chart, w + op.weight_shift),
+            map(op.leibniz, dom))
     return hit
 
 
@@ -823,7 +774,7 @@ class ReconstructionResult:
 
 
 def _fiber_monomials(chart: Chart, w: Weight) -> list[Monomial]:
-    return [m for m in component_basis(chart, w) if _is_fiber(m)]
+    return [m for m in component_basis(chart, w) if _is_fiber(m.factors)]
 
 
 def _relabel_chart(dvb: Chart, mapping: dict) -> tuple[Chart, dict]:
@@ -898,21 +849,23 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     # non-degeneracy as a module map: over the truncated coefficient ring
     # a linear map of free modules is invertible exactly when its
     # constant-term matrix is
-    side = _leibniz_matrix(op_big, _fiber_monomials(rl, wa),
-                           _fiber_monomials(rl, wb), fiber_only=True)
+    dom = _fiber_monomials(rl, wa)
+    side = _component_matrix(dom, _fiber_monomials(rl, wb),
+                             map(op_big.leibniz, dom), fiber_only=True)
     side.require_exact("side-component image escaped the headroom truncation")
     if not side.is_bijective():
         raise AnalysisError("operator is degenerate between the side "
                             "components")
 
     wc = wa + wb
-    top = _leibniz_matrix(op_big, component_basis(big, wc, rl.truncation),
-                          component_basis(big, wc + op_big.weight_shift))
+    basis_c = component_basis(big, wc, rl.truncation)
+    top = _component_matrix(basis_c,
+                            component_basis(big, wc + op_big.weight_shift),
+                            map(op_big.leibniz, basis_c))
     top.require_exact("operator image escaped even the headroom truncation")
-    basis_c = top.domain_basis
     kern_dim = len(basis_c) - linalg.rank(top.entries)
 
-    fib_index = [k for k, m in enumerate(basis_c) if _is_fiber(m)]
+    fib_index = [k for k, m in enumerate(basis_c) if _is_fiber(m.factors)]
 
     def const_kernel(dmax: int) -> list[linalg.Vector]:
         """The kernel vectors on the fiber monomials of degree at most
@@ -969,7 +922,7 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     phi = ChartMorphism(dvb, lin.chart, pullback,
                         {a1: alpha, b21: beta})
 
-    verified = _verify_reconstruction(phi, lin, op, dvb)
+    verified = _verify_reconstruction(phi, lin, op)
     return ReconstructionResult(
         m2=m2, linearized=lin, phi=phi,
         new_generator_images=[_relabel_poly(k, dvb, inv_cmap)
@@ -978,8 +931,20 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     )
 
 
+def _morphism_matrix(phi: ChartMorphism, w: Weight) -> ComponentMatrix:
+    """The fiber part of ``phi`` on the weight-``w`` fiber monomials of
+    its target, each column the terms of one pushed-forward monomial."""
+    dom = _fiber_monomials(phi.target, w)
+    images = (phi.apply(monomial_poly(phi.target, m)) for m in dom)
+    return _component_matrix(
+        dom, _fiber_monomials(phi.source, phi._map_weight(w)),
+        (({t.sort_key: c for t, c in p.terms.items()},
+          {t.sort_key: (t.factors, t.degree) for t in p.terms}, p.truncated)
+         for p in images), fiber_only=True)
+
+
 def _verify_reconstruction(phi: ChartMorphism, lin: LinearizedChart,
-                           op: Derivation, dvb: Chart) -> bool:
+                           op: Derivation) -> bool:
     (b21,) = lin.chart.system.additional_symbols
     dop = lin.operators[b21]
     for c in lin.chart.coordinates:
@@ -988,8 +953,7 @@ def _verify_reconstruction(phi: ChartMorphism, lin: LinearizedChart,
         if lhs != rhs:
             return False
     for w in lin.chart.system.sorted_elements():
-        cm = _matrix(phi.apply, lin.chart, _fiber_monomials(lin.chart, w),
-                     _fiber_monomials(dvb, phi._map_weight(w)), fiber_only=True)
+        cm = _morphism_matrix(phi, w)
         if cm.truncated or not cm.is_bijective():
             return False
     return True

@@ -20,6 +20,7 @@ the correspondence preserves identities and composition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import (
     AlgebraError,
@@ -61,15 +62,19 @@ class LinearizedChart:
     ``quotient`` is the iterated lift modulo the negative-weight ideal,
     built one lift at a time (see the module docstring), and ``chart`` is
     its multiplicity-free restriction carrying the induced operator
-    family.  ``quotient_derivations`` are the lift derivations on
-    ``quotient``.
+    family.
     """
 
     source: Chart
     quotient: Chart
     chart: Chart
     operators: dict  # BasisSymbol -> Derivation on `chart`
-    quotient_derivations: dict  # BasisSymbol -> Derivation on `quotient`
+
+    @cached_property
+    def quotient_derivations(self) -> dict:
+        """The lift derivations on ``quotient``, by lift symbol, built on
+        first read: linearizing alone never applies them."""
+        return {tag: de_rham(self.quotient, tag) for tag in self.lift_sequence}
 
     @property
     def lift_sequence(self) -> tuple[BasisSymbol, ...]:
@@ -94,10 +99,8 @@ def linearize_chart(src: Chart) -> LinearizedChart:
     # normalize to the derived system (same elements, basis in canonical order)
     dchart = Chart(expected, dchart.coordinates, dchart.truncation,
                    dchart.applied_lifts)
-    applied = quotient.applied_lifts
-    operators = {tag: de_rham(dchart, tag) for tag in applied}
-    quotient_ds = {tag: de_rham(quotient, tag) for tag in applied}
-    return LinearizedChart(src, quotient, dchart, operators, quotient_ds)
+    operators = {tag: de_rham(dchart, tag) for tag in quotient.applied_lifts}
+    return LinearizedChart(src, quotient, dchart, operators)
 
 
 # ---------------------------------------------------------------------------

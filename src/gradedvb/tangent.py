@@ -45,9 +45,9 @@ class Derivation:
     homogeneous of the coordinate's weight plus ``weight_shift`` and of
     its parity plus ``parity``, which lets :meth:`apply` build each
     product monomial told its weight.  The derivation extends to products
-    by the graded Leibniz rule: moving an odd derivation past an odd
-    factor costs a sign.  ``matrix_memo`` holds the component matrices
-    already built for this derivation by the analysis layer.
+    by the graded Leibniz rule, written once, in :meth:`leibniz`, which
+    :meth:`apply` and the analysis layer's component matrices read.
+    ``matrix_memo`` holds the matrices already built for this derivation.
     """
 
     chart: Chart
@@ -74,55 +74,34 @@ class Derivation:
     def of(self, c) -> Polynomial:
         return self.images.get(c, self.chart.zero())
 
-    def cofactors(self, m: Monomial) -> list[tuple[tuple, int, Polynomial]]:
-        """One ``(rest, scale, image)`` for each factor of ``m`` whose image
-        is nonzero: ``rest`` is the factor tuple of ``m`` with one copy of
-        that factor taken out, and ``scale`` is the factor's exponent with
-        the sign of moving the derivation past the factors before it and
-        the image past the factors after it.  By the Leibniz rule the
-        image of ``m`` is the sum, over these, of ``scale`` times ``rest``
-        times ``image`` (each product merged with its own sign).
+    def leibniz(self, m: Monomial) -> tuple[dict, dict, bool]:
+        """The image of one monomial ``m`` by the graded Leibniz rule.
+
+        Each factor with a nonzero image is taken out of ``m`` once, and
+        the cofactor is merged with each image term, scaled by the
+        factor's exponent and signed for moving the derivation past the
+        factors before it and the image past those after it.  Returns the
+        image coefficients keyed by merged sort key (the key a
+        :class:`Monomial` hashes), the factor tuple and degree of each
+        key, stored on its first insert, and the truncation flag: set by a
+        product above the chart truncation, even one whose merge
+        vanishes, and by a flagged image that is used.
         """
         factors = m.factors
-        odd = m.parity
-        out = []
+        room = self.chart.truncation - m.degree + 1
+        values: dict[tuple, Fraction] = {}
+        shapes: dict[tuple, tuple] = {}
+        truncated = False
         before = 0
         for k, (c, e) in enumerate(factors):
             img = self.images.get(c)
             if img is not None and img.terms:
-                after = odd - before - c.parity
+                truncated = truncated or img.truncated
+                after = m.parity - before - c.parity
                 sign_exp = self.parity * before + (self.parity + c.parity) * after
+                scale = -e if sign_exp % 2 else e
                 rest = factors[:k] + (((c, e - 1),) if e > 1 else ()) \
                     + factors[k + 1:]
-                out.append((rest, -e if sign_exp % 2 else e, img))
-            before += c.parity * e
-        return out
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        """The image of ``p``, by one Leibniz merge over its terms.
-
-        For each term and each of its :meth:`cofactors`, the cofactor is
-        merged with each term of the image, and the product is added with
-        the factor's signed scale.  Every product has the weight of the
-        term plus ``weight_shift`` and its parity plus ``parity``, which
-        ``__post_init__`` checked for every image, so each product
-        monomial is built once, with no factor weights summed; that weight
-        is computed on the term's first product, so a term that gives none
-        costs no weight arithmetic.  A product above the chart truncation
-        is dropped and flags the result, as does a flagged ``p`` or a
-        flagged image that is used.
-        """
-        if p.chart is not self.chart and p.chart != self.chart:
-            p = p.in_chart(self.chart)
-        cap = self.chart.truncation
-        acc: dict[Monomial, Fraction] = {}
-        truncated = p.truncated
-        for m, coeff in p.terms.items():
-            weight = None  # built on the term's first product
-            room = cap - m.degree + 1
-            for rest, scale, img in self.cofactors(m):
-                truncated = truncated or img.truncated
-                scale = Fraction(scale) * coeff
                 for t, tc in img.terms.items():
                     if t.degree > room:
                         truncated = True
@@ -130,17 +109,44 @@ class Derivation:
                     merged, sign = merge_factors(rest, t.factors)
                     if sign == 0:
                         continue
-                    if weight is None:
-                        weight = m.weight + self.weight_shift
-                        parity = (m.parity + self.parity) % 2
-                    mono = Monomial._trusted(merged, weight, parity,
-                                             m.degree - 1 + t.degree)
-                    v = acc.get(mono, 0) + sign * scale * tc
-                    if v:
-                        acc[mono] = v
+                    key = tuple([(f.sort_key, n) for f, n in merged])
+                    v = sign * scale * tc
+                    old = values.get(key)
+                    if old is None:
+                        shapes[key] = (merged, m.degree - 1 + t.degree)
                     else:
-                        acc.pop(mono, None)
-        return Polynomial(self.chart, acc, truncated)
+                        v += old
+                        if not v:
+                            del values[key]
+                            continue
+                    values[key] = v
+            before += c.parity * e
+        return values, shapes, truncated
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        """The image of ``p``: the :meth:`leibniz` image of each term,
+        scaled by its coefficient and summed, flagged when ``p`` or a term
+        image is.  Every product of a term has the term's weight plus
+        ``weight_shift`` and its parity plus ``parity``, as
+        ``__post_init__`` checked for every image, so each product
+        monomial is built told them, with one weight sum per term.
+        """
+        if p.chart is not self.chart and p.chart != self.chart:
+            p = p.in_chart(self.chart)
+        acc: dict[Monomial, Fraction] = {}
+        truncated = p.truncated
+        for m, coeff in p.terms.items():
+            values, shapes, over = self.leibniz(m)
+            truncated = truncated or over
+            if not values:
+                continue
+            weight = m.weight + self.weight_shift
+            parity = (m.parity + self.parity) % 2
+            for key, v in values.items():
+                merged, degree = shapes[key]
+                mono = Monomial._trusted(merged, weight, parity, degree)
+                acc[mono] = acc.get(mono, 0) + coeff * v
+        return Polynomial(self.chart, acc, truncated)  # drops zero sums
 
     def with_zeroed(self, coord) -> "Derivation":
         """Copy with one generator image replaced by zero (mutation tests)."""
@@ -231,15 +237,6 @@ def quotient_chart(chart: Chart) -> Chart:
     elements = frozenset(w for w in chart.system.elements if w.is_nonnegative)
     system = WeightSystem(chart.system.basis, elements)
     return Chart(system, coords, chart.truncation, chart.applied_lifts)
-
-
-def quotient_polynomial(target: Chart, p: Polynomial) -> Polynomial:
-    """Substitute zero for negative-weight coordinates; an algebra map."""
-    terms = {}
-    for m, coeff in p.terms.items():
-        if all(c.weight.is_nonnegative for c, _ in m.factors):
-            terms[m] = coeff
-    return Polynomial(target, terms, p.truncated)
 
 
 def multiplicity_free_restriction(chart: Chart) -> Chart:

@@ -22,6 +22,7 @@ from gradedvb import (
     tangent_lift,
     weight,
 )
+from gradedvb.analysis import ComponentMatrix
 from gradedvb.specfile import _parsed_terms
 
 
@@ -88,6 +89,44 @@ def leibniz_reference(d, p):
     if p.truncated:
         out = Polynomial(out.chart, out.terms, True)
     return out
+
+
+def matrix_reference(apply, dom_chart, dom, cod, fiber_only=False):
+    """The component matrix of ``apply`` from the span of ``dom``
+    (monomials over ``dom_chart``) to the span of ``cod``, built as the
+    analysis layer built it before its one column builder: ``apply`` on a
+    one-term polynomial per column, and the image expanded over ``cod``.
+    A column is flagged when its image is flagged or has a term outside
+    ``cod``; with ``fiber_only`` the image is first projected onto its
+    fiber monomials (no weight-0 factor), which drops its flag.  The
+    reference for ``analysis._component_matrix``."""
+    index = {m: r for r, m in enumerate(cod)}
+    entries = [{} for _ in cod]
+    overflow = []
+    for k, m in enumerate(dom):
+        img = apply(monomial_poly(dom_chart, m))
+        terms, over = img.terms, img.truncated
+        if fiber_only:
+            terms = {t: c for t, c in terms.items()
+                     if all(not f.weight.is_zero for f, _ in t.factors)}
+            over = False
+        for t, c in terms.items():
+            r = index.get(t)
+            if r is None:
+                over = True
+            else:
+                entries[r][k] = c
+        overflow.append(over)
+    return ComponentMatrix(dom, cod, entries, overflow)
+
+
+def quotient_polynomial(target, p):
+    """``p`` with zero substituted for its negative-weight coordinates,
+    over the quotient chart ``target``: the quotient map, an algebra map.
+    The reference for the lift derivations applied on the quotient."""
+    terms = {m: c for m, c in p.terms.items()
+             if all(f.weight.is_nonnegative for f, _ in m.factors)}
+    return Polynomial(target, terms, p.truncated)
 
 
 def random_derivation(rng, chart, shift, parity, flagged=0.0):

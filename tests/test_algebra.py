@@ -9,7 +9,6 @@ from gradedvb import (
     ZERO,
     basic_symbol,
     component_basis,
-    homogeneous_component,
     lift_symbols,
     linearize_chart,
     monomial_poly,
@@ -148,34 +147,6 @@ class TestMultiply:
         assert not xx.truncated
         xxx = multiply(xx, x)
         assert xxx.is_zero and xxx.truncated
-
-
-class TestHomogeneousComponent:
-    def test_homogeneous_is_fixed_point(self):
-        chart = odd_pair_chart()
-        p = chart.gen(chart.coordinate("xi{a1}_1"), 5)
-        assert homogeneous_component(p, p.homogeneous_weight()) == p
-
-    def test_absent_weight_is_zero(self):
-        chart = odd_pair_chart()
-        p = chart.gen(chart.coordinate("xi{a1}_1"))
-        a = basic_symbol(1, 1)
-        assert homogeneous_component(p, weight({a: 2})).is_zero
-
-    def test_mixed_split_recomputed_termwise(self):
-        chart = rank1_chart(2, [1, 2, 1])
-        a = basic_symbol(1, 1)
-        x = chart.gen(chart.coordinate("x1"))
-        xi = chart.gen(chart.coordinate("xi{a1}_1"))
-        xi2 = chart.gen(chart.coordinate("xi{a1}_2"))
-        p = multiply(x, xi) + multiply(xi, xi2)
-        c1 = homogeneous_component(p, weight({a: 1}))
-        c2 = homogeneous_component(p, weight({a: 2}))
-        assert c1 + c2 == p
-        for m in c1.terms:
-            assert sum((e * c.weight.coeff(a) for c, e in m.factors)) == 1
-        for m in c2.terms:
-            assert sum((e * c.weight.coeff(a) for c, e in m.factors)) == 2
 
 
 def brute_force_basis(chart, w, cap):

@@ -1,5 +1,6 @@
 import itertools
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,17 +32,17 @@ from gradedvb import (
     linearize_chart,
     monomial_poly,
     multiply,
-    quotient_polynomial,
     reconstruct_degree2,
     solve_inverse,
     tangent_lift,
     weight,
 )
 from gradedvb import analysis, linalg
-from gradedvb.analysis import _inverse_matrix, _leibniz_matrix, _matrix
+from gradedvb.analysis import _component_matrix, _inverse_matrix
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
-from conftest import (dense, full_lift, headroom_operators, random_chart,
+from conftest import (dense, full_lift, headroom_operators, leibniz_reference,
+                      matrix_reference, quotient_polynomial, random_chart,
                       random_derivation, random_nonneg_system, rank1_chart,
                       sparse)
 
@@ -247,10 +248,17 @@ class TestOverflowPolicy:
                                   "truncation")
 
 
+def reference_matrix(op, dom, cod, fiber_only=False):
+    """The reference matrix of ``op``: :func:`matrix_reference` over
+    :func:`leibniz_reference`, which shares no code with ``leibniz``."""
+    return matrix_reference(lambda p: leibniz_reference(op, p), op.chart,
+                            dom, cod, fiber_only)
+
+
 def direct_build(op, w, d):
     """The component matrix of ``op`` built on the degree-``d`` bases."""
-    return _matrix(op.apply, op.chart, component_basis(op.chart, w, d),
-                   component_basis(op.chart, w + op.weight_shift, d))
+    return reference_matrix(op, component_basis(op.chart, w, d),
+                            component_basis(op.chart, w + op.weight_shift, d))
 
 
 def assert_same_matrix(got, want):
@@ -279,13 +287,13 @@ class TestCappedMatrix:
 
 
 class TestLeibnizColumns:
-    """``_leibniz_matrix`` against ``_matrix`` over ``Derivation.apply``:
-    the same entries, row by row and in the same order, and the same
-    overflow flags."""
+    """``_component_matrix`` over ``Derivation.leibniz`` against
+    :func:`reference_matrix`: the same entries, row by row and in the same
+    order, and the same overflow flags."""
 
     def assert_matches(self, op, dom, cod, fiber_only=False):
-        got = _leibniz_matrix(op, dom, cod, fiber_only)
-        want = _matrix(op.apply, op.chart, dom, cod, fiber_only)
+        got = _component_matrix(dom, cod, map(op.leibniz, dom), fiber_only)
+        want = reference_matrix(op, dom, cod, fiber_only)
         assert [list(r.items()) for r in got.entries] == \
             [list(r.items()) for r in want.entries]
         assert got.overflow == want.overflow
@@ -541,8 +549,8 @@ def lifted_solve_inverse(lc, lifted, symbols, f):
         stacked, rhs = [], []
         for sym, want in [(s, g)] + [(t, lc.quotient.zero()) for t in rest]:
             cod = component_basis(lc.quotient, wh + lift_shift(sym))
-            block = _matrix(lambda p, sym=sym: step(sym, p), lc.quotient,
-                            dom, cod)
+            block = matrix_reference(lambda p, sym=sym: step(sym, p),
+                                     lc.quotient, dom, cod)
             assert not block.truncated
             assert set(want.terms) <= set(cod)
             stacked.extend(block.entries)
@@ -591,6 +599,25 @@ class TestQuotientDerivations:
                     negative += any(not c.weight.is_nonnegative
                                     for m in p.terms for c, _ in m.factors)
         assert negative > 50
+
+    def test_built_on_first_read_as_the_eager_build(self, rng):
+        for lc in self.charts(rng):
+            assert "quotient_derivations" not in vars(lc)
+            ds = lc.quotient_derivations
+            assert vars(lc)["quotient_derivations"] is ds
+            assert lc.quotient_derivations is ds
+            eager = {tag: de_rham(lc.quotient, tag)
+                     for tag in lc.quotient.applied_lifts}
+            assert list(ds) == list(eager)
+            for tag, d in eager.items():
+                got = ds[tag]
+                assert got.chart is lc.quotient
+                assert (got.weight_shift, got.parity) == \
+                    (d.weight_shift, d.parity)
+                assert list(got.images) == list(d.images)
+                for c, img in d.images.items():
+                    assert got.images[c] == img
+                    assert got.images[c].truncated == img.truncated
 
     def test_composite_and_solve_match_the_lifted_path(self, rng):
         solved = rejected = 0
@@ -876,6 +903,39 @@ class TestReconstruct:
         res = reconstruct_degree2(lc.chart, lc.operators[B2])
         assert res.m2.dims == chart.dims
         assert res.verified
+
+    def test_morphism_matrices_match_the_reference(self, rng):
+        # the matrices the reconstruction check builds from the terms of
+        # phi.apply, against the expansion of each image; the
+        # degree-raising operator gives kernel generators with products
+        dvb = linearize_chart(rank1_chart(2, [1, 1, 1])).chart
+        xi = dvb.coordinate("xi{a1}_1")
+        dxi = dvb.coordinate("xi{a1}_1[b2_1]")
+        eta = dvb.coordinate("xi{2a1}_1[b2_1]")
+        cases = [(dvb, Derivation(dvb, weight({B2: 1, A: -1}), 1, {
+            xi: dvb.gen(dxi), eta: multiply(dvb.gen(dxi), dvb.gen(dxi))}))]
+        for parity in (1, 1, 0, 0):
+            chart = rank1_chart(2, [rng.randint(1, 2), rng.randint(1, 3),
+                                    rng.randint(0, 2)], parity=parity)
+            lc = linearize_chart(chart)
+            cases.append((lc.chart, lc.operators[
+                additional_symbol(2, 1, parity)]))
+        multi = 0
+        for source, op in cases:
+            res = reconstruct_degree2(source, op)
+            phi = res.phi
+            for w in res.linearized.chart.system.sorted_elements():
+                dom = analysis._fiber_monomials(phi.target, w)
+                cod = analysis._fiber_monomials(phi.source, phi._map_weight(w))
+                got = analysis._morphism_matrix(phi, w)
+                want = matrix_reference(phi.apply, phi.target, dom, cod,
+                                        fiber_only=True)
+                assert_same_matrix(got, want)
+                assert [list(r.items()) for r in got.entries] == \
+                    [list(r.items()) for r in want.entries]
+                multi += sum(n > 1 for n in Counter(
+                    k for row in got.entries for k in row).values())
+        assert multi > 0
 
     def test_degenerate_operator_rejected(self):
         chart = rank1_chart(2, [1, 2, 1])
