@@ -6,6 +6,7 @@ import pytest
 
 from gradedvb import (
     Chart,
+    ComponentMatrix,
     Derivation,
     Monomial,
     Polynomial,
@@ -22,7 +23,6 @@ from gradedvb import (
     tangent_lift,
     weight,
 )
-from gradedvb.analysis import ComponentMatrix
 from gradedvb.specfile import _parsed_terms
 
 
