@@ -4,21 +4,24 @@ Usage (from the root of a checkout):
 
     python3 scripts/frontier.py --out BENCH_11.json [--large]
 
-Each chart is built through the public API and linearized outside the
-timed region; one ``check_all_properties`` call on the linearized chart is
-timed.  The charts are the rank-1 charts of degrees 4 to 7 and the rank-2
-box ``{0..3}^2``, all with odd basic parity and truncation 3.  The degree-7
-chart takes several seconds, which is why Tier-1 does not run it.  With
-``--large`` the run also times the rank-2 box ``{0..4}^2`` and the rank-3
-box ``{0..3}^3`` (256 and 512 linearized coordinates), which take about a
-minute or more together on a 2-vCPU machine.
+Each chart is built through the public API, then linearized; the
+linearization (``linearize_chart`` and the first read of its operator
+family, which is built on first read) and one ``check_all_properties``
+call on the linearized chart are timed apart.  The charts are the rank-1
+charts of degrees 4 to 7 and the rank-2 box ``{0..3}^2``, all with odd
+basic parity and truncation 3.  The degree-7 chart takes several seconds,
+which is why Tier-1 does not run it.  With ``--large`` the run also times
+the rank-2 box ``{0..4}^2`` and the rank-3 box ``{0..3}^3`` (256 and 512
+linearized coordinates), which take about a minute or more together on a
+2-vCPU machine.
 
 The script appends one run record to the output file, keeping the records
 already there, so runs on two revisions land side by side: the git
 revision of this checkout (and whether ``src`` differs from it), the
 Python version and machine, and for each chart its linearized coordinate
-count, the seconds of the call and the SHA-256 of its report's JSON.  Equal
-digests across revisions mean the certificate came out the same.
+count, the seconds of the linearization and of the call, and the SHA-256
+of its report's JSON.  Equal digests across revisions mean the
+certificate came out the same.
 """
 
 import argparse
@@ -86,18 +89,24 @@ def git(*args: str) -> str:
 def run_record(large: bool) -> dict:
     charts = []
     for name, build in CHARTS + (LARGE if large else []):
-        lc = linearize_chart(build())
+        chart = build()
         start = perf_counter()
-        report = check_all_properties(lc.chart, lc.operators)
+        lc = linearize_chart(chart)
+        ops = lc.operators
+        linearize_seconds = perf_counter() - start
+        start = perf_counter()
+        report = check_all_properties(lc.chart, ops)
         seconds = perf_counter() - start
         text = json.dumps(report.to_json(), sort_keys=True)
         charts.append({
             "chart": name,
             "linearized_coordinates": len(lc.chart.coordinates),
+            "linearize_seconds": round(linearize_seconds, 4),
             "seconds": round(seconds, 3),
             "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
         })
-        print(f"{name}: {seconds:.3f} s", file=sys.stderr)
+        print(f"{name}: linearize {linearize_seconds:.4f} s, "
+              f"check {seconds:.3f} s", file=sys.stderr)
     return {
         "revision": git("rev-parse", "HEAD"),
         "src_modified": bool(git("status", "--porcelain", "--", "src")),

@@ -564,7 +564,9 @@ def check_kernel_preservation(chart: Chart, ops: dict,
                               delta: Weight) -> KernelPreservationResult:
     """Whether the step change of ``steps = (b_j, b_j0)`` carries the
     joint-kernel subsheaf at ``delta`` onto the one at ``delta`` with
-    ``b_j0`` traded for ``b_j`` (:func:`_swap_obstacle`)."""
+    ``b_j0`` traded for ``b_j`` (:func:`_swap_obstacle`).  A ``nullspace``
+    basis has one unit in each free column, so the target kernel's rank is
+    its length."""
     b_j, b_j0 = steps
     _require(_steps_obstacle(steps)
              or _swap_obstacle(chart.system, b_j0, (b_j,), delta))
@@ -576,7 +578,7 @@ def check_kernel_preservation(chart: Chart, ops: dict,
         chart, _operators(ops, _bsupport(delta_prime)), delta_prime)
     tr = _transfer(d_j, d_j0, delta, delta_prime)
     image = [linalg.matvec(tr, v) for v in src_k]
-    r_img, r_dst = linalg.rank(image), linalg.rank(dst_k)
+    r_img, r_dst = linalg.rank(image), len(dst_k)
     passes = r_img == r_dst == linalg.rank(image + dst_k)
     witness = None
     if not passes:

@@ -7,10 +7,14 @@ adds ``b - a<i>`` to a weight, which raises no basic coefficient, so the
 partner of a negative-weight coordinate is again of negative weight: the
 ideal is stable under every later lift and under every lift derivation.
 Dividing it out step by step therefore gives the quotient of the full
-iterated lift, which is never built, and the lift derivations descend to
-the quotient chart, where every consumer applies them.  They further
-descend to a commuting family of odd operators on the restricted chart,
-one per additional symbol.
+iterated lift, which is never built.  The steps take one pass
+(:func:`~gradedvb.tangent.lifted_quotient`): each lift keeps only the
+non-negative partners of the coordinates and weights kept so far, and one
+chart is built at the end; the restricted chart is built once, on the
+derived weight system.  The lift derivations descend to the quotient
+chart, where every consumer applies them.  They further descend to a
+commuting family of odd operators on the restricted chart, one per
+additional symbol.  Both families are built on first read.
 
 Morphisms of source charts prolong through the lifts and descend to
 morphisms of linearized charts that commute with the operator families;
@@ -32,12 +36,7 @@ from .algebra import (
     monomial_poly,
     multiply,
 )
-from .tangent import (
-    de_rham,
-    multiplicity_free_restriction,
-    quotient_chart,
-    tangent_lift,
-)
+from .tangent import de_rham, lifted_quotient
 from .weights import (
     ZERO,
     BasisSymbol,
@@ -60,20 +59,25 @@ class LinearizedChart:
     """Result of linearizing a chart.
 
     ``quotient`` is the iterated lift modulo the negative-weight ideal,
-    built one lift at a time (see the module docstring), and ``chart`` is
-    its multiplicity-free restriction carrying the induced operator
-    family.
+    built in one pass (see the module docstring), and ``chart`` is its
+    multiplicity-free restriction, which carries the induced operator
+    family.  Both operator families are built on first read.
     """
 
     source: Chart
     quotient: Chart
     chart: Chart
-    operators: dict  # BasisSymbol -> Derivation on `chart`
+
+    @cached_property
+    def operators(self) -> dict:
+        """The induced operators on ``chart``, by lift symbol; solving an
+        inverse never reads them."""
+        return {tag: de_rham(self.chart, tag) for tag in self.lift_sequence}
 
     @cached_property
     def quotient_derivations(self) -> dict:
-        """The lift derivations on ``quotient``, by lift symbol, built on
-        first read: linearizing alone never applies them."""
+        """The lift derivations on ``quotient``, by lift symbol; linearizing
+        alone never applies them."""
         return {tag: de_rham(self.quotient, tag) for tag in self.lift_sequence}
 
     @property
@@ -88,19 +92,17 @@ def linearize_chart(src: Chart) -> LinearizedChart:
         raise WeightError("source system must be valid and non-negative")
     if src.applied_lifts:
         raise AlgebraError("source chart must not carry earlier lifts")
-    quotient = src
-    for tag in lift_symbols(src.system):
-        quotient = quotient_chart(tangent_lift(quotient, tag))
-    dchart = multiplicity_free_restriction(quotient)
+    quotient = lifted_quotient(src, lift_symbols(src.system))
     expected = linearized_system(src.system)
-    if frozenset(dchart.system.elements) != expected.elements:
+    if frozenset(w for w in quotient.system.elements
+                 if w.is_multiplicity_free) != expected.elements:
         raise AlgebraError("restricted chart system differs from the derived "
                            "weight system")
-    # normalize to the derived system (same elements, basis in canonical order)
-    dchart = Chart(expected, dchart.coordinates, dchart.truncation,
-                   dchart.applied_lifts)
-    operators = {tag: de_rham(dchart, tag) for tag in quotient.applied_lifts}
-    return LinearizedChart(src, quotient, dchart, operators)
+    # the restriction, on the derived system (same basis in canonical order)
+    dchart = Chart(expected, tuple(c for c in quotient.coordinates
+                                   if c.weight.is_multiplicity_free),
+                   quotient.truncation, quotient.applied_lifts)
+    return LinearizedChart(src, quotient, dchart)
 
 
 # ---------------------------------------------------------------------------

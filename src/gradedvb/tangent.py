@@ -22,6 +22,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraError,
     Chart,
+    Coordinate,
     CoordinateId,
     Monomial,
     Polynomial,
@@ -237,6 +238,44 @@ def quotient_chart(chart: Chart) -> Chart:
     elements = frozenset(w for w in chart.system.elements if w.is_nonnegative)
     system = WeightSystem(chart.system.basis, elements)
     return Chart(system, coords, chart.truncation, chart.applied_lifts)
+
+
+def lifted_quotient(chart: Chart, tags: tuple[BasisSymbol, ...]) -> Chart:
+    """``quotient_chart(tangent_lift(..., tag))`` for each of ``tags`` in
+    turn, built in one pass.
+
+    ``chart`` must be free of negative weights, so every coordinate and
+    element kept is non-negative: each lift adds the partners of the ones
+    kept so far whose weight is non-negative, and one system and one chart
+    are built at the end.  The tags must be additional symbols, in
+    canonical order after the lifts already applied.
+    """
+    if not tags:
+        return chart
+    lifts = chart.applied_lifts + tuple(tags)
+    if any(t.kind != "additional" for t in tags) or any(
+            not a.sort_key < b.sort_key for a, b in zip(lifts, lifts[1:])):
+        raise AlgebraError("lifts must be new additional symbols in "
+                           "canonical order")
+    coords = list(chart.coordinates)
+    elements = set(chart.system.elements)
+    if not all(w.is_nonnegative for w in elements.union(
+            c.weight for c in coords)):
+        raise AlgebraError("lift a chart free of negative weights")
+    for tag in tags:
+        shift = lift_shift(tag)
+        for c in list(coords):
+            w = c.weight + shift  # the partner's weight, tested first
+            if w.is_nonnegative:  # then built as tagged_coordinate does
+                coords.append(Coordinate(
+                    CoordinateId(c.cid.base_name, c.cid.tags + (tag,)),
+                    w, 1 - c.parity))
+        elements.update([w for w in (e + shift for e in elements)
+                         if w.is_nonnegative])
+    basis = tuple(sorted(set(chart.system.basis).union(tags),
+                         key=lambda s: s.sort_key))
+    return Chart(WeightSystem(basis, frozenset(elements)), tuple(coords),
+                 chart.truncation, lifts)
 
 
 def multiplicity_free_restriction(chart: Chart) -> Chart:

@@ -619,6 +619,33 @@ class TestQuotientDerivations:
                     assert got.images[c] == img
                     assert got.images[c].truncated == img.truncated
 
+    def test_operators_built_on_first_read_and_not_by_a_solve(self, rng):
+        solved = 0
+        for lc in self.charts(rng):
+            for delta, lam in admissible_pairs(lc):
+                p = random_polynomial(rng, lc.source,
+                                      component_basis(lc.source, delta))
+                f = compose_DLambda(lc, lam).apply(p)
+                if not f.is_zero:
+                    assert solve_inverse(lc, lam, f) == p
+                    solved += 1
+            assert "operators" not in vars(lc)
+            ops = lc.operators
+            assert vars(lc)["operators"] is ops
+            assert lc.operators is ops
+            assert list(ops) == list(lc.lift_sequence)
+            for tag in lc.lift_sequence:
+                d = de_rham(lc.chart, tag)
+                got = ops[tag]
+                assert got.chart is lc.chart
+                assert (got.weight_shift, got.parity) == \
+                    (d.weight_shift, d.parity)
+                assert list(got.images) == list(d.images)
+                for c, img in d.images.items():
+                    assert got.images[c] == img
+                    assert got.images[c].truncated == img.truncated
+        assert solved > 10
+
     def test_composite_and_solve_match_the_lifted_path(self, rng):
         solved = rejected = 0
         for lc in self.charts(rng):

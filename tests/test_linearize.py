@@ -16,11 +16,14 @@ from gradedvb import (
     de_rham,
     identity_morphism,
     lift_morphism,
+    lift_symbols,
     linearize_chart,
     linearized_system,
     monomial_poly,
+    multiplicity_free_restriction,
     multiply,
     quotient_chart,
+    tangent_lift,
     weight,
 )
 from gradedvb.specfile import parse_spec
@@ -55,6 +58,25 @@ def random_morphism(rng, src: Chart, tgt: Chart, linear_only=False) -> ChartMorp
                     img = img + monomial_poly(src, m, rng.randint(-1, 1))
         pull[c] = img
     return ChartMorphism(src, tgt, pull)
+
+
+def spec_source(name):
+    """The chart of a ``tests/data`` spec; one coordinate per weight when
+    the spec has no chart block."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), "r",
+              encoding="utf-8") as fh:
+        spec = parse_spec(fh.read())
+    return spec.chart() if spec.has_chart else Chart.from_dims(
+        spec.system, dict.fromkeys(spec.system.elements, 1))
+
+
+def iterated_quotient(src):
+    """One ``quotient_chart(tangent_lift(...))`` per lift symbol: the
+    reference for the one-pass quotient of ``linearize_chart``."""
+    quotient = src
+    for tag in lift_symbols(src.system):
+        quotient = quotient_chart(tangent_lift(quotient, tag))
+    return quotient
 
 
 class TestLinearizeChart:
@@ -111,6 +133,42 @@ class TestLinearizeChart:
             assert lc.quotient == want
             dropped += len(lifted.coordinates) - len(want.coordinates)
         assert dropped > 0
+
+    def test_one_pass_quotient_is_the_iterated_chain(self, rng):
+        # the linearize-sweep shape: rank 1-3, multiplicity at most 3 (2 at
+        # rank 3), truncation 3-4; and every spec of tests/data
+        data = os.path.join(os.path.dirname(__file__), "data")
+        sources = [spec_source(name) for name in sorted(os.listdir(data))
+                   if name.endswith(".spec")]
+        for _ in range(40):
+            rank = rng.randint(1, 3)
+            ws = random_nonneg_system(rng, max_rank=rank,
+                                      max_mult=3 if rank < 3 else 2)
+            sources.append(random_chart(rng, ws, trunc=rng.randint(3, 4)))
+        lifted_ranks = set()
+        for src in sources:
+            lc = linearize_chart(src)
+            want = iterated_quotient(src)
+            got = lc.quotient
+            assert got.coordinates == want.coordinates
+            assert [c.cid for c in got.coordinates] == \
+                [c.cid for c in want.coordinates]
+            assert got.system.basis == want.system.basis
+            assert got.system.elements == want.system.elements
+            assert got.truncation == want.truncation
+            assert got.applied_lifts == want.applied_lifts
+            derived = linearized_system(src.system)
+            restricted = multiplicity_free_restriction(want)
+            assert restricted.system.elements == derived.elements
+            rebased = Chart(derived, restricted.coordinates,
+                            restricted.truncation, restricted.applied_lifts)
+            assert lc.chart.system is derived
+            assert lc.chart.coordinates == rebased.coordinates
+            assert lc.chart.truncation == rebased.truncation
+            assert lc.chart.applied_lifts == rebased.applied_lifts
+            if lc.lift_sequence:
+                lifted_ranks.add(src.system.rank)
+        assert lifted_ranks == {1, 2, 3}
 
     def test_operators_kill_weight_zero_square_and_commute(self, rng):
         for _ in range(10):

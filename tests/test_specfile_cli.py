@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedvb.cli import main
+from gradedvb.cli import dump_json, main
 from gradedvb.specfile import (
     SpecParseError,
     parse_polynomial,
@@ -205,6 +205,66 @@ class TestJsonGolden:
         code, out = run_cli("--json", cmd, data(spec), *rest)
         assert code == 0
         assert out == golden(name)
+
+
+JSON_TEXT = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f",
+             "\x7f", "é", "ß", "λ", "\u2028", "\ud83d", "😀", "{", "]"]
+
+
+def random_json_value(rng, depth=0):
+    """A seeded nested value of the kinds the CLI writes, with edge cases:
+    non-ASCII text, quotes, backslashes, control characters, negative and
+    beyond-64-bit ints, the three constants, empty containers."""
+    def text():
+        return "".join(rng.choice(JSON_TEXT) for _ in range(rng.randint(0, 6)))
+
+    roll = rng.random()
+    if depth >= 4 or roll < 0.45:
+        return rng.choice([
+            text,
+            lambda: rng.randint(-10**6, 10**6),
+            lambda: rng.choice([-1, 1]) * rng.randint(2**63, 2**80),
+            lambda: rng.choice([True, False, None, 0, ""]),
+        ])()
+    n = rng.randint(0, 4)
+    if roll < 0.7:
+        return [random_json_value(rng, depth + 1) for _ in range(n)]
+    return {text() + f"k{k}": random_json_value(rng, depth + 1)
+            for k in range(n)}
+
+
+class TestJsonWriter:
+    def test_seeded_values_match_json_dumps(self, rng):
+        values = [{}, [], {"a": {}}, {"a": []}, [[], {}], [[[]]],
+                  {"": {"": []}}, (1, (2, ())), "", -(2**100)]
+        values += [random_json_value(rng) for _ in range(400)]
+        for v in values:
+            assert dump_json(v) == json.dumps(v, indent=2)
+        text = json.dumps(values, indent=2)
+        assert dump_json(values) == text
+        for probe in ('\\u00e9', '\\ud83d\\ude00', '\\"', '\\\\', '\\n',
+                      '\\u0000', '"k0": {}', '"k0": []', "true", "null",
+                      str(-(2**100))):
+            assert probe in text
+
+    def test_every_golden_is_rewritten_byte_for_byte(self):
+        names = sorted(n for n in os.listdir(os.path.join(HERE, "golden"))
+                       if n.endswith(".json"))
+        assert len(names) == len(JSON_GOLDENS) + 1  # + analysis_paths.json
+        for name in names:
+            value = json.loads(golden(name))
+            assert dump_json(value) == json.dumps(value, indent=2)
+            if name != "analysis_paths.json":
+                assert dump_json(value) + "\n" == golden(name)
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), 1.5, float("nan"), {1, 2}, object(), b"x",
+        type("Label", (str,), {})("x"), [type("Count", (int,), {})(1)],
+        [1, Fraction(1)], {"a": [{"b": 2.0}]}, {1: "int key"}, {None: 1},
+        {(1, 2): 3}])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            dump_json(value)
 
 
 class TestTextGolden:

@@ -25,6 +25,7 @@ from gradedvb import (
     tangent_lift_unchecked,
     weight,
 )
+from gradedvb.tangent import lifted_quotient
 from conftest import (assert_canonical, degree_system, full_lift,
                       headroom_operators, leibniz_reference,
                       quotient_polynomial, random_chart, random_derivation,
@@ -89,6 +90,22 @@ class TestTangentLift:
         with pytest.raises(AlgebraError):
             tangent_lift(lifted, B2)
         tangent_lift_unchecked(lifted, B2)  # escape hatch for experiments
+
+
+class TestLiftedQuotient:
+    def test_preconditions(self):
+        chart = rank1_chart(3, [1, 1, 1, 1])
+        assert lifted_quotient(chart, ()) is chart
+        with pytest.raises(AlgebraError):
+            lifted_quotient(chart, (A,))
+        with pytest.raises(AlgebraError):
+            lifted_quotient(chart, (B3, B2))
+        with pytest.raises(AlgebraError):
+            lifted_quotient(lifted_quotient(chart, (B2,)), (B2,))
+        with pytest.raises(AlgebraError):
+            lifted_quotient(tangent_lift(chart, B2), (B3,))
+        assert lifted_quotient(lifted_quotient(chart, (B2,)), (B3,)) == \
+            lifted_quotient(chart, (B2, B3))
 
 
 class TestDeRham:
