@@ -15,13 +15,13 @@ the rank-2 box ``{0..4}^2`` and the rank-3 box ``{0..3}^3`` (256 and 512
 linearized coordinates), which take about a minute or more together on a
 2-vCPU machine.
 
-The script appends one run record to the output file, keeping the records
-already there, so runs on two revisions land side by side: the git
-revision of this checkout (and whether ``src`` differs from it), the
-Python version and machine, and for each chart its linearized coordinate
-count, the seconds of the linearization and of the call, and the SHA-256
-of its report's JSON.  Equal digests across revisions mean the
-certificate came out the same.
+The script appends one run record to the ``runs`` list of the output
+file, keeping the records and any other keys already there, so runs on
+two revisions land side by side: the git revision of this checkout (and
+whether ``src`` differs from it), the Python version and machine, and for
+each chart its linearized coordinate count, the seconds of the
+linearization and of the call, and the SHA-256 of its report's JSON.
+Equal digests across revisions mean the certificate came out the same.
 """
 
 import argparse
@@ -124,9 +124,9 @@ def main() -> None:
     ap.add_argument("--large", action="store_true",
                     help="also time the boxes {0..4}^2 and {0..3}^3")
     args = ap.parse_args()
-    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
-    runs.append(run_record(args.large))
-    args.out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("runs", []).append(run_record(args.large))
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 if __name__ == "__main__":
