@@ -20,8 +20,12 @@ file, keeping the records and any other keys already there, so runs on
 two revisions land side by side: the git revision of this checkout (and
 whether ``src`` differs from it), the Python version and machine, and for
 each chart its linearized coordinate count, the seconds of the
-linearization and of the call, and the SHA-256 of its report's JSON.
-Equal digests across revisions mean the certificate came out the same.
+linearization and of the call, the number of checks of each of the six
+properties, and the SHA-256 of its report's JSON.  Equal digests across
+revisions mean the certificate came out the same.  The counts are read
+from the report, so the script runs on revisions from before
+``certificate_plan`` too; for properties 3 to 6 they are the numbers of
+entries of the plan.
 """
 
 import argparse
@@ -97,12 +101,14 @@ def run_record(large: bool) -> dict:
         start = perf_counter()
         report = check_all_properties(lc.chart, ops)
         seconds = perf_counter() - start
-        text = json.dumps(report.to_json(), sort_keys=True)
+        data = report.to_json()
+        text = json.dumps(data, sort_keys=True)
         charts.append({
             "chart": name,
             "linearized_coordinates": len(lc.chart.coordinates),
             "linearize_seconds": round(linearize_seconds, 4),
             "seconds": round(seconds, 3),
+            "checked": [p["checked"] for p in data["properties"]],
             "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
         })
         print(f"{name}: linearize {linearize_seconds:.4f} s, "

@@ -26,7 +26,9 @@ Every check takes ``(chart, ops, ...)``, with lift steps as symbols, and
 reads ``ops`` only through :func:`_operators`.  Where the checks of
 properties 3, 5 and 6 apply is stated once, as the reason a check does
 not apply (``_image_obstacle``, ``_steps_obstacle``, ``_swap_obstacle``):
-the check raises it and :func:`check_all_properties` skips the case.
+the check raises it, and :func:`certificate_plan` leaves the case out of
+the list of checks, in report order, that :func:`check_all_properties`
+runs for properties 3 to 6 in one loop.
 
 Truncation is never allowed to lie: any matrix built from images that
 lost over-degree terms is flagged, and flagged matrices refuse to
@@ -475,10 +477,6 @@ def check_cocycle(chart: Chart, ops: dict,
     return CocycleResult(delta, True, len(kvecs), None)
 
 
-def _negated(v: linalg.Vector) -> linalg.Vector:
-    return {k: -x for k, x in v.items()}
-
-
 def _swap(w: Weight, old: BasisSymbol, new: BasisSymbol) -> Weight:
     """``w`` with one step ``old`` traded for the step ``new``."""
     return w - weight({old: 1}) + weight({new: 1})
@@ -545,7 +543,7 @@ def counterexample_off_kernel(chart: Chart, ops: dict,
         f=f,
         lhs=_vec_poly(chart, cod, lv),
         rhs_composite=_vec_poly(chart, cod, rv),
-        sides_differ=lv != _negated(rv) and lv != rv,
+        sides_differ=lv != {k: -x for k, x in rv.items()} and lv != rv,
     )
 
 
@@ -671,12 +669,63 @@ def _zero_check(label: str, p: Polynomial) -> PropertyCheck:
                          None if p.is_zero else f"{label} = {p.text()}")
 
 
+def certificate_plan(chart: Chart, ops: dict) -> list[tuple]:
+    """The applicable checks of properties 3 to 6, in report order, as
+    ``(property, label, check, args)``; ``check(chart, ops, *args)`` runs
+    one entry.  A candidate is kept where the obstacle function that its
+    check raises finds nothing.  The checks are read from this module
+    when the plan is built."""
+    system = chart.system
+    elements = system.sorted_elements()
+    plan = [(3, f"D[{s.label}] bijective out of ({delta.label})",
+             is_nondegenerate, (s, delta))
+            for s in sorted(ops, key=lambda t: t.sort_key)
+            for delta in elements
+            if not _image_obstacle(system, delta, ops[s].weight_shift)]
+    plan += [(4, f"decomposition at ({delta.label})", check_decomposition,
+              (delta,)) for delta in elements if not delta.is_zero]
+    # tuples of distinct steps over one direction, by direction, then step
+    steps = sorted(system.additional_symbols, key=lambda t: t.sort_key)
+    triples, pairs = ([t for t in itertools.permutations(steps, n)
+                       if not _steps_obstacle(t)] for n in (3, 2))
+    plan += [(5, f"cocycle (i={b_j.i}, j={b_j.j}, j1={b_j1.j}, j2={b_j2.j}) "
+              f"at ({delta.label})", check_cocycle, ((b_j, b_j1, b_j2), delta))
+             for b_j, b_j1, b_j2 in triples for delta in elements
+             if not _swap_obstacle(system, b_j, (b_j1, b_j2), delta)]
+    plan += [(6, f"kernels (i={b_j.i}, j={b_j.j}, j0={b_j0.j}) "
+              f"({delta.label}) -> ({_swap(delta, b_j0, b_j).label})",
+              check_kernel_preservation, ((b_j, b_j0), delta))
+             for b_j, b_j0 in pairs for delta in elements
+             if not _swap_obstacle(system, b_j0, (b_j,), delta)]
+    return plan
+
+
+def _verdict(k: int, label: str, args: tuple, res) -> PropertyCheck:
+    """The report line of a plan entry of property ``k`` whose check
+    returned ``res``; a failure carries its witness."""
+    if k == 3:
+        s, delta = args
+        return PropertyCheck(label, res, None if res else
+                             f"D[{s.label}] not bijective on the "
+                             f"({delta.label}) component")
+    if k == 4:
+        label += f" [overlap dim {res.intersection_dim}]"
+    if res.passes:
+        return PropertyCheck(label, True)
+    text = res.witness.text() if res.witness else "?"
+    return PropertyCheck(label, False, {
+        4: "({0}): {1} is not spanned", 5: "fails on {1}",
+        6: "mismatch witness {1}"}[k].format(args[-1].label, text))
+
+
 def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
     """Run all six property checks on every applicable weight.
 
     ``chart`` must carry a multiplicity-free system whose basis splits
     into basic directions and lift steps; ``ops`` maps each lift step to
-    its odd derivation.  Report-valued: failures carry witnesses.
+    its odd derivation.  Properties 3 to 6 run :func:`certificate_plan`.
+    Report-valued: failures carry witnesses, and a check that refuses its
+    case fails with the reason.
     """
     system = chart.system
     if not all(w.is_multiplicity_free for w in system.elements):
@@ -697,67 +746,13 @@ def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
                     f"[D[{sa.label}],D[{sb.label}]]({c.name})",
                     ops[sa].apply(db) + ops[sb].apply(da)))
 
-    elements = system.sorted_elements()
-    for s in syms:
-        shift = ops[s].weight_shift
-        for delta in elements:
-            if _image_obstacle(system, delta, shift):
-                continue
-            ok = is_nondegenerate(chart, ops, s, delta)
-            checks[3].append(PropertyCheck(
-                f"D[{s.label}] bijective out of ({delta.label})", ok,
-                None if ok else f"D[{s.label}] not bijective on the "
-                                f"({delta.label}) component"))
-
-    for delta in elements:
-        if delta.is_zero:
-            continue
-        res = check_decomposition(chart, ops, delta)
-        checks[4].append(PropertyCheck(
-            f"decomposition at ({delta.label}) "
-            f"[overlap dim {res.intersection_dim}]", res.passes,
-            None if res.passes else
-            f"({delta.label}): {res.witness.text() if res.witness else '?'} "
-            "is not spanned"))
-
-    # tuples of distinct steps over one direction, by direction, then step
-    steps = sorted(system.additional_symbols, key=lambda t: t.sort_key)
-    for triple in itertools.permutations(steps, 3):
-        if _steps_obstacle(triple):
-            continue
-        b_j, b_j1, b_j2 = triple
-        head = f"cocycle (i={b_j.i}, j={b_j.j}, j1={b_j1.j}, j2={b_j2.j}) at "
-        for delta in elements:
-            if _swap_obstacle(system, b_j, (b_j1, b_j2), delta):
-                continue
-            label = f"{head}({delta.label})"
-            try:
-                res = check_cocycle(chart, ops, triple, delta)
-            except AnalysisError as exc:
-                checks[5].append(PropertyCheck(label, False, str(exc)))
-                continue
-            checks[5].append(PropertyCheck(
-                label, res.passes,
-                None if res.passes else f"fails on {res.witness.text()}"))
-
-    for pair in itertools.permutations(steps, 2):
-        if _steps_obstacle(pair):
-            continue
-        b_j, b_j0 = pair
-        head = f"kernels (i={b_j.i}, j={b_j.j}, j0={b_j0.j}) "
-        for delta in elements:
-            if _swap_obstacle(system, b_j0, (b_j,), delta):
-                continue
-            label = f"{head}({delta.label}) -> ({_swap(delta, b_j0, b_j).label})"
-            try:
-                res = check_kernel_preservation(chart, ops, pair, delta)
-            except AnalysisError as exc:
-                checks[6].append(PropertyCheck(label, False, str(exc)))
-                continue
-            checks[6].append(PropertyCheck(
-                label, res.passes, None if res.passes else
-                f"mismatch witness {res.witness.text() if res.witness else '?'}"))
-
+    for k, label, check, args in certificate_plan(chart, ops):
+        try:
+            res = check(chart, ops, *args)
+        except AnalysisError as exc:
+            checks[k].append(PropertyCheck(label, False, str(exc)))
+        else:
+            checks[k].append(_verdict(k, label, args, res))
     return PropertyReport(checks)
 
 

@@ -60,19 +60,33 @@ _HEADER = re.compile(r"^rank\s+(\d+)\s*;\s*parities((?:\s+[01])+)\s*$")
 _DIM = re.compile(r"^dim\s+([-\d,\s]+):\s*(\d+)\s*$")
 
 
-def parse_weight_row(text: str, system: WeightSystem, line: int) -> Weight:
-    parts = [p.strip() for p in text.split(",")]
+def parse_weight_row(text: str, system: WeightSystem, line: int,
+                     column: int = 1) -> Weight:
+    """The weight of the comma-separated coefficients ``text``, which
+    starts at ``column`` of ``line``; a malformed coefficient is reported
+    at its own column."""
+    parts = text.split(",")
     if len(parts) != len(system.basic_symbols):
         raise SpecParseError(f"expected {len(system.basic_symbols)} "
                              f"coefficients, got {len(parts)}", line)
     coeffs = []
-    for k, p in enumerate(parts):
+    for raw in parts:
+        p = raw.strip()
         try:
             coeffs.append(int(p))
         except ValueError:
-            col = text.find(p) + 1
+            col = column + len(raw) - len(raw.lstrip())
             raise SpecParseError(f"malformed integer {p!r}", line, col) from None
+        column += len(raw) + 1
     return weight(zip(system.basic_symbols, coeffs))
+
+
+def _claim(first: dict, key, what: str, line: int) -> None:
+    """Record that ``line`` gives ``key``; a chart block gives each key
+    once, and the zero weight's dim is ``base_dim``."""
+    if key in first:
+        raise SpecParseError(f"{what} repeats line {first[key]}", line)
+    first[key] = line
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -95,8 +109,9 @@ def parse_spec(text: str) -> SpecFile:
     if len(parities) != rank:
         raise SpecParseError(f"rank {rank} but {len(parities)} parities", idx)
 
-    rows: list[tuple[int, str]] = []
-    chart_lines: list[tuple[int, str]] = []
+    # each row as (line, column of its first character, stripped text)
+    rows: list[tuple[int, int, str]] = []
+    chart_lines: list[tuple[int, int, str]] = []
     in_chart = False
     for off, raw in enumerate(lines[idx:], start=idx + 1):
         s = raw.strip()
@@ -107,14 +122,15 @@ def parse_spec(text: str) -> SpecFile:
                 raise SpecParseError("duplicate chart block", off)
             in_chart = True
             continue
-        (chart_lines if in_chart else rows).append((off, s))
+        col = len(raw) - len(raw.lstrip()) + 1
+        (chart_lines if in_chart else rows).append((off, col, s))
     if not rows:
         raise SpecParseError("no weight rows", idx)
 
     system = system_from_rows(parities, [[0] * rank])  # basis carrier
     weights = []
-    for ln, s in rows:
-        weights.append(parse_weight_row(s, system, ln))
+    for ln, col, s in rows:
+        weights.append(parse_weight_row(s, system, ln, col))
     system = WeightSystem(system.basis, frozenset(weights))
 
     dims = None
@@ -122,8 +138,10 @@ def parse_spec(text: str) -> SpecFile:
     if in_chart:
         dims = {}
         base_dim = None
-        for ln, s in chart_lines:
+        first: dict = {}  # "trunc", or a weight given a dim -> its line
+        for ln, col, s in chart_lines:
             if s.startswith("trunc"):
+                _claim(first, "trunc", "trunc", ln)
                 try:
                     truncation = int(s.split(None, 1)[1])
                 except (IndexError, ValueError):
@@ -132,6 +150,7 @@ def parse_spec(text: str) -> SpecFile:
                     raise SpecParseError("trunc must be >= 1", ln)
                 continue
             if s.startswith("base_dim"):
+                _claim(first, ZERO, "base_dim", ln)
                 try:
                     base_dim = int(s.split(None, 1)[1])
                 except (IndexError, ValueError):
@@ -140,10 +159,11 @@ def parse_spec(text: str) -> SpecFile:
             dm = _DIM.match(s)
             if not dm:
                 raise SpecParseError(f"unrecognized chart line {s!r}", ln)
-            w = parse_weight_row(dm.group(1), system, ln)
+            w = parse_weight_row(dm.group(1), system, ln, col + dm.start(1))
             if w not in system.elements:
                 raise SpecParseError(f"dim for {w.label}, which is not an "
                                      "element", ln)
+            _claim(first, w, f"dim for {w.label}", ln)
             dims[w] = int(dm.group(2))
         if base_dim is not None:
             if ZERO not in system.elements:

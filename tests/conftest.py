@@ -24,6 +24,21 @@ from gradedvb import (
     weight,
 )
 from gradedvb.specfile import _parsed_terms
+from gradedvb.analysis import (
+    AnalysisError,
+    PropertyCheck,
+    PropertyReport,
+    _image_obstacle,
+    _operators,
+    _steps_obstacle,
+    _swap,
+    _swap_obstacle,
+    _zero_check,
+    check_cocycle,
+    check_decomposition,
+    check_kernel_preservation,
+    is_nondegenerate,
+)
 
 
 def make_system(parities, rows):
@@ -173,6 +188,99 @@ def parse_reference(chart, text):
     for mono, coeff in _parsed_terms(chart, text):
         poly = poly + monomial_poly(chart, mono, coeff)
     return poly
+
+
+def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
+    """``check_all_properties`` as it ran properties 3 to 6 before the
+    certificate plan: one hand-written loop per property, each filtering
+    its candidates by the obstacle function of its check.  The reference
+    for ``analysis.certificate_plan`` and the loop that runs it.
+
+    ``chart`` must carry a multiplicity-free system whose basis splits
+    into basic directions and lift steps; ``ops`` maps each lift step to
+    its odd derivation.  Report-valued: failures carry witnesses.
+    """
+    system = chart.system
+    if not all(w.is_multiplicity_free for w in system.elements):
+        raise AnalysisError("chart system must be multiplicity free")
+    _operators(ops, system.additional_symbols)
+    checks: dict[int, list[PropertyCheck]] = {k: [] for k in range(1, 7)}
+
+    syms = sorted(ops, key=lambda t: t.sort_key)
+    zero_coords = [c for c in chart.coordinates if c.weight.is_zero]
+    checks[1] = [_zero_check(f"D[{s.label}]({x.name})", ops[s].of(x))
+                 for s in syms for x in zero_coords]
+    gens = [chart.gen(c) for c in chart.coordinates]
+    first = {s: [ops[s].apply(g) for g in gens] for s in syms}
+    for a_idx, sa in enumerate(syms):
+        for sb in syms[a_idx:]:
+            for c, da, db in zip(chart.coordinates, first[sa], first[sb]):
+                checks[2].append(_zero_check(
+                    f"[D[{sa.label}],D[{sb.label}]]({c.name})",
+                    ops[sa].apply(db) + ops[sb].apply(da)))
+
+    elements = system.sorted_elements()
+    for s in syms:
+        shift = ops[s].weight_shift
+        for delta in elements:
+            if _image_obstacle(system, delta, shift):
+                continue
+            ok = is_nondegenerate(chart, ops, s, delta)
+            checks[3].append(PropertyCheck(
+                f"D[{s.label}] bijective out of ({delta.label})", ok,
+                None if ok else f"D[{s.label}] not bijective on the "
+                                f"({delta.label}) component"))
+
+    for delta in elements:
+        if delta.is_zero:
+            continue
+        res = check_decomposition(chart, ops, delta)
+        checks[4].append(PropertyCheck(
+            f"decomposition at ({delta.label}) "
+            f"[overlap dim {res.intersection_dim}]", res.passes,
+            None if res.passes else
+            f"({delta.label}): {res.witness.text() if res.witness else '?'} "
+            "is not spanned"))
+
+    # tuples of distinct steps over one direction, by direction, then step
+    steps = sorted(system.additional_symbols, key=lambda t: t.sort_key)
+    for triple in itertools.permutations(steps, 3):
+        if _steps_obstacle(triple):
+            continue
+        b_j, b_j1, b_j2 = triple
+        head = f"cocycle (i={b_j.i}, j={b_j.j}, j1={b_j1.j}, j2={b_j2.j}) at "
+        for delta in elements:
+            if _swap_obstacle(system, b_j, (b_j1, b_j2), delta):
+                continue
+            label = f"{head}({delta.label})"
+            try:
+                res = check_cocycle(chart, ops, triple, delta)
+            except AnalysisError as exc:
+                checks[5].append(PropertyCheck(label, False, str(exc)))
+                continue
+            checks[5].append(PropertyCheck(
+                label, res.passes,
+                None if res.passes else f"fails on {res.witness.text()}"))
+
+    for pair in itertools.permutations(steps, 2):
+        if _steps_obstacle(pair):
+            continue
+        b_j, b_j0 = pair
+        head = f"kernels (i={b_j.i}, j={b_j.j}, j0={b_j0.j}) "
+        for delta in elements:
+            if _swap_obstacle(system, b_j0, (b_j,), delta):
+                continue
+            label = f"{head}({delta.label}) -> ({_swap(delta, b_j0, b_j).label})"
+            try:
+                res = check_kernel_preservation(chart, ops, pair, delta)
+            except AnalysisError as exc:
+                checks[6].append(PropertyCheck(label, False, str(exc)))
+                continue
+            checks[6].append(PropertyCheck(
+                label, res.passes, None if res.passes else
+                f"mismatch witness {res.witness.text() if res.witness else '?'}"))
+
+    return PropertyReport(checks)
 
 
 def assert_canonical(monomials):

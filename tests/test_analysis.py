@@ -41,7 +41,9 @@ from gradedvb import analysis, linalg
 from gradedvb.analysis import _component_matrix, _inverse_matrix
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
-from conftest import (dense, full_lift, headroom_operators, leibniz_reference,
+from test_analysis_golden import MUTATED, OFF_KERNEL
+from conftest import (certificate_reference, dense, full_lift,
+                      headroom_operators, leibniz_reference,
                       matrix_reference, quotient_polynomial, random_chart,
                       random_derivation, random_nonneg_system, rank1_chart,
                       sparse)
@@ -860,6 +862,87 @@ class TestCallingForm:
             assert set(labels) == {t for t, ok in ran[k].items() if ok}
             # m3 has no step triples; elsewhere the check both runs and skips
             assert set(ran[k].values()) == ({True, False} if ran[k] else set())
+        # the plan lists the report's checks in its order, property by
+        # property; the decomposition runs at every nonzero element
+        plan = analysis.certificate_plan(chart, ops)
+        assert [k for k, *_ in plan] == sorted(k for k, *_ in plan)
+        for k in (3, 5, 6):
+            assert [label for p, label, _, _ in plan if p == k] == \
+                [c.label for c in report.checks[k]]
+        assert [args for p, _, _, args in plan if p == 4] == \
+            [(delta,) for delta in elements if not delta.is_zero]
+
+
+def spec_chart(path):
+    """The chart of a spec file's chart block, else one generator at every
+    element of its system."""
+    with open(path, "r", encoding="utf-8") as fh:
+        spec = parse_spec(fh.read())
+    if spec.has_chart:
+        return spec.chart()
+    return Chart.from_dims(spec.system, dict.fromkeys(spec.system.elements, 1),
+                           3)
+
+
+def certificate_lines(certify, chart, ops):
+    """Every ``(property, label, passed, witness)`` of the report, in
+    order, or the type and message of the error it raised."""
+    try:
+        report = certify(chart, ops)
+    except (AlgebraError, AnalysisError) as exc:
+        return type(exc), str(exc)
+    return [(k, c.label, c.passed, c.witness)
+            for k in sorted(report.checks) for c in report.checks[k]]
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+PLAN_CHARTS = {
+    **{name: lambda name=name: spec_chart(os.path.join(DATA, name))
+       for name in sorted(os.listdir(DATA)) if name.endswith(".spec")},
+    **{f"rank1_chart({n}, {dims})": lambda n=n, dims=dims: rank1_chart(n, dims)
+       for n, dims in MUTATED + [(4, dims) for dims in OFF_KERNEL]},
+}
+
+
+class TestCertificatePlan:
+    """``check_all_properties`` runs properties 3 to 6 from
+    ``certificate_plan``; its reports equal those of the loops it
+    replaced, kept in ``conftest.certificate_reference``."""
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CHARTS))
+    def test_report_equals_the_reference(self, name):
+        """The chart's family and each family with one generator image
+        zeroed."""
+        lc = linearize_chart(PLAN_CHARTS[name]())
+        families = [lc.operators]
+        for sym in sorted(lc.operators, key=lambda s: s.sort_key):
+            for c in lc.operators[sym].images:
+                families.append({**lc.operators,
+                                 sym: lc.operators[sym].with_zeroed(c)})
+        for ops in families:
+            assert certificate_lines(check_all_properties, lc.chart, ops) == \
+                certificate_lines(certificate_reference, lc.chart, ops)
+
+    @pytest.mark.parametrize("n,dims", MUTATED)
+    def test_step_scaling_family_equals_the_reference(self, n, dims):
+        """Each step's operator is the even weight-0 derivation fixing the
+        generators whose weight holds the step.  It fails properties 2, 3
+        and 4, so every failure wording is compared."""
+        chart = linearize_chart(rank1_chart(n, dims)).chart
+        ops = {s: Derivation(chart, ZERO, 0, {
+            c: chart.gen(c) for c in chart.coordinates if c.weight.coeff(s)})
+            for s in chart.system.additional_symbols}
+        lines = certificate_lines(check_all_properties, chart, ops)
+        assert {k for k, _, passed, _ in lines if not passed} >= {2, 3, 4}
+        assert lines == certificate_lines(certificate_reference, chart, ops)
+
+    def test_dead_operator_equals_the_reference(self):
+        lc = linearize_chart(rank1_chart(2, [1, 1, 1]))
+        dead = {B2: Derivation(lc.chart, weight({B2: 1, A: -1}), 1, {})}
+        lines = certificate_lines(check_all_properties, lc.chart, dead)
+        assert any(not passed for _, _, passed, _ in lines)
+        assert lines == certificate_lines(certificate_reference, lc.chart,
+                                          dead)
 
 
 class TestCheckAllProperties:

@@ -64,6 +64,48 @@ class TestSpecFile:
         with pytest.raises(SpecParseError):
             parse_spec("rank 1; parities 1\n0\n1\n\nchart\ndim 2: 1\n")
 
+    # the column of a malformed coefficient is its own, in the file's line
+    @pytest.mark.parametrize("line,column,token", [
+        ("-1,-", 4, "-"),
+        ("  0,x", 5, "x"),
+        ("0, x", 4, "x"),
+        ("0 ,  x ", 6, "x"),
+    ])
+    def test_malformed_integer_column_in_a_row(self, line, column, token):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(f"rank 2; parities 0 1\n0,0\n{line}\n")
+        assert (err.value.line, err.value.column) == (3, column)
+        assert str(err.value) == \
+            f"line 3, column {column}: malformed integer {token!r}"
+
+    @pytest.mark.parametrize("line,column", [("dim 1,-: 1", 7),
+                                             ("  dim  1 , -: 1", 12)])
+    def test_malformed_integer_column_in_a_dim_line(self, line, column):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(f"rank 2; parities 0 1\n0,0\n1,0\n\nchart\n{line}\n")
+        assert (err.value.line, err.value.column) == (6, column)
+
+    # a chart block gives each of its values once
+    @pytest.mark.parametrize("block,message", [
+        ("dim 2: 1\ndim 2: 5", "dim for 2a1 repeats line 7"),
+        ("trunc 3\ntrunc 4", "trunc repeats line 7"),
+        ("base_dim 1\nbase_dim 2", "base_dim repeats line 7"),
+        ("base_dim 1\ndim 0: 2", "dim for 0 repeats line 7"),
+        ("dim 0: 2\nbase_dim 1", "base_dim repeats line 7"),
+    ], ids=["dim", "trunc", "base_dim", "base_dim-then-dim-0",
+            "dim-0-then-base_dim"])
+    def test_duplicate_chart_line_rejected(self, block, message):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(f"rank 1; parities 1\n0\n1\n2\n\nchart\n{block}\n")
+        assert err.value.line == 8
+        assert str(err.value) == f"line 8, column 1: {message}"
+
+    def test_each_chart_value_once_is_accepted(self):
+        spec = parse_spec("rank 1; parities 1\n0\n1\n2\n\nchart\n"
+                          "dim 1: 2\ntrunc 4\ndim 2: 1\nbase_dim 3\n")
+        assert spec.truncation == 4
+        assert sorted(spec.dims.values()) == [1, 2, 3]
+
 
 class TestPolynomialText:
     def test_round_trip_randomized(self, rng):
@@ -298,6 +340,24 @@ class TestValidateCommand:
         with pytest.raises(SystemExit) as err:
             run_cli("validate", str(bad))
         assert err.value.code == 2
+
+    def test_duplicate_chart_line_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "dup.spec"
+        bad.write_text("rank 1; parities 1\n0\n1\n2\n\nchart\n"
+                       "dim 2: 1\ndim 2: 5\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli("check", str(bad))
+        assert err.value.code == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 8, column 1: dim for 2a1 repeats line 7\n"
+
+    # a --base row keeps its row number and its column within the row
+    def test_base_row_column(self, capsys):
+        code, out = run_cli("dualize", data("a2pos.spec"),
+                            "--base", "0,0; -1,-")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: --base: line 2, column 4: malformed integer '-'\n"
 
     def test_json_mode(self):
         code, out = run_cli("--json", "validate", data("m2.spec"))
