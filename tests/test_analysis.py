@@ -927,7 +927,7 @@ class TestCertificatePlan:
     def test_step_scaling_family_equals_the_reference(self, n, dims):
         """Each step's operator is the even weight-0 derivation fixing the
         generators whose weight holds the step.  It fails properties 2, 3
-        and 4, so every failure wording is compared."""
+        and 4; no zeroed family fails property 4."""
         chart = linearize_chart(rank1_chart(n, dims)).chart
         ops = {s: Derivation(chart, ZERO, 0, {
             c: chart.gen(c) for c in chart.coordinates if c.weight.coeff(s)})

@@ -351,14 +351,6 @@ class TestValidateCommand:
         assert capsys.readouterr().err == \
             f"error: {bad}: line 8, column 1: dim for 2a1 repeats line 7\n"
 
-    # a --base row keeps its row number and its column within the row
-    def test_base_row_column(self, capsys):
-        code, out = run_cli("dualize", data("a2pos.spec"),
-                            "--base", "0,0; -1,-")
-        assert (code, out) == (2, "")
-        assert capsys.readouterr().err == \
-            "error: --base: line 2, column 4: malformed integer '-'\n"
-
     def test_json_mode(self):
         code, out = run_cli("--json", "validate", data("m2.spec"))
         assert code == 0
@@ -480,6 +472,14 @@ class TestDualizeCommand:
     def test_bad_base_exits_one(self):
         code, out = run_cli("dualize", data("m3.spec"), "--base", "0")
         assert code == 1
+
+    # a --base row keeps its row number and its column within the row
+    def test_base_row_column(self, capsys):
+        code, out = run_cli("dualize", data("a2pos.spec"),
+                            "--base", "0,0; -1,-")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: --base: line 2, column 4: malformed integer '-'\n"
 
 
 class TestReconstructCommand:
