@@ -467,13 +467,11 @@ def check_cocycle(chart: Chart, ops: dict,
     # the identity reads lhs v == -rhs v, so one product with the sum
     # of the sides tests it
     total = linalg.matadd(*_cocycle_sides(steps, fam, delta))
-    kmat = component_map(fam[0], delta)
-    kmat.require_exact()
-    kvecs = linalg.nullspace(kmat.entries, kmat.dom_dim)
+    basis, kvecs = kernel_intersection(chart, fam[:1], delta)
     for v in kvecs:
         if linalg.matvec(total, v):
             return CocycleResult(delta, False, len(kvecs),
-                                 _vec_poly(chart, kmat.domain_basis, v))
+                                 _vec_poly(chart, basis, v))
     return CocycleResult(delta, True, len(kvecs), None)
 
 
@@ -774,32 +772,15 @@ def _fiber_monomials(chart: Chart, w: Weight) -> list[Monomial]:
     return [m for m in component_basis(chart, w) if _is_fiber(m.factors)]
 
 
-def _relabel_chart(dvb: Chart, mapping: dict) -> tuple[Chart, dict]:
-    """Rewrite a chart over renamed basis symbols; returns the chart and
-    the coordinate bijection old -> new."""
-    def map_w(w: Weight) -> Weight:
-        return weight({mapping.get(s, s): c for s, c in w.items})
-
-    basis = tuple(sorted((mapping.get(s, s) for s in dvb.system.basis),
-                         key=lambda s: s.sort_key))
-    system = WeightSystem(basis, frozenset(map_w(w) for w in dvb.system.elements))
-    cmap = {c: Coordinate(c.cid, map_w(c.weight), c.parity)
-            for c in dvb.coordinates}
-    return Chart(system, tuple(cmap.values()), dvb.truncation), cmap
-
-
-def _relabel_poly(p: Polynomial, target: Chart, cmap: dict) -> Polynomial:
-    return Polynomial(target, {Monomial(tuple((cmap[c], e) for c, e in m.factors)):
-                               coeff for m, coeff in p.terms.items()}, p.truncated)
-
-
 def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     """Rebuild a rank-1 degree-2 chart from a double-vector-bundle chart
     with one odd non-degenerate operator.
 
     The new top component is the kernel of the operator inside the
     composite-weight component; generators are a complement of the
-    decomposable part of that kernel.  Returns the rebuilt chart, its
+    decomposable part of that kernel.  Everything is computed on the input
+    chart, in its own symbols; only the rebuilt chart and its
+    linearization are over ``(a1, b2_1)``.  Returns the rebuilt chart, its
     linearization, and the verified intertwining isomorphism onto the
     input.
     """
@@ -821,43 +802,31 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
         if x.weight.is_zero and not op.of(x).is_zero:
             raise AnalysisError("operator is not linear over weight 0")
 
-    a1 = basic_symbol(1, alpha.parity)
-    b21 = additional_symbol(2, 1, alpha.parity)
-    if (alpha, beta) == (a1, b21):
-        rl, cmap = dvb, {c: c for c in dvb.coordinates}
-    else:
-        rl, cmap = _relabel_chart(dvb, {alpha: a1, beta: b21})
-    inv_cmap = {v: k for k, v in cmap.items()}
-    if rl.truncation < 2:
+    if dvb.truncation < 2:
         raise AnalysisError("reconstruction needs truncation degree >= 2")
-    rl_op = Derivation(rl, weight({b21: 1, a1: -1}), 1,
-                       {cmap[c]: _relabel_poly(img, rl, cmap)
-                        for c, img in op.images.items()})
-    wa, wb = weight({a1: 1}), weight({b21: 1})
 
     # a chart with degree headroom: images of the operator may raise the
     # polynomial degree, and the kernel of the honest (untruncated) map on
     # the degree-filtered domain is what the construction needs
-    big = Chart(rl.system, rl.coordinates, rl.truncation + 2, rl.applied_lifts)
-    op_big = Derivation(big, rl_op.weight_shift, 1,
-                        {c: Polynomial(big, img.terms)
-                         for c, img in rl_op.images.items()})
+    big = Chart(dvb.system, dvb.coordinates, dvb.truncation + 2,
+                dvb.applied_lifts)
+    op_big = Derivation(big, shift, 1, {c: Polynomial(big, img.terms)
+                                        for c, img in op.images.items()})
 
     # non-degeneracy as a module map: over the truncated coefficient ring
     # a linear map of free modules is invertible exactly when its
     # constant-term matrix is
-    dom = _fiber_monomials(rl, wa)
-    side = _component_matrix(dom, _fiber_monomials(rl, wb),
+    dom = _fiber_monomials(dvb, ua)
+    side = _component_matrix(dom, _fiber_monomials(dvb, ub),
                              map(op_big.leibniz, dom), fiber_only=True)
     side.require_exact("side-component image escaped the headroom truncation")
     if not side.is_bijective():
         raise AnalysisError("operator is degenerate between the side "
                             "components")
 
-    wc = wa + wb
-    basis_c = component_basis(big, wc, rl.truncation)
-    top = _component_matrix(basis_c,
-                            component_basis(big, wc + op_big.weight_shift),
+    wc = ua + ub
+    basis_c = component_basis(big, wc, dvb.truncation)
+    top = _component_matrix(basis_c, component_basis(big, wc + shift),
                             map(op_big.leibniz, basis_c))
     top.require_exact("operator image escaped even the headroom truncation")
     kern_dim = len(basis_c) - linalg.rank(top.entries)
@@ -874,7 +843,7 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     dim1 = len(const_kernel(1))
     kconst = const_kernel(2)
     # weight-0 monomials of degree at most truncation - 1 and - 2
-    n1, n2 = (len(component_basis(rl, ZERO, max(rl.truncation - k, 0)))
+    n1, n2 = (len(component_basis(dvb, ZERO, max(dvb.truncation - k, 0)))
               for k in (1, 2))
     if kern_dim != dim1 * n1 + (len(kconst) - dim1) * n2:
         raise AnalysisError("kernel is not generated by constant-coefficient "
@@ -890,40 +859,38 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
         if not _in_span(picked, len(picked), part):
             chosen.append(v)
             picked.append(part)
-    kappa_rl = [_vec_poly(rl, basis_c, v) for v in chosen]
+    kappa = [_vec_poly(dvb, basis_c, v) for v in chosen]
 
-    ka = sum(1 for c in rl.coordinates if c.weight == wa)
-    m2_system = WeightSystem((a1,), frozenset({ZERO, wa, weight({a1: 2})}))
-    m2 = Chart.from_dims(m2_system, {ZERO: rl.base_dim, wa: ka,
-                                     weight({a1: 2}): len(kappa_rl)},
-                         rl.truncation)
+    by_weight: dict[Weight, list[Coordinate]] = {}
+    for c in dvb.coordinates:
+        by_weight.setdefault(c.weight, []).append(c)
+    a1 = basic_symbol(1, alpha.parity)
+    wa, w2a = weight({a1: 1}), weight({a1: 2})
+    m2 = Chart.from_dims(WeightSystem((a1,), frozenset({ZERO, wa, w2a})),
+                         {ZERO: dvb.base_dim, wa: len(by_weight.get(ua, ())),
+                          w2a: len(kappa)}, dvb.truncation)
     lin = linearize_chart(m2)
 
-    def dvb_gen(w: Weight, k: int) -> Polynomial:
-        """The input chart's ``k``-th coordinate of weight ``w``."""
-        return dvb.gen(inv_cmap[[c for c in rl.coordinates if c.weight == w][k]])
-
-    # a generator of the rebuilt chart pairs with the input coordinates by
-    # its position among the (sorted) coordinates of its weight
+    # a generator of the rebuilt chart pairs with the input coordinate at
+    # its position among the (sorted) coordinates of its mapped weight
+    symbol_map = {a1: alpha, additional_symbol(2, 1, alpha.parity): beta}
     pullback = {}
     position: dict[Weight, int] = {}
     for c in lin.chart.coordinates:
-        k = position.get(c.weight, 0)
-        position[c.weight] = k + 1
-        if c.weight == wb:
-            pullback[c] = op.apply(dvb_gen(wa, k))
-        elif c.weight == wc:
-            pullback[c] = _relabel_poly(kappa_rl[k], dvb, inv_cmap)
+        w = weight({symbol_map.get(s, s): x for s, x in c.weight.items})
+        k = position.get(w, 0)
+        position[w] = k + 1
+        if w == ub:
+            pullback[c] = op.apply(dvb.gen(by_weight[ua][k]))
+        elif w == wc:
+            pullback[c] = kappa[k]
         else:
-            pullback[c] = dvb_gen(c.weight, k)
-    phi = ChartMorphism(dvb, lin.chart, pullback,
-                        {a1: alpha, b21: beta})
+            pullback[c] = dvb.gen(by_weight[w][k])
+    phi = ChartMorphism(dvb, lin.chart, pullback, symbol_map)
 
     verified = _verify_reconstruction(phi, lin, op)
     return ReconstructionResult(
-        m2=m2, linearized=lin, phi=phi,
-        new_generator_images=[_relabel_poly(k, dvb, inv_cmap)
-                              for k in kappa_rl],
+        m2=m2, linearized=lin, phi=phi, new_generator_images=kappa,
         kernel_dim=kern_dim, verified=verified,
     )
 

@@ -140,19 +140,20 @@ def parse_spec(text: str) -> SpecFile:
         base_dim = None
         first: dict = {}  # "trunc", or a weight given a dim -> its line
         for ln, col, s in chart_lines:
-            if s.startswith("trunc"):
+            key, *arg = s.split(None, 1)
+            if key == "trunc":
                 _claim(first, "trunc", "trunc", ln)
                 try:
-                    truncation = int(s.split(None, 1)[1])
+                    truncation = int(arg[0])
                 except (IndexError, ValueError):
                     raise SpecParseError("malformed trunc line", ln) from None
                 if truncation < 1:
                     raise SpecParseError("trunc must be >= 1", ln)
                 continue
-            if s.startswith("base_dim"):
+            if key == "base_dim":
                 _claim(first, ZERO, "base_dim", ln)
                 try:
-                    base_dim = int(s.split(None, 1)[1])
+                    base_dim = int(arg[0])
                 except (IndexError, ValueError):
                     raise SpecParseError("malformed base_dim line", ln) from None
                 continue
@@ -168,7 +169,7 @@ def parse_spec(text: str) -> SpecFile:
         if base_dim is not None:
             if ZERO not in system.elements:
                 raise SpecParseError("base_dim given but zero weight missing",
-                                     chart_lines[0][0])
+                                     first[ZERO])
             dims[ZERO] = base_dim
     return SpecFile(system, dims, truncation)
 

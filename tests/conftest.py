@@ -6,10 +6,14 @@ import pytest
 
 from gradedvb import (
     Chart,
+    ChartMorphism,
     ComponentMatrix,
+    Coordinate,
     Derivation,
     Monomial,
     Polynomial,
+    ReconstructionResult,
+    Weight,
     WeightSystem,
     ZERO,
     additional_symbol,
@@ -23,16 +27,24 @@ from gradedvb import (
     tangent_lift,
     weight,
 )
+from gradedvb import linalg
 from gradedvb.specfile import _parsed_terms
 from gradedvb.analysis import (
     AnalysisError,
     PropertyCheck,
     PropertyReport,
+    _columns,
+    _component_matrix,
+    _fiber_monomials,
     _image_obstacle,
+    _in_span,
+    _is_fiber,
     _operators,
     _steps_obstacle,
     _swap,
     _swap_obstacle,
+    _vec_poly,
+    _verify_reconstruction,
     _zero_check,
     check_cocycle,
     check_decomposition,
@@ -281,6 +293,168 @@ def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
                 f"mismatch witness {res.witness.text() if res.witness else '?'}"))
 
     return PropertyReport(checks)
+
+
+def _relabel_chart(dvb: Chart, mapping: dict) -> tuple[Chart, dict]:
+    """Rewrite a chart over renamed basis symbols; returns the chart and
+    the coordinate bijection old -> new."""
+    def map_w(w: Weight) -> Weight:
+        return weight({mapping.get(s, s): c for s, c in w.items})
+
+    basis = tuple(sorted((mapping.get(s, s) for s in dvb.system.basis),
+                         key=lambda s: s.sort_key))
+    system = WeightSystem(basis, frozenset(map_w(w) for w in dvb.system.elements))
+    cmap = {c: Coordinate(c.cid, map_w(c.weight), c.parity)
+            for c in dvb.coordinates}
+    return Chart(system, tuple(cmap.values()), dvb.truncation), cmap
+
+
+def _relabel_poly(p: Polynomial, target: Chart, cmap: dict) -> Polynomial:
+    return Polynomial(target, {Monomial(tuple((cmap[c], e) for c, e in m.factors)):
+                               coeff for m, coeff in p.terms.items()}, p.truncated)
+
+
+def reconstruct_reference(dvb: Chart, op: Derivation) -> ReconstructionResult:
+    """``reconstruct_degree2`` as it ran before it worked on the input
+    chart: the input copied onto ``(a1, b2_1)`` by ``_relabel_chart`` and
+    ``_relabel_poly`` (the identity when it is already there), the
+    construction run on the copy and its results copied back.  The
+    reference for the reconstruction; the copy back raises
+    ``AlgebraError`` on a product whose factors the copy reorders, as
+    when the fiber direction sorts before the base direction.
+
+    Rebuild a rank-1 degree-2 chart from a double-vector-bundle chart
+    with one odd non-degenerate operator.
+
+    The new top component is the kernel of the operator inside the
+    composite-weight component; generators are a complement of the
+    decomposable part of that kernel.  Returns the rebuilt chart, its
+    linearization, and the verified intertwining isomorphism onto the
+    input.
+    """
+    if op.parity != 1:
+        raise AnalysisError("operator must be odd")
+    shift = op.weight_shift
+    beta_syms = [s for s, c in shift.items if c == 1]
+    alpha_syms = [s for s, c in shift.items if c == -1]
+    if len(beta_syms) != 1 or len(alpha_syms) != 1 or len(shift.items) != 2:
+        raise AnalysisError("operator weight must be one step minus one "
+                            "basic direction")
+    beta, alpha = beta_syms[0], alpha_syms[0]
+    ua, ub = weight({alpha: 1}), weight({beta: 1})
+    expected = {ZERO, ua, ub, ua + ub}
+    if set(dvb.system.elements) != expected:
+        raise AnalysisError("chart is not a double-vector-bundle chart over "
+                            "{0, a, b, a+b}")
+    for x in dvb.coordinates:
+        if x.weight.is_zero and not op.of(x).is_zero:
+            raise AnalysisError("operator is not linear over weight 0")
+
+    a1 = basic_symbol(1, alpha.parity)
+    b21 = additional_symbol(2, 1, alpha.parity)
+    if (alpha, beta) == (a1, b21):
+        rl, cmap = dvb, {c: c for c in dvb.coordinates}
+    else:
+        rl, cmap = _relabel_chart(dvb, {alpha: a1, beta: b21})
+    inv_cmap = {v: k for k, v in cmap.items()}
+    if rl.truncation < 2:
+        raise AnalysisError("reconstruction needs truncation degree >= 2")
+    rl_op = Derivation(rl, weight({b21: 1, a1: -1}), 1,
+                       {cmap[c]: _relabel_poly(img, rl, cmap)
+                        for c, img in op.images.items()})
+    wa, wb = weight({a1: 1}), weight({b21: 1})
+
+    # a chart with degree headroom: images of the operator may raise the
+    # polynomial degree, and the kernel of the honest (untruncated) map on
+    # the degree-filtered domain is what the construction needs
+    big = Chart(rl.system, rl.coordinates, rl.truncation + 2, rl.applied_lifts)
+    op_big = Derivation(big, rl_op.weight_shift, 1,
+                        {c: Polynomial(big, img.terms)
+                         for c, img in rl_op.images.items()})
+
+    # non-degeneracy as a module map: over the truncated coefficient ring
+    # a linear map of free modules is invertible exactly when its
+    # constant-term matrix is
+    dom = _fiber_monomials(rl, wa)
+    side = _component_matrix(dom, _fiber_monomials(rl, wb),
+                             map(op_big.leibniz, dom), fiber_only=True)
+    side.require_exact("side-component image escaped the headroom truncation")
+    if not side.is_bijective():
+        raise AnalysisError("operator is degenerate between the side "
+                            "components")
+
+    wc = wa + wb
+    basis_c = component_basis(big, wc, rl.truncation)
+    top = _component_matrix(basis_c,
+                            component_basis(big, wc + op_big.weight_shift),
+                            map(op_big.leibniz, basis_c))
+    top.require_exact("operator image escaped even the headroom truncation")
+    kern_dim = len(basis_c) - linalg.rank(top.entries)
+
+    fib_index = [k for k, m in enumerate(basis_c) if _is_fiber(m.factors)]
+
+    def const_kernel(dmax: int) -> list[linalg.Vector]:
+        """The kernel vectors on the fiber monomials of degree at most
+        ``dmax``: the constant-coefficient part of the kernel."""
+        cols = [k for k in fib_index if basis_c[k].degree <= dmax]
+        return [{cols[i]: x for i, x in v.items()} for v in
+                linalg.nullspace(_columns(top.entries, cols), len(cols))]
+
+    dim1 = len(const_kernel(1))
+    kconst = const_kernel(2)
+    # weight-0 monomials of degree at most truncation - 1 and - 2
+    n1, n2 = (len(component_basis(rl, ZERO, max(rl.truncation - k, 0)))
+              for k in (1, 2))
+    if kern_dim != dim1 * n1 + (len(kconst) - dim1) * n2:
+        raise AnalysisError("kernel is not generated by constant-coefficient "
+                            "elements at this truncation; cannot chartify")
+
+    # the decomposable part of the kernel is the kernel vectors with no
+    # single-generator part, so a kernel vector extends it exactly when
+    # its single-generator part extends those of the vectors chosen so far
+    single = _columns(kconst, [k for k in fib_index if basis_c[k].degree == 1])
+    chosen: list[linalg.Vector] = []
+    picked: list[linalg.Vector] = []
+    for v, part in zip(kconst, single):
+        if not _in_span(picked, len(picked), part):
+            chosen.append(v)
+            picked.append(part)
+    kappa_rl = [_vec_poly(rl, basis_c, v) for v in chosen]
+
+    ka = sum(1 for c in rl.coordinates if c.weight == wa)
+    m2_system = WeightSystem((a1,), frozenset({ZERO, wa, weight({a1: 2})}))
+    m2 = Chart.from_dims(m2_system, {ZERO: rl.base_dim, wa: ka,
+                                     weight({a1: 2}): len(kappa_rl)},
+                         rl.truncation)
+    lin = linearize_chart(m2)
+
+    def dvb_gen(w: Weight, k: int) -> Polynomial:
+        """The input chart's ``k``-th coordinate of weight ``w``."""
+        return dvb.gen(inv_cmap[[c for c in rl.coordinates if c.weight == w][k]])
+
+    # a generator of the rebuilt chart pairs with the input coordinates by
+    # its position among the (sorted) coordinates of its weight
+    pullback = {}
+    position: dict[Weight, int] = {}
+    for c in lin.chart.coordinates:
+        k = position.get(c.weight, 0)
+        position[c.weight] = k + 1
+        if c.weight == wb:
+            pullback[c] = op.apply(dvb_gen(wa, k))
+        elif c.weight == wc:
+            pullback[c] = _relabel_poly(kappa_rl[k], dvb, inv_cmap)
+        else:
+            pullback[c] = dvb_gen(c.weight, k)
+    phi = ChartMorphism(dvb, lin.chart, pullback,
+                        {a1: alpha, b21: beta})
+
+    verified = _verify_reconstruction(phi, lin, op)
+    return ReconstructionResult(
+        m2=m2, linearized=lin, phi=phi,
+        new_generator_images=[_relabel_poly(k, dvb, inv_cmap)
+                              for k in kappa_rl],
+        kernel_dim=kern_dim, verified=verified,
+    )
 
 
 def assert_canonical(monomials):

@@ -34,6 +34,7 @@ from gradedvb import (
     multiply,
     reconstruct_degree2,
     solve_inverse,
+    system_from_rows,
     tangent_lift,
     weight,
 )
@@ -46,7 +47,7 @@ from conftest import (certificate_reference, dense, full_lift,
                       headroom_operators, leibniz_reference,
                       matrix_reference, quotient_polynomial, random_chart,
                       random_derivation, random_nonneg_system, rank1_chart,
-                      sparse)
+                      reconstruct_reference, sparse)
 
 A = basic_symbol(1, 1)
 B2 = additional_symbol(2, 1, 1)
@@ -981,6 +982,56 @@ class TestCheckAllProperties:
         assert failing and all(c.witness for c in failing)
 
 
+def hand_built_bundle(rng, alpha_first, parity):
+    """A double bundle over the basic directions a1 and a2 and an odd
+    operator of weight ``beta - alpha``, where ``alpha`` (of the given
+    parity) is a1 when ``alpha_first`` and a2 otherwise.  The side images
+    are multi-term, some with weight-0 coefficients; each top image is
+    the operator applied to a random sum of side products, so it holds
+    products and the kernel usually has constant generators."""
+    pars = [parity, 1 - parity] if alpha_first else [1 - parity, parity]
+    ws = system_from_rows(pars, [[0, 0], [1, 0], [0, 1], [1, 1]])
+    s1, s2 = basic_symbol(1, pars[0]), basic_symbol(2, pars[1])
+    alpha, beta = (s1, s2) if alpha_first else (s2, s1)
+    ua, ub = weight({alpha: 1}), weight({beta: 1})
+    n = rng.randint(1, 2)
+    chart = Chart.from_dims(ws, {ZERO: rng.randint(1, 2), ua: n, ub: n,
+                                 ua + ub: rng.randint(0, 2)},
+                            rng.randint(2, 3))
+
+    def coords(w):
+        return [c for c in chart.coordinates if c.weight == w]
+
+    xs = [chart.gen(c) for c in coords(ZERO)]
+    ys_b = [chart.gen(c) for c in coords(ub)]
+    shift = weight({beta: 1, alpha: -1})
+    images = {}
+    for i, ya in enumerate(coords(ua)):
+        img = chart.zero()
+        for j, yb in enumerate(ys_b):
+            c = rng.choice([1, 2, -1, 3]) if i == j else rng.randint(-1, 1)
+            img = img + yb.scale(Fraction(c))
+            if rng.random() < 0.4:
+                img = img + multiply(rng.choice(xs), yb).scale(
+                    Fraction(rng.randint(-2, 2)))
+        images[ya] = img
+    side = Derivation(chart, shift, 1, images)
+    for z in coords(ua + ub):
+        p = chart.zero()
+        for ya in coords(ua):
+            for yb in ys_b:
+                p = p + multiply(chart.gen(ya), yb).scale(
+                    Fraction(rng.randint(-1, 1)))
+        images[z] = side.apply(p)
+    return chart, Derivation(chart, shift, 1, images)
+
+
+def reconstruction_fields(res):
+    return (res.m2.dims, res.kernel_dim, res.verified,
+            [k.text() for k in res.new_generator_images],
+            {c.name: p.text() for c, p in res.phi.pullback.items()})
+
+
 class TestReconstruct:
     def test_round_trip_dims_and_isomorphism(self, rng):
         for dims in [(1, 1, 1), (1, 2, 1), (2, 2, 2), (1, 3, 2)]:
@@ -1055,10 +1106,22 @@ class TestReconstruct:
         with pytest.raises(AnalysisError):
             reconstruct_degree2(lc.chart, broken)
 
+    def test_operator_of_even_weight_is_degenerate(self):
+        # with both directions odd the weight a2 - a1 is even, so an odd
+        # operator of that weight has only zero images
+        ws = system_from_rows([1, 1], [[0, 0], [1, 0], [0, 1], [1, 1]])
+        a, b = basic_symbol(1, 1), basic_symbol(2, 1)
+        chart = Chart.from_dims(ws, {ZERO: 1, weight({a: 1}): 1,
+                                     weight({b: 1}): 1,
+                                     weight({a: 1, b: 1}): 1}, 3)
+        op = Derivation(chart, weight({b: 1, a: -1}), 1, {})
+        with pytest.raises(AnalysisError) as err:
+            reconstruct_degree2(chart, op)
+        assert str(err.value) == ("operator is degenerate between the side "
+                                  "components")
+
     def test_hand_built_bundle_with_foreign_symbols(self):
-        # a double bundle over two basic directions; the fiber symbol is
-        # relabeled internally
-        from gradedvb import system_from_rows
+        # a double bundle over two basic directions, not over (a1, b2_1)
         ws = system_from_rows([1, 0], [[0, 0], [1, 0], [0, 1], [1, 1]])
         a, b = basic_symbol(1, 1), basic_symbol(2, 0)
         chart = Chart.from_dims(ws, {ZERO: 1, weight({a: 1}): 1,
@@ -1074,6 +1137,61 @@ class TestReconstruct:
         assert res.verified
         assert res.m2.dims == {ZERO: 1, weight({basic_symbol(1, 1): 1}): 1,
                                weight({basic_symbol(1, 1): 2}): 1}
+
+    def test_hand_built_bundles_match_the_reference(self, rng):
+        # in both symbol orders and both parities: where the reference
+        # (the run on a copy over (a1, b2_1)) answers, the same answer;
+        # where its copy back fails on a reordered product, a verified one
+        outcomes = Counter()
+        for t in range(80):
+            alpha_first, parity = t % 2 == 0, t // 2 % 2
+            chart, op = hand_built_bundle(rng, alpha_first, parity)
+            try:
+                want = reconstruction_fields(reconstruct_reference(chart, op))
+            except AnalysisError as exc:
+                with pytest.raises(AnalysisError) as err:
+                    reconstruct_degree2(chart, op)
+                assert str(err.value) == str(exc)
+                outcomes["refused"] += 1
+                continue
+            except AlgebraError as exc:
+                assert not alpha_first
+                assert str(exc) == "monomial factors must be sorted and unique"
+                res = reconstruct_degree2(chart, op)
+                assert res.verified
+                assert all(op.apply(k).is_zero
+                           for k in res.new_generator_images)
+                outcomes["reordered", parity] += 1
+                continue
+            assert reconstruction_fields(reconstruct_degree2(chart, op)) == want
+            outcomes["same", alpha_first, parity] += 1
+        assert {("reordered", 0), ("reordered", 1)} <= set(outcomes)
+        assert all(("same", f, p) in outcomes
+                   for f in (True, False) for p in (0, 1))
+        assert outcomes["refused"]
+
+    def test_fiber_direction_sorting_first(self):
+        # base a2, fiber a1: the kernel generator holds the product
+        # xi{a1}_1 * xi{a2}_1, whose fiber factor sorts first
+        ws = system_from_rows([0, 1], [[0, 0], [1, 0], [0, 1], [1, 1]])
+        a, b = basic_symbol(2, 1), basic_symbol(1, 0)
+        chart = Chart.from_dims(ws, {ZERO: 1, weight({a: 1}): 1,
+                                     weight({b: 1}): 1,
+                                     weight({a: 1, b: 1}): 1}, 3)
+        x1, eta, top, xi = chart.coordinates
+        x1, eta = chart.gen(x1), chart.gen(eta)
+        op = Derivation(chart, weight({b: 1, a: -1}), 1, {
+            xi: eta + multiply(x1, eta),
+            top: multiply(eta, eta) + multiply(x1, multiply(eta, eta))})
+        res = reconstruct_degree2(chart, op)
+        assert res.verified
+        assert res.m2.dims == {ZERO: 1, weight({basic_symbol(1, 1): 1}): 1,
+                               weight({basic_symbol(1, 1): 2}): 1}
+        (kappa,) = res.new_generator_images
+        assert kappa.text() == "-1 * xi{a1}_1 * xi{a2}_1 + 1 * xi{a1+a2}_1"
+        assert op.apply(kappa).is_zero
+        assert res.phi.pullback[res.linearized.chart.coordinate(
+            "xi{a1}_1[b2_1]")].text() == "1 * x1 * xi{a1}_1 + 1 * xi{a1}_1"
 
     def test_degree_raising_operator_with_constant_kernel(self):
         # operator sending the top generator into the decomposable part:

@@ -100,6 +100,15 @@ class TestSpecFile:
         assert err.value.line == 8
         assert str(err.value) == f"line 8, column 1: {message}"
 
+    # a chart keyword is a whole word: a longer word is no keyword
+    @pytest.mark.parametrize("line", ["truncation 4", "base_dimension 2",
+                                      "trunc4", "dims 1: 1"])
+    def test_chart_keywords_match_whole_words(self, line):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(f"rank 1; parities 1\n0\n1\n\nchart\n{line}\n")
+        assert str(err.value) == \
+            f"line 6, column 1: unrecognized chart line {line!r}"
+
     def test_each_chart_value_once_is_accepted(self):
         spec = parse_spec("rank 1; parities 1\n0\n1\n2\n\nchart\n"
                           "dim 1: 2\ntrunc 4\ndim 2: 1\nbase_dim 3\n")
@@ -350,6 +359,29 @@ class TestValidateCommand:
         assert err.value.code == 2
         assert capsys.readouterr().err == \
             f"error: {bad}: line 8, column 1: dim for 2a1 repeats line 7\n"
+
+    def test_longer_chart_keywords_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "words.spec"
+        bad.write_text("rank 1; parities 1\n0\n1\n2\n\nchart\n"
+                       "truncation 4\nbase_dimension 2\ndim 1: 1\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli("check", str(bad))
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 7, column 1: unrecognized chart line "
+            "'truncation 4'\n")
+
+    def test_base_dim_without_zero_weight_names_its_line(self, tmp_path,
+                                                         capsys):
+        bad = tmp_path / "nozero.spec"
+        bad.write_text("rank 1; parities 1\n1\n2\n\nchart\n"
+                       "trunc 3\ndim 1: 1\nbase_dim 1\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli("check", str(bad))
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 8, column 1: base_dim given but zero "
+            "weight missing\n")
 
     def test_json_mode(self):
         code, out = run_cli("--json", "validate", data("m2.spec"))
