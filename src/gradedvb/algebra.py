@@ -130,7 +130,7 @@ class Chart:
     empty for charts that were never lifted.  ``coordinate_set`` holds the
     same coordinates as ``coordinates``, for membership tests, and
     ``coordinate_names`` maps each coordinate's name to it.
-    ``basis_memo`` holds the component bases already enumerated and
+    ``basis_memo`` holds the component and fiber bases already listed and
     ``search_index`` the coordinates grouped for that search, built on the
     chart's first search (see :func:`component_basis`).
     """
@@ -527,11 +527,12 @@ def _search_index(chart: Chart) -> dict:
 
 
 def _count_vectors(index: dict, target: tuple[int, ...], cap: int,
-                   ) -> list[tuple[tuple[int, int], ...]]:
+                   fiber: bool) -> list[tuple[tuple[int, int], ...]]:
     """Every count vector ``n`` over the runs of ``index`` with
     ``sum(n[k] * vecs[k]) == target``, at most ``len(runs[k])`` for an
-    odd run and ``sum(n) <= cap``, as its nonzero entries ``(k, n[k])`` in
-    increasing ``k``.
+    odd run, zero for the weight-0 run when ``fiber`` is set, and
+    ``sum(n) <= cap``, as its nonzero entries ``(k, n[k])`` in increasing
+    ``k``.
 
     The search picks the next run with a nonzero count, so it spends no
     step on a run that counts zero.  The last step of a count vector is
@@ -542,8 +543,8 @@ def _count_vectors(index: dict, target: tuple[int, ...], cap: int,
     and a remainder with a negative entry ends its branch."""
     runs, vecs, run_of = index["runs"], index["vecs"], index["run_of"]
     nonneg = index["nonneg"]
-    limits = [len(run) if odd else cap
-              for run, odd in zip(runs, index["odd"])]
+    limits = [0 if fiber and not any(v) else len(run) if odd else cap
+              for run, odd, v in zip(runs, index["odd"], vecs)]
     if not nonneg:
         usable = list(range(len(runs)))
     elif min(target, default=0) < 0:
@@ -599,7 +600,8 @@ def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
     monomial is built with the weight ``w``, its parity and the degree
     the count vector gives, so no factor weights are summed again.  A
     weight using a symbol outside the basis, or a negative cap, has no
-    monomials.
+    monomials.  :func:`fiber_basis` runs the same search with the weight-0
+    run left out.
 
     Results are memoized in the chart's declared ``basis_memo`` field,
     keyed by weight and degree cap; the memo and the index are pure
@@ -607,7 +609,22 @@ def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
     fresh list.
     """
     cap = chart.truncation if max_degree is None else max_degree
-    key = (w, cap)
+    return _listing(chart, w, cap, False)
+
+
+def fiber_basis(chart: Chart, w: Weight) -> list[Monomial]:
+    """The monomials of ``component_basis(chart, w)`` with no weight-0
+    factor, in the same order: the search never picks the weight-0 run,
+    so no base multiple is built.  Memoized in ``basis_memo`` under the
+    key ``(w, truncation, "fiber")``."""
+    return _listing(chart, w, chart.truncation, True)
+
+
+def _listing(chart: Chart, w: Weight, cap: int, fiber: bool,
+             ) -> list[Monomial]:
+    """The memoized search behind :func:`component_basis` and
+    :func:`fiber_basis`."""
+    key = (w, cap, "fiber") if fiber else (w, cap)
     hit = chart.basis_memo.get(key)
     if hit is not None:
         return list(hit)
@@ -618,7 +635,7 @@ def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
         # one multiset per run, joined in run order, lists the factors of
         # a monomial in sorted order
         runs, odd, parity = index["runs"], index["odd"], w.parity
-        for counts in _count_vectors(index, target, cap):
+        for counts in _count_vectors(index, target, cap, fiber):
             choices = []
             for k, n in counts:
                 pick = (itertools.combinations if odd[k]

@@ -15,8 +15,10 @@ image of each monomial, straight from the generator images; for the
 morphism matrices of the reconstruction check, the terms of each pushed
 forward monomial.  Vectors are sparse too, and a question about
 the span of a family of vectors is asked of the family itself, with
-:func:`linalg.rank`.  Component bases are memoized in the chart's
-declared ``basis_memo`` field.  A derivation gets one full-degree matrix
+:func:`linalg.rank`.  Component bases, and the fiber bases of the
+reconstruction (from :func:`algebra.fiber_basis`, which lists no
+monomial with a weight-0 factor), are memoized in the chart's declared
+``basis_memo`` field.  A derivation gets one full-degree matrix
 per weight from :func:`component_map`, memoized in its declared
 ``matrix_memo`` field; a check at a lower degree cap slices it with
 :meth:`ComponentMatrix.capped` instead of building the matrix again, and
@@ -50,6 +52,7 @@ from .algebra import (
     Polynomial,
     TruncationOverflow,
     component_basis,
+    fiber_basis,
     monomial_poly,
     multiply,
 )
@@ -768,10 +771,6 @@ class ReconstructionResult:
     verified: bool
 
 
-def _fiber_monomials(chart: Chart, w: Weight) -> list[Monomial]:
-    return [m for m in component_basis(chart, w) if _is_fiber(m.factors)]
-
-
 def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     """Rebuild a rank-1 degree-2 chart from a double-vector-bundle chart
     with one odd non-degenerate operator.
@@ -816,8 +815,8 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     # non-degeneracy as a module map: over the truncated coefficient ring
     # a linear map of free modules is invertible exactly when its
     # constant-term matrix is
-    dom = _fiber_monomials(dvb, ua)
-    side = _component_matrix(dom, _fiber_monomials(dvb, ub),
+    dom = fiber_basis(dvb, ua)
+    side = _component_matrix(dom, fiber_basis(dvb, ub),
                              map(op_big.leibniz, dom), fiber_only=True)
     side.require_exact("side-component image escaped the headroom truncation")
     if not side.is_bijective():
@@ -898,10 +897,10 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
 def _morphism_matrix(phi: ChartMorphism, w: Weight) -> ComponentMatrix:
     """The fiber part of ``phi`` on the weight-``w`` fiber monomials of
     its target, each column the terms of one pushed-forward monomial."""
-    dom = _fiber_monomials(phi.target, w)
+    dom = fiber_basis(phi.target, w)
     images = (phi.apply(monomial_poly(phi.target, m)) for m in dom)
     return _component_matrix(
-        dom, _fiber_monomials(phi.source, phi._map_weight(w)),
+        dom, fiber_basis(phi.source, phi._map_weight(w)),
         (({t.sort_key: c for t, c in p.terms.items()},
           {t.sort_key: (t.factors, t.degree) for t in p.terms}, p.truncated)
          for p in images), fiber_only=True)

@@ -126,11 +126,12 @@ class Weight:
 
     Canonical form: entries sorted by symbol, unique, no zero coefficients
     stored; the constructor checks it.  Use :func:`weight` to build one
-    from arbitrary input.  ``sort_key`` and the hash are computed once.
+    from arbitrary input.  ``sort_key`` and the hash are computed once;
+    ``label`` is computed on its first read and kept in ``_label``.
     Instances are immutable by convention.
     """
 
-    __slots__ = ("items", "sort_key", "_hash")
+    __slots__ = ("items", "sort_key", "_hash", "_label")
 
     def __init__(self, items: Iterable[tuple[BasisSymbol, int]] = ()):
         items = tuple(items)
@@ -233,8 +234,10 @@ class Weight:
 
     @property
     def label(self) -> str:
-        if not self.items:
-            return "0"
+        try:
+            return self._label
+        except AttributeError:
+            pass
         parts = []
         for s, c in self.items:
             if c == 1:
@@ -247,7 +250,8 @@ class Weight:
                 parts.append("+" + term)
             else:
                 parts.append(term)
-        return "".join(parts)
+        self._label = "".join(parts) or "0"
+        return self._label
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"W({self.label})"

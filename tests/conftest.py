@@ -35,7 +35,6 @@ from gradedvb.analysis import (
     PropertyReport,
     _columns,
     _component_matrix,
-    _fiber_monomials,
     _image_obstacle,
     _in_span,
     _is_fiber,
@@ -295,6 +294,14 @@ def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
     return PropertyReport(checks)
 
 
+def fiber_reference(chart: Chart, w: Weight) -> list[Monomial]:
+    """The monomials of the full weight-``w`` basis with no weight-0
+    factor, filtered out of :func:`component_basis`: the reference for
+    ``algebra.fiber_basis``, which never lists the others."""
+    return [m for m in component_basis(chart, w)
+            if all(not c.weight.is_zero for c, _ in m.factors)]
+
+
 def _relabel_chart(dvb: Chart, mapping: dict) -> tuple[Chart, dict]:
     """Rewrite a chart over renamed basis symbols; returns the chart and
     the coordinate bijection old -> new."""
@@ -375,8 +382,8 @@ def reconstruct_reference(dvb: Chart, op: Derivation) -> ReconstructionResult:
     # non-degeneracy as a module map: over the truncated coefficient ring
     # a linear map of free modules is invertible exactly when its
     # constant-term matrix is
-    dom = _fiber_monomials(rl, wa)
-    side = _component_matrix(dom, _fiber_monomials(rl, wb),
+    dom = fiber_reference(rl, wa)
+    side = _component_matrix(dom, fiber_reference(rl, wb),
                              map(op_big.leibniz, dom), fiber_only=True)
     side.require_exact("side-component image escaped the headroom truncation")
     if not side.is_bijective():

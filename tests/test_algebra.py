@@ -16,8 +16,10 @@ from gradedvb import (
     normalize,
     weight,
 )
-from conftest import (assert_canonical, degree_system, full_lift,
-                      random_chart, random_nonneg_system, rank1_chart)
+from gradedvb.algebra import fiber_basis
+from conftest import (assert_canonical, degree_system, fiber_reference,
+                      full_lift, random_chart, random_nonneg_system,
+                      rank1_chart)
 
 
 def odd_pair_chart():
@@ -224,11 +226,23 @@ def coordinate_search(chart, w, cap):
     return out
 
 
+OFF_BASIS = weight({basic_symbol(9, 0): 1})
+
+
+def sample_weights(rng, chart, pairs=6):
+    """Every system element, ``pairs`` sampled sums of two elements and
+    two weights off the system basis."""
+    elements = chart.system.sorted_elements()
+    sums = [u + v for u, v in itertools.combinations_with_replacement(
+        elements, 2)]
+    a1 = chart.system.basis[0]
+    return (elements + rng.sample(sums, min(pairs, len(sums)))
+            + [OFF_BASIS, OFF_BASIS + weight({a1: 1})])
+
+
 class TestGroupedSearch:
     """``component_basis`` against :func:`coordinate_search`, list for list
     and in order, at every degree cap up to the truncation."""
-
-    OFF_BASIS = weight({basic_symbol(9, 0): 1})
 
     def assert_matches(self, chart, weights):
         for w in weights:
@@ -236,21 +250,13 @@ class TestGroupedSearch:
                 assert component_basis(chart, w, cap) == \
                     coordinate_search(chart, w, cap), (w.label, cap)
 
-    def weights(self, rng, chart, pairs=6):
-        elements = chart.system.sorted_elements()
-        sums = [u + v for u, v in itertools.combinations_with_replacement(
-            elements, 2)]
-        a1 = chart.system.basis[0]
-        return (elements + rng.sample(sums, min(pairs, len(sums)))
-                + [self.OFF_BASIS, self.OFF_BASIS + weight({a1: 1})])
-
     def test_family_charts_and_their_linearizations(self, rng):
         for _ in range(8):
             ws = random_nonneg_system(rng, max_rank=2, max_mult=3)
             chart = random_chart(rng, ws, max_dim=2, trunc=3)
             lc = linearize_chart(chart)
             for c in (chart, lc.quotient, lc.chart):
-                self.assert_matches(c, self.weights(rng, c))
+                self.assert_matches(c, sample_weights(rng, c))
 
     def test_full_lifts_with_negative_weights(self, rng):
         sources = [rank1_chart(2, [1, 1, 1]), rank1_chart(3, [1, 1, 1, 1], 0)]
@@ -261,13 +267,13 @@ class TestGroupedSearch:
         for src in sources:
             lifted = full_lift(src)
             assert not all(c.weight.is_nonnegative for c in lifted.coordinates)
-            self.assert_matches(lifted, self.weights(rng, lifted, pairs=3))
+            self.assert_matches(lifted, sample_weights(rng, lifted, pairs=3))
 
     @pytest.mark.parametrize("n,dims", [(4, [2, 2, 2, 1, 1]), (5, [1] * 6)])
     def test_rank1_ladder(self, rng, n, dims):
         lc = linearize_chart(rank1_chart(n, dims))
         for c in (lc.source, lc.quotient, lc.chart):
-            self.assert_matches(c, self.weights(rng, c))
+            self.assert_matches(c, sample_weights(rng, c))
 
     def test_no_coordinates(self):
         chart = Chart(degree_system(1), (), 3)
@@ -278,6 +284,68 @@ class TestGroupedSearch:
         chart = rank1_chart(2, [1, 1, 1])
         assert component_basis(chart, ZERO, -1) == []
         assert coordinate_search(chart, ZERO, -1) == []
+
+
+class TestFiberBasis:
+    """``fiber_basis`` against the full basis with the monomials that have
+    a weight-0 factor filtered out (``fiber_reference``), list for list
+    and in order."""
+
+    def assert_matches(self, chart, weights):
+        for w in weights:
+            assert fiber_basis(chart, w) == fiber_reference(chart, w), w.label
+
+    def test_family_charts_and_their_linearizations(self, rng):
+        for _ in range(8):
+            ws = random_nonneg_system(rng, max_rank=2, max_mult=3)
+            lc = linearize_chart(random_chart(rng, ws, max_dim=2, trunc=3))
+            for c in (lc.quotient, lc.chart):
+                self.assert_matches(c, sample_weights(rng, c))
+
+    def test_full_lifts_with_negative_weights(self, rng):
+        for src in (rank1_chart(2, [1, 1, 1]), rank1_chart(3, [1, 1, 1, 1], 0),
+                    rank1_chart(2, [2, 1, 2], 0)):
+            lifted = full_lift(src)
+            assert not all(c.weight.is_nonnegative for c in lifted.coordinates)
+            self.assert_matches(lifted, sample_weights(rng, lifted, pairs=3))
+
+    def test_headroom_chart(self, rng):
+        for parity in (1, 0):
+            dvb = linearize_chart(rank1_chart(2, [2, 1, 2], parity)).chart
+            big = Chart(dvb.system, dvb.coordinates, dvb.truncation + 2,
+                        dvb.applied_lifts)
+            self.assert_matches(big, sample_weights(rng, big))
+
+    @pytest.mark.parametrize("dims", [[0, 2, 1], [2, 0, 0]],
+                             ids=["no-base", "only-base"])
+    def test_charts_without_base_or_fiber(self, rng, dims):
+        chart = rank1_chart(2, dims)
+        weights = sample_weights(rng, chart)
+        self.assert_matches(chart, weights)
+        if dims[0] == 0:
+            assert all(fiber_basis(chart, w) == component_basis(chart, w)
+                       for w in weights)
+        else:
+            assert [fiber_basis(chart, w) for w in weights] == \
+                [[Monomial(())] if w.is_zero else [] for w in weights]
+
+    def test_full_and_fiber_memo_entries_kept_apart(self, rng):
+        ref = linearize_chart(rank1_chart(2, [2, 1, 2])).chart
+        weights = sample_weights(rng, ref)
+        want = [(component_basis(ref, w), fiber_reference(ref, w))
+                for w in weights]
+        assert any(full != fib for full, fib in want)
+        for fiber_first in (False, True):
+            chart = linearize_chart(rank1_chart(2, [2, 1, 2])).chart
+            for w, (full, fib) in zip(weights, want):
+                for _ in range(2):
+                    if fiber_first:
+                        got_fib = fiber_basis(chart, w)
+                        got_full = component_basis(chart, w)
+                    else:
+                        got_full = component_basis(chart, w)
+                        got_fib = fiber_basis(chart, w)
+                    assert (got_full, got_fib) == (full, fib), w.label
 
 
 class TestTrustedMonomials:

@@ -39,6 +39,7 @@ from gradedvb import (
     weight,
 )
 from gradedvb import analysis, linalg
+from gradedvb.algebra import fiber_basis
 from gradedvb.analysis import _component_matrix, _inverse_matrix
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
@@ -357,8 +358,8 @@ class TestLeibnizColumns:
         flags = set()
         for d in (op, op_big):
             flags |= self.assert_matches(
-                d, analysis._fiber_monomials(op.chart, wa),
-                analysis._fiber_monomials(op.chart, wa + d.weight_shift),
+                d, fiber_basis(op.chart, wa),
+                fiber_basis(op.chart, wa + d.weight_shift),
                 fiber_only)
             for cap in (1, d.chart.truncation):
                 flags |= self.assert_matches(
@@ -1086,8 +1087,8 @@ class TestReconstruct:
             res = reconstruct_degree2(source, op)
             phi = res.phi
             for w in res.linearized.chart.system.sorted_elements():
-                dom = analysis._fiber_monomials(phi.target, w)
-                cod = analysis._fiber_monomials(phi.source, phi._map_weight(w))
+                dom = fiber_basis(phi.target, w)
+                cod = fiber_basis(phi.source, phi._map_weight(w))
                 got = analysis._morphism_matrix(phi, w)
                 want = matrix_reference(phi.apply, phi.target, dom, cod,
                                         fiber_only=True)
@@ -1097,6 +1098,22 @@ class TestReconstruct:
                 multi += sum(n > 1 for n in Counter(
                     k for row in got.entries for k in row).values())
         assert multi > 0
+
+    @pytest.mark.parametrize("parity", [1, 0])
+    def test_empty_dimensions_match_the_reference(self, parity):
+        # every dims in {0,1,2}^3 with a fiber coordinate: charts with no
+        # base run, no side run or no top run, where leaving the weight-0
+        # run out of the fiber listing could go wrong
+        for dims in itertools.product(range(3), repeat=3):
+            if not any(dims[1:]):
+                continue
+            chart = rank1_chart(2, list(dims), parity)
+            lc = linearize_chart(chart)
+            op = lc.operators[additional_symbol(2, 1, parity)]
+            res = reconstruct_degree2(lc.chart, op)
+            assert reconstruction_fields(res) == \
+                reconstruction_fields(reconstruct_reference(lc.chart, op)), dims
+            assert res.verified and res.m2.dims == chart.dims, dims
 
     def test_degenerate_operator_rejected(self):
         chart = rank1_chart(2, [1, 2, 1])

@@ -80,28 +80,46 @@ LINEARIZE_PATH = ("weights.validate", "weights.linearized_system",
                   "linearize.coordinate_table")
 
 
-def test_linearize_reaches_the_traced_names(monkeypatch):
+def assert_command_reaches(monkeypatch, path, argv):
+    """Run ``argv`` through ``cli.main`` with every name of ``path``
+    counted in every package namespace that binds it, as the tracer
+    patches it, and require a call to each."""
     traced = {f"{module}.{attr}" for _, module, attr in traced_targets()}
-    assert set(LINEARIZE_PATH) <= traced
+    assert set(path) <= traced
     calls = Counter()
-    for label in LINEARIZE_PATH:
+    for label in path:
         module_name, attr = label.split(".")
         real = getattr(importlib.import_module(f"gradedvb.{module_name}"), attr)
 
         def counted(*args, _label=label, _real=real, **kwargs):
             calls[_label] += 1
             return _real(*args, **kwargs)
-        # every package namespace that binds the function, as the tracer
-        # patches it
         for name, module in list(sys.modules.items()):
             if name == "gradedvb" or name.startswith("gradedvb."):
                 for key, value in list(vars(module).items()):
                     if value is real:
                         monkeypatch.setattr(module, key, counted)
-    spec = os.path.join(ROOT, "tests", "data", "m2.spec")
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = cli.main(["linearize", spec, "--fibers", "--json"])
+        code = cli.main(argv)
     assert code == 0
-    assert json.loads(buf.getvalue())["command"] == "linearize"
-    assert [label for label in LINEARIZE_PATH if not calls[label]] == []
+    assert json.loads(buf.getvalue())["command"] == argv[0]
+    assert [label for label in path if not calls[label]] == []
+
+
+M2_SPEC = os.path.join(ROOT, "tests", "data", "m2.spec")
+
+
+def test_linearize_reaches_the_traced_names(monkeypatch):
+    assert_command_reaches(monkeypatch, LINEARIZE_PATH,
+                           ["linearize", M2_SPEC, "--fibers", "--json"])
+
+
+# what ``reconstruct --json`` must reach, by the names the tracer wraps
+RECONSTRUCT_PATH = ("analysis.reconstruct_degree2", "linearize.linearize_chart",
+                    "algebra.component_basis")
+
+
+def test_reconstruct_reaches_the_traced_names(monkeypatch):
+    assert_command_reaches(monkeypatch, RECONSTRUCT_PATH,
+                           ["reconstruct", M2_SPEC, "--json"])

@@ -471,6 +471,24 @@ class TestWeightKernel:
             for s in pool:
                 assert x.coeff(s) == rx.get(_ref_ident(s), 0)
 
+    def test_label_kept_from_its_first_read(self):
+        # ``_ref_label`` is the formula the property evaluated on every
+        # read before it kept its first result
+        rng = random.Random(19)
+        pool = _symbol_pool()
+        seeded = [ZERO, weight({A1: -2}), weight({A1: 1, A2: -1}),
+                  weight({A1: 3, A2: 2, additional_symbol(2, 2, 1): -1})]
+        seeded += [_random_weight(rng, pool)[0] for _ in range(300)]
+        for x in seeded:
+            fresh = Weight(x.items)
+            assert not hasattr(fresh, "_label")
+            label = fresh.label
+            assert label == _ref_label(_ref(x))
+            assert fresh.label is label
+            assert fresh == x and hash(fresh) == hash(x) == hash(x.sort_key)
+            assert fresh == Weight(x.items)
+            assert hash(fresh) == hash(Weight(x.items))
+
     def test_symbol_equality_and_hash(self):
         rng = random.Random(11)
         pool = _symbol_pool()
