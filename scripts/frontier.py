@@ -24,8 +24,8 @@ linearization and of the call, the number of checks of each of the six
 properties, and the SHA-256 of its report's JSON.  Equal digests across
 revisions mean the certificate came out the same.  The counts are read
 from the report, so the script runs on revisions from before
-``certificate_plan`` too; for properties 3 to 6 they are the numbers of
-entries of the plan.
+``certificate_plan`` too; they are the numbers of entries of the plan,
+which lists the checks of all six properties.
 """
 
 import argparse

@@ -289,9 +289,6 @@ class Monomial:
         return self.text()
 
 
-ONE = Monomial(())
-
-
 def normalize(raw: Iterable[Coordinate]) -> tuple[Monomial | None, int]:
     """Sort a raw factor list into canonical form.
 

@@ -25,12 +25,13 @@ per weight from :func:`component_map`, memoized in its declared
 its inverse is computed once, in the matrix's declared ``inverse`` field.
 
 Every check takes ``(chart, ops, ...)``, with lift steps as symbols, and
-reads ``ops`` only through :func:`_operators`.  Where the checks of
-properties 3, 5 and 6 apply is stated once, as the reason a check does
-not apply (``_image_obstacle``, ``_steps_obstacle``, ``_swap_obstacle``):
-the check raises it, and :func:`certificate_plan` leaves the case out of
-the list of checks, in report order, that :func:`check_all_properties`
-runs for properties 3 to 6 in one loop.
+reads ``ops`` only through :func:`_operators`.  :func:`certificate_plan`
+lists the checks of all six properties, in report order, and
+:func:`check_all_properties` runs that list in one loop.  Where the
+checks of properties 3, 5 and 6 apply is stated once, as the reason a
+check does not apply (``_image_obstacle``, ``_steps_obstacle``,
+``_swap_obstacle``): the check raises it, and the plan leaves the case
+out.
 
 Truncation is never allowed to lie: any matrix built from images that
 lost over-degree terms is flagged, and flagged matrices refuse to
@@ -381,7 +382,7 @@ def solve_inverse(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...],
     pre-restriction components with the remaining operators pinned to
     zero, peeling the outermost differential first.
     """
-    comp = compose_DLambda(lc, tuple(symbols))
+    compose_DLambda(lc, tuple(symbols))  # refuses repeated or unapplied steps
     if f.truncated:
         raise TruncationOverflow("right-hand side carries dropped terms")
     if f.is_zero:
@@ -631,34 +632,20 @@ class PropertyReport:
                     return c
         return None
 
-    def summary_rows(self) -> list[tuple[int, str, str, int, str]]:
+    def to_json(self) -> dict:
         rows = []
         for k in range(1, 7):
             items = self.checks.get(k, [])
-            if not items:
-                status = "VACUOUS"
-            elif all(c.passed for c in items):
-                status = "PASS"
-            else:
-                status = "FAIL"
-            witness = next((c.witness or c.label for c in items if not c.passed), "")
-            rows.append((k, self.names[k], status, len(items), witness))
-        return rows
-
-    def to_json(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "properties": [
-                {
-                    "index": k,
-                    "name": name,
-                    "status": status,
-                    "checked": count,
-                    "witness": witness or None,
-                }
-                for k, name, status, count, witness in self.summary_rows()
-            ],
-        }
+            rows.append({
+                "index": k,
+                "name": self.names[k],
+                "status": "FAIL" if not self.property_passed(k) else
+                          "PASS" if items else "VACUOUS",
+                "checked": len(items),
+                "witness": next((c.witness or c.label for c in items
+                                 if not c.passed), "") or None,
+            })
+        return {"all_passed": self.all_passed, "properties": rows}
 
 
 def _zero_check(label: str, p: Polynomial) -> PropertyCheck:
@@ -670,19 +657,44 @@ def _zero_check(label: str, p: Polynomial) -> PropertyCheck:
                          None if p.is_zero else f"{label} = {p.text()}")
 
 
+def _linearity(chart: Chart, ops: dict, s: BasisSymbol,
+               x: Coordinate) -> Polynomial:
+    """``D[s](x)`` for a weight-0 coordinate ``x``, which property 1 asks
+    to vanish."""
+    (op,) = _operators(ops, (s,))
+    return op.of(x)
+
+
+def _supercommutator(chart: Chart, ops: dict, sa: BasisSymbol,
+                     sb: BasisSymbol, x: Coordinate) -> Polynomial:
+    """``D[sa] D[sb] + D[sb] D[sa]`` on the coordinate ``x``, from the
+    images of ``x``: for odd operators their supercommutator, which
+    property 2 asks to vanish."""
+    da, db = _operators(ops, (sa, sb))
+    return da.apply(db.of(x)) + db.apply(da.of(x))
+
+
 def certificate_plan(chart: Chart, ops: dict) -> list[tuple]:
-    """The applicable checks of properties 3 to 6, in report order, as
+    """The applicable checks of all six properties, in report order, as
     ``(property, label, check, args)``; ``check(chart, ops, *args)`` runs
-    one entry.  A candidate is kept where the obstacle function that its
-    check raises finds nothing.  The checks are read from this module
-    when the plan is built."""
+    one entry.  Properties 1 and 2 check each operator on each weight-0
+    coordinate and each pair of operators on each coordinate.  A
+    candidate of properties 3 to 6 is kept where the obstacle function
+    that its check raises finds nothing.  The checks are read from this
+    module when the plan is built."""
     system = chart.system
     elements = system.sorted_elements()
-    plan = [(3, f"D[{s.label}] bijective out of ({delta.label})",
-             is_nondegenerate, (s, delta))
-            for s in sorted(ops, key=lambda t: t.sort_key)
-            for delta in elements
-            if not _image_obstacle(system, delta, ops[s].weight_shift)]
+    syms = sorted(ops, key=lambda t: t.sort_key)
+    plan = [(1, f"D[{s.label}]({x.name})", _linearity, (s, x))
+            for s in syms for x in chart.coordinates if x.weight.is_zero]
+    plan += [(2, f"[D[{sa.label}],D[{sb.label}]]({x.name})",
+              _supercommutator, (sa, sb, x))
+             for a, sa in enumerate(syms) for sb in syms[a:]
+             for x in chart.coordinates]
+    plan += [(3, f"D[{s.label}] bijective out of ({delta.label})",
+              is_nondegenerate, (s, delta))
+             for s in syms for delta in elements
+             if not _image_obstacle(system, delta, ops[s].weight_shift)]
     plan += [(4, f"decomposition at ({delta.label})", check_decomposition,
               (delta,)) for delta in elements if not delta.is_zero]
     # tuples of distinct steps over one direction, by direction, then step
@@ -704,6 +716,8 @@ def certificate_plan(chart: Chart, ops: dict) -> list[tuple]:
 def _verdict(k: int, label: str, args: tuple, res) -> PropertyCheck:
     """The report line of a plan entry of property ``k`` whose check
     returned ``res``; a failure carries its witness."""
+    if k < 3:
+        return _zero_check(label, res)
     if k == 3:
         s, delta = args
         return PropertyCheck(label, res, None if res else
@@ -724,29 +738,14 @@ def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
 
     ``chart`` must carry a multiplicity-free system whose basis splits
     into basic directions and lift steps; ``ops`` maps each lift step to
-    its odd derivation.  Properties 3 to 6 run :func:`certificate_plan`.
-    Report-valued: failures carry witnesses, and a check that refuses its
-    case fails with the reason.
+    its odd derivation.  The checks are those of :func:`certificate_plan`,
+    run in its order.  Report-valued: failures carry witnesses, and a
+    check that refuses its case fails with the reason.
     """
-    system = chart.system
-    if not all(w.is_multiplicity_free for w in system.elements):
+    if not all(w.is_multiplicity_free for w in chart.system.elements):
         raise AnalysisError("chart system must be multiplicity free")
-    _operators(ops, system.additional_symbols)
+    _operators(ops, chart.system.additional_symbols)
     checks: dict[int, list[PropertyCheck]] = {k: [] for k in range(1, 7)}
-
-    syms = sorted(ops, key=lambda t: t.sort_key)
-    zero_coords = [c for c in chart.coordinates if c.weight.is_zero]
-    checks[1] = [_zero_check(f"D[{s.label}]({x.name})", ops[s].of(x))
-                 for s in syms for x in zero_coords]
-    gens = [chart.gen(c) for c in chart.coordinates]
-    first = {s: [ops[s].apply(g) for g in gens] for s in syms}
-    for a_idx, sa in enumerate(syms):
-        for sb in syms[a_idx:]:
-            for c, da, db in zip(chart.coordinates, first[sa], first[sb]):
-                checks[2].append(_zero_check(
-                    f"[D[{sa.label}],D[{sb.label}]]({c.name})",
-                    ops[sa].apply(db) + ops[sb].apply(da)))
-
     for k, label, check, args in certificate_plan(chart, ops):
         try:
             res = check(chart, ops, *args)

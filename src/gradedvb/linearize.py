@@ -42,6 +42,7 @@ from .weights import (
     BasisSymbol,
     Weight,
     WeightError,
+    delta_prime_fiber,
     lift_shift,
     linearized_system,
     lift_symbols,
@@ -185,8 +186,6 @@ def coordinate_table(lc: LinearizedChart) -> list[TableEntry]:
     ``delta'``; composing in descending order fixes the sign, and with
     that convention each generator is exactly the tagged coordinate.
     """
-    from .weights import delta_prime_fiber
-
     lookup = {c.cid: c for c in lc.chart.coordinates}
     entries = []
     for delta in lc.source.system.sorted_elements():

@@ -86,7 +86,8 @@ class Derivation:
         :class:`Monomial` hashes), the factor tuple and degree of each
         key, stored on its first insert, and the truncation flag: set by a
         product above the chart truncation, even one whose merge
-        vanishes, and by a flagged image that is used.
+        vanishes, and by the flagged image of a factor, even one with no
+        terms left.
         """
         factors = m.factors
         room = self.chart.truncation - m.degree + 1
@@ -96,7 +97,7 @@ class Derivation:
         before = 0
         for k, (c, e) in enumerate(factors):
             img = self.images.get(c)
-            if img is not None and img.terms:
+            if img is not None and (img.terms or img.truncated):
                 truncated = truncated or img.truncated
                 after = m.parity - before - c.parity
                 sign_exp = self.parity * before + (self.parity + c.parity) * after

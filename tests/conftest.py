@@ -82,10 +82,10 @@ def full_lift(src):
 
 def leibniz_reference(d, p):
     """``d.apply(p)`` term by term, as ``Derivation.apply`` computed it
-    before the Leibniz merge: for each factor with a nonzero image, the
-    cofactor as a one-term polynomial times the image, summed, scaled by
-    the term's coefficient and summed again.  The reference for the
-    merge."""
+    before the Leibniz merge: for each factor with a nonzero or flagged
+    image, the cofactor as a one-term polynomial times the image, summed,
+    scaled by the term's coefficient and summed again.  The reference for
+    the merge."""
     def apply_monomial(m):
         out = d.chart.zero()
         factors = m.factors
@@ -93,7 +93,7 @@ def leibniz_reference(d, p):
         prefix = 0
         for k, (c, e) in enumerate(factors):
             img = d.images.get(c)
-            if img is not None and not img.is_zero:
+            if img is not None and (img.terms or img.truncated):
                 suffix = (e - 1) * c.parity + sum(parities[k + 1:])
                 sign_exp = d.parity * prefix + (d.parity + c.parity) * suffix
                 rest = list(factors)
@@ -202,10 +202,11 @@ def parse_reference(chart, text):
 
 
 def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
-    """``check_all_properties`` as it ran properties 3 to 6 before the
-    certificate plan: one hand-written loop per property, each filtering
-    its candidates by the obstacle function of its check.  The reference
-    for ``analysis.certificate_plan`` and the loop that runs it.
+    """``check_all_properties`` as it ran before the certificate plan: one
+    hand-written loop per property, properties 3 to 6 each filtering its
+    candidates by the obstacle function of its check, and property 2 on
+    each operator's image of each generator.  The reference for
+    ``analysis.certificate_plan`` and the loop that runs it.
 
     ``chart`` must carry a multiplicity-free system whose basis splits
     into basic directions and lift steps; ``ops`` maps each lift step to

@@ -864,15 +864,27 @@ class TestCallingForm:
             assert set(labels) == {t for t, ok in ran[k].items() if ok}
             # m3 has no step triples; elsewhere the check both runs and skips
             assert set(ran[k].values()) == ({True, False} if ran[k] else set())
-        # the plan lists the report's checks in its order, property by
-        # property; the decomposition runs at every nonzero element
-        plan = analysis.certificate_plan(chart, ops)
-        assert [k for k, *_ in plan] == sorted(k for k, *_ in plan)
-        for k in (3, 5, 6):
-            assert [label for p, label, _, _ in plan if p == k] == \
-                [c.label for c in report.checks[k]]
-        assert [args for p, _, _, args in plan if p == 4] == \
-            [(delta,) for delta in elements if not delta.is_zero]
+        assert_plan_lists(chart, ops, [(k, c.label) for k in sorted(
+            report.checks) for c in report.checks[k]])
+
+
+def assert_plan_lists(chart, ops, lines):
+    """The plan lists the report's checks in its order, property by
+    property: each report label ``lines[i] = (property, label)`` is the
+    plan's label, followed by `` = 0`` in properties 1 and 2 and by the
+    overlap dimension in property 4.  The decomposition runs at every
+    nonzero element."""
+    plan = analysis.certificate_plan(chart, ops)
+    assert [k for k, *_ in plan] == sorted(k for k, *_ in plan)
+    assert [k for k, *_ in plan] == [k for k, _ in lines]
+    for (k, label, _, _), (_, line) in zip(plan, lines):
+        if k == 4:
+            assert line.startswith(f"{label} [overlap dim ")
+        else:
+            assert line == (f"{label} = 0" if k < 3 else label)
+    assert [args for p, _, _, args in plan if p == 4] == \
+        [(delta,) for delta in chart.system.sorted_elements()
+         if not delta.is_zero]
 
 
 def spec_chart(path):
@@ -907,7 +919,7 @@ PLAN_CHARTS = {
 
 
 class TestCertificatePlan:
-    """``check_all_properties`` runs properties 3 to 6 from
+    """``check_all_properties`` runs all six properties from
     ``certificate_plan``; its reports equal those of the loops it
     replaced, kept in ``conftest.certificate_reference``."""
 
@@ -921,9 +933,15 @@ class TestCertificatePlan:
             for c in lc.operators[sym].images:
                 families.append({**lc.operators,
                                  sym: lc.operators[sym].with_zeroed(c)})
+        reports = 0
         for ops in families:
-            assert certificate_lines(check_all_properties, lc.chart, ops) == \
-                certificate_lines(certificate_reference, lc.chart, ops)
+            lines = certificate_lines(check_all_properties, lc.chart, ops)
+            assert lines == certificate_lines(certificate_reference,
+                                              lc.chart, ops)
+            if isinstance(lines, list):
+                assert_plan_lists(lc.chart, ops, [x[:2] for x in lines])
+                reports += 1
+        assert reports
 
     @pytest.mark.parametrize("n,dims", MUTATED)
     def test_step_scaling_family_equals_the_reference(self, n, dims):
@@ -981,6 +999,22 @@ class TestCheckAllProperties:
         assert not rep.all_passed
         failing = [c for k in range(1, 7) for c in rep.checks[k] if not c.passed]
         assert failing and all(c.witness for c in failing)
+
+    def test_flagged_image_with_no_terms_is_refused(self):
+        """A generator image that lost all its terms to the truncation is
+        no exact zero: its generator's image and its component matrix
+        carry the flag, and the certificate refuses the family."""
+        lc = linearize_chart(rank1_chart(2, [1, 1, 1]))
+        xi = lc.chart.coordinate("xi{a1}_1")
+        op = lc.operators[B2]
+        assert op.of(xi).terms
+        lost = Derivation(lc.chart, op.weight_shift, 1, {
+            **op.images, xi: Polynomial(lc.chart, {}, True)})
+        image = lost.apply(lc.chart.gen(xi))
+        assert image.is_zero and image.truncated
+        assert component_map(lost, xi.weight).truncated
+        with pytest.raises(TruncationOverflow, match="lost over-degree"):
+            check_all_properties(lc.chart, {B2: lost})
 
 
 def hand_built_bundle(rng, alpha_first, parity):

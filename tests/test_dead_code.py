@@ -1,12 +1,15 @@
-"""Every top-level function and class of the package, and every method
-and property of its top-level classes, has a caller.
+"""Every top-level function, class and assigned name of the package,
+and every method and property of its top-level classes, has a reader,
+and every local that a package function assigns is read.
 
 The source, the tests and the benchmark are parsed with ``ast``; a name
 counts as used when some other top-level statement or method reads it as
 a name or an attribute (a method or property: as an attribute).  Its own
 definition (recursive calls included), the body of its class for a class
 name, and the re-exports in ``gradedvb/__init__.py`` do not count.
-Dunder methods are exempt: the language calls them.
+Dunder names are exempt: the language reads them.  A local counts as read
+when its function, or a function nested in it, reads it as a name;
+locals named with a leading ``_`` are exempt.
 """
 
 import ast
@@ -32,11 +35,32 @@ def parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
+def assigned(node):
+    """The names an assignment binds; none for any other node."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
+def top_level_names(stmt):
+    """The names a top-level statement defines or assigns."""
+    return [stmt.name] if isinstance(stmt, DEFS) else assigned(stmt)
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def units(path):
     """(definitions the code belongs to, code) for each top-level
     statement; a top-level class is split into its methods and the rest."""
     for stmt in parse(path).body:
-        own = {(path, stmt.name)} if isinstance(stmt, DEFS) else set()
+        own = {(path, name) for name in top_level_names(stmt)}
         if not isinstance(stmt, ast.ClassDef):
             yield own, stmt
             continue
@@ -56,13 +80,12 @@ def unreferenced_definitions():
         if not name.endswith(".py") or path == INIT:
             continue
         for stmt in parse(path).body:
-            if isinstance(stmt, DEFS):
-                defined.setdefault(stmt.name, set()).add((path, stmt.name))
+            for name in top_level_names(stmt):
+                if not is_dunder(name):
+                    defined.setdefault(name, set()).add((path, name))
             if isinstance(stmt, ast.ClassDef):
                 for item in stmt.body:
-                    if isinstance(item, FUNCS) and not (
-                            item.name.startswith("__")
-                            and item.name.endswith("__")):
+                    if isinstance(item, FUNCS) and not is_dunder(item.name):
                         defined.setdefault(item.name, set()).add(
                             (path, f"{stmt.name}.{item.name}"))
     used = set()  # (name, read as an attribute)
@@ -84,5 +107,32 @@ def unreferenced_definitions():
                   if (name, True) not in used
                   and ("." in qual or (name, False) not in used))
 
+
+def unread_locals():
+    """``file:function:name`` for each local that a package function
+    assigns and that neither it nor a function nested in it reads."""
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        for func in ast.walk(parse(os.path.join(PACKAGE, name))):
+            if not isinstance(func, FUNCS):
+                continue
+            stored, read = [], set()
+            for node in ast.walk(func):
+                stored += assigned(node)
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    read.add(node.id)
+            found += sorted({f"{name}:{func.name}:{local}" for local in stored
+                             if local not in read
+                             and not local.startswith("_")})
+    return found
+
+
 def test_every_package_definition_is_referenced():
     assert unreferenced_definitions() == []
+
+
+def test_every_assigned_local_is_read():
+    assert unread_locals() == []

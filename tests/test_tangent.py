@@ -347,6 +347,23 @@ class TestLeibnizMerge:
                 d = random_derivation(rng, lc.chart, shift, parity)
                 assert self.assert_matches(d, ps) == {False, True}
 
+    def test_generator_image_is_the_given_image(self, rng):
+        """``of(c)`` equals ``apply(chart.gen(c))`` in terms and flag, on
+        random derivations whose images carry the flag at random and some
+        of which lost all their terms."""
+        for dims in ([1, 1, 1], [1, 2, 1], [2, 1, 2]):
+            chart = linearize_chart(rank1_chart(2, dims)).chart
+            shift = weight({B2: 1, A: -1})
+            d = random_derivation(rng, chart, shift, 1, flagged=0.5)
+            lost = rng.sample(chart.coordinates, len(chart.coordinates) // 3)
+            d = Derivation(chart, shift, 1, {**d.images, **{
+                c: Polynomial(chart, {}, True) for c in lost}})
+            for c in chart.coordinates:
+                got, want = d.apply(chart.gen(c)), d.of(c)
+                assert got.terms == want.terms
+                assert got.truncated == want.truncated
+            self.assert_matches(d, inputs(rng, chart))
+
     def test_headroom_operator_of_the_degree2_reconstruction(self, rng):
         # the operator reconstruct_degree2 builds on a chart with two
         # degrees of headroom, from multi-term images
