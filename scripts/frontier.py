@@ -9,11 +9,14 @@ linearization (``linearize_chart`` and the first read of its operator
 family, which is built on first read) and one ``check_all_properties``
 call on the linearized chart are timed apart.  The charts are the rank-1
 charts of degrees 4 to 7 and the rank-2 box ``{0..3}^2``, all with odd
-basic parity and truncation 3.  The degree-7 chart takes several seconds,
-which is why Tier-1 does not run it.  With ``--large`` the run also times
-the rank-2 box ``{0..4}^2`` and the rank-3 box ``{0..3}^3`` (256 and 512
-linearized coordinates), which take about a minute or more together on a
-2-vCPU machine.
+basic parity and truncation 3, and the base-dimension rungs: rank-1
+degree-5 charts with one generator at each nonzero degree and 1 base
+coordinate at truncations 4 to 6, or 3 base coordinates at truncation 4.
+The degree-7 chart takes seconds, which is why Tier-1 does not run it.
+With ``--large`` the run also times the rank-2 box ``{0..4}^2`` and the
+rank-3 box ``{0..3}^3`` (256 and 512 linearized coordinates), which take
+about half a minute or more together on a 2-vCPU machine, and the
+degree-5 chart with 3 base coordinates at truncations 5 and 6.
 
 The script appends one run record to the ``runs`` list of the output
 file, keeping the records and any other keys already there, so runs on
@@ -54,12 +57,13 @@ from gradedvb import (  # noqa: E402
 TRUNCATION = 3
 
 
-def rank1_chart(dims: list[int]) -> Chart:
-    """Degree ``len(dims) - 1``, ``dims[k]`` generators of weight ``k a1``."""
+def rank1_chart(dims: list[int], truncation: int = TRUNCATION) -> Chart:
+    """Degree ``len(dims) - 1``, ``dims[k]`` generators of weight ``k a1``,
+    so ``dims[0]`` base coordinates."""
     a1 = basic_symbol(1, 1)
     ws = system_from_rows([1], [[k] for k in range(len(dims))])
     return Chart.from_dims(ws, {weight({a1: k}): d for k, d in enumerate(dims)},
-                           TRUNCATION)
+                           truncation)
 
 
 def box_chart(n: int, rank: int = 2) -> Chart:
@@ -77,11 +81,16 @@ CHARTS = [
     ("rank1 deg6 dims 1^7", lambda: rank1_chart([1] * 7)),
     ("rank1 deg7 dims 1^8", lambda: rank1_chart([1] * 8)),
     ("rank2 box {0..3}^2", lambda: box_chart(3)),
+    *((f"rank1 deg5 dims 1^6 trunc {t}",
+       lambda t=t: rank1_chart([1] * 6, t)) for t in (4, 5, 6)),
+    ("rank1 deg5 dims 3,1^5 trunc 4", lambda: rank1_chart([3] + [1] * 5, 4)),
 ]
 
 LARGE = [
     ("rank2 box {0..4}^2", lambda: box_chart(4)),
     ("rank3 box {0..3}^3", lambda: box_chart(3, 3)),
+    *((f"rank1 deg5 dims 3,1^5 trunc {t}",
+       lambda t=t: rank1_chart([3] + [1] * 5, t)) for t in (5, 6)),
 ]
 
 
@@ -128,7 +137,8 @@ def main() -> None:
     ap.add_argument("--out", type=Path, required=True,
                     help="JSON file to append the run record to")
     ap.add_argument("--large", action="store_true",
-                    help="also time the boxes {0..4}^2 and {0..3}^3")
+                    help="also time the boxes {0..4}^2 and {0..3}^3 and "
+                         "3 base coordinates at truncations 5 and 6")
     args = ap.parse_args()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("runs", []).append(run_record(args.large))

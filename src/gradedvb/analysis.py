@@ -20,9 +20,32 @@ reconstruction (from :func:`algebra.fiber_basis`, which lists no
 monomial with a weight-0 factor), are memoized in the chart's declared
 ``basis_memo`` field.  A derivation gets one full-degree matrix
 per weight from :func:`component_map`, memoized in its declared
-``matrix_memo`` field; a check at a lower degree cap slices it with
-:meth:`ComponentMatrix.capped` instead of building the matrix again, and
-its inverse is computed once, in the matrix's declared ``inverse`` field.
+``matrix_memo`` field, which also keeps its copy on the fiber chart; a
+check at a lower degree cap slices it with :meth:`ComponentMatrix.capped`
+instead of building the matrix again, and its inverse is computed once,
+in the matrix's declared ``inverse`` field.
+
+The checks of properties 3 to 6 work block by block where they can.
+When the chart has no negative weight and only even weight-0
+coordinates, and each operator kills the weight-0 coordinates and sends
+every other coordinate to an unflagged linear combination of coordinates
+of nonzero weight (:func:`_fiberwise`, tested once per operator), an
+operator sends a base monomial ``b`` times a fiber monomial of degree
+``k`` to ``b`` times fiber monomials of degree ``k``.  Its component
+matrix is then a direct sum of one block per ``(b, k)``, and the block
+depends on ``k`` only.  The checks run on the fiber chart
+(:func:`_fiber_view`), which drops the weight-0 coordinates and so holds
+one copy of each block, and count the degree-``k`` block once for each
+base monomial of degree at most the truncation minus ``k``.  Ranks,
+kernels and bijectivity add over a direct sum, so a pass there is a pass
+on the input chart, with every dimension summed over the copies.
+Anything but a clean pass (a failure, an error, a flag) is decided again
+on the whole component (:func:`_blockwise`), so every witness and message
+is the input chart's.  A family without the structure runs the same check
+bodies on the whole component, one block counted once.
+:func:`check_all_properties` hands its checks one family that keeps the
+joint kernels and transfer matrices computed so far, so properties 4 and
+6 share their kernels.
 
 Every check takes ``(chart, ops, ...)``, with lift steps as symbols, and
 reads ``ops`` only through :func:`_operators`.  :func:`certificate_plan`
@@ -43,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -91,6 +115,8 @@ class KernelHypothesisError(AnalysisError):
 
 _LOST_TERMS = ("component matrix lost over-degree terms; raise the "
                "truncation degree")
+_FLAGGED_IMAGES = ("operator images lost over-degree terms; raise the "
+                   "truncation degree")
 _ONE = Fraction(1)
 
 
@@ -246,6 +272,148 @@ def _in_span(vectors: list[linalg.Vector], r: int, v: linalg.Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# blocks over the fiber degree
+# ---------------------------------------------------------------------------
+
+def _fiberwise(op: Derivation) -> bool:
+    """Whether ``op`` kills the weight-0 coordinates and sends every other
+    coordinate to an unflagged linear combination of coordinates of
+    nonzero weight; tested once, and the answer kept in the derivation's
+    ``matrix_memo`` under the key ``"fiberwise"``."""
+    hit = op.matrix_memo.get("fiberwise")
+    if hit is None:
+        hit = op.matrix_memo["fiberwise"] = all(
+            not img.truncated and (not img.terms if c.weight.is_zero else all(
+                m.degree == 1 and not m.weight.is_zero for m in img.terms))
+            for c, img in op.images.items())
+    return hit
+
+
+@dataclass(eq=False)
+class _View:
+    """A chart and an operator family on it that a check body runs on,
+    with the joint kernels and transfer matrices computed on it so far.
+    ``copies`` is None when the chart is the input chart: each of
+    its components is one block, counted once.  On the fiber chart it
+    lists, by fiber degree ``k``, how many blocks of the input chart's
+    component the degree-``k`` part of a component stands for."""
+
+    chart: Chart
+    ops: dict
+    copies: list[int] | None = None
+    kernels: dict = field(default_factory=dict)
+    transfers: dict = field(default_factory=dict)
+
+    def kernel(self, syms: tuple[BasisSymbol, ...], w: Weight,
+               ) -> tuple[list[Monomial], list[linalg.Vector]]:
+        """:func:`kernel_intersection` of the operators ``syms`` at ``w``,
+        computed once per view."""
+        hit = self.kernels.get((w, syms))
+        if hit is None:
+            hit = self.kernels[w, syms] = kernel_intersection(
+                self.chart, [self.ops[s] for s in syms], w)
+        return hit
+
+    def transfer(self, fwd: BasisSymbol, back: BasisSymbol, src: Weight,
+                 dst: Weight) -> linalg.Matrix:
+        """:func:`_transfer` of the operators ``fwd`` and ``back``,
+        computed once per view."""
+        key = (fwd, back, src, dst)
+        hit = self.transfers.get(key)
+        if hit is None:
+            hit = self.transfers[key] = _transfer(
+                self.ops[fwd], self.ops[back], src, dst)
+        return hit
+
+    def block(self, m: Monomial) -> int:
+        return m.degree if self.copies else 0
+
+    def count(self, block: int) -> int:
+        """How many blocks of the input chart's component ``block``
+        stands for."""
+        return self.copies[block] if self.copies else 1
+
+    def dim(self, monomials) -> int:
+        """The dimension on the input chart of what ``monomials``, or
+        vectors inside the blocks that they lead, stand for."""
+        return sum(self.count(self.block(m)) for m in monomials)
+
+    def ranks(self, basis: list[Monomial], vectors: list[linalg.Vector],
+              ) -> dict[int, int]:
+        """The rank of ``vectors``, each inside one block, per block."""
+        groups: dict[int, list[linalg.Vector]] = {}
+        for v in vectors:
+            groups.setdefault(self.block(basis[next(iter(v))]), []).append(v)
+        return {b: linalg.rank(g) for b, g in groups.items()}
+
+
+def _leads(basis: list[Monomial], vectors: list[linalg.Vector]):
+    return (basis[next(iter(v))] for v in vectors)
+
+
+def _fiber_view(chart: Chart, ops: dict) -> _View | None:
+    """The fiber chart, with the family ``ops`` moved onto it, where the
+    module docstring's block argument holds, else None.  Its component
+    at ``w`` lists ``fiber_basis(chart, w)``.  Each operator's copy is
+    kept in its ``matrix_memo`` under the key ``"fibers"``, on the fiber
+    chart of the other operators' copies when one has them."""
+    if not all(c.weight.is_nonnegative and not (c.weight.is_zero and c.parity)
+               for c in chart.coordinates):
+        return None
+    if not all((op.chart is chart or op.chart == chart) and _fiberwise(op)
+               for op in ops.values()):
+        return None
+    fibers = next((op.matrix_memo["fibers"].chart for op in ops.values()
+                   if "fibers" in op.matrix_memo), None) or Chart(
+        chart.system, tuple(c for c in chart.coordinates
+                            if not c.weight.is_zero),
+        chart.truncation, chart.applied_lifts)
+    for op in ops.values():
+        if "fibers" not in op.matrix_memo:
+            op.matrix_memo["fibers"] = Derivation(
+                fibers, op.weight_shift, op.parity,
+                {c: Polynomial(fibers, img.terms)
+                 for c, img in op.images.items() if img.terms})
+    return _View(fibers, {s: op.matrix_memo["fibers"]
+                          for s, op in ops.items()},
+                 [len(component_basis(chart, ZERO, chart.truncation - k))
+                  for k in range(chart.truncation + 1)])
+
+
+class _Family(dict):
+    """An operator family by lift step, with the views that the checks of
+    properties 3 to 6 run on: ``whole``, the input chart, and ``fibers``,
+    from :func:`_fiber_view`.  :func:`check_all_properties` passes one to
+    every check, so the views and their memos live for one run; a check
+    called with a plain family makes its own."""
+
+    def __init__(self, chart: Chart, ops: dict):
+        super().__init__(ops)
+        self.whole = _View(chart, ops)
+        self.fibers = _fiber_view(chart, ops)
+
+
+def _family(chart: Chart, ops: dict) -> _Family:
+    return ops if isinstance(ops, _Family) else _Family(chart, ops)
+
+
+def _blockwise(fam: _Family, body, *args):
+    """``body(view, *args)`` on the fiber chart when it passes there, else
+    on the whole component.  A pass needs only ranks and dimensions, and
+    they add over the blocks; anything else (a failure, an error, a flag)
+    is decided again on the whole component, so every witness and message
+    is the one the input chart gives."""
+    if fam.fibers is not None:
+        try:
+            res = body(fam.fibers, *args)
+        except (AnalysisError, TruncationOverflow):
+            res = False
+        if res is True or res and res.passes:
+            return res
+    return body(fam.whole, *args)
+
+
+# ---------------------------------------------------------------------------
 # the operator family, where the checks apply, and non-degeneracy
 # ---------------------------------------------------------------------------
 
@@ -316,9 +484,17 @@ def is_nondegenerate(chart: Chart, ops: dict, sym: BasisSymbol,
     """
     (op,) = _operators(ops, (sym,))
     _require(_image_obstacle(chart.system, delta, op.weight_shift))
-    full = component_map(op, delta)
+    return _blockwise(_family(chart, ops), _bijective, sym, delta)
+
+
+def _bijective(view: _View, sym: BasisSymbol, delta: Weight) -> bool:
+    """Bijectivity at every degree cap.  On the fiber chart a capped slice
+    is the direct sum of the blocks of fiber degree up to the cap, so the
+    top cap decides every cap."""
+    full = component_map(view.ops[sym], delta)
+    caps = range(1, view.chart.truncation + 1)
     return all(full.capped(d).is_bijective()
-               for d in range(1, chart.truncation + 1))
+               for d in (caps[-1:] if view.copies else caps))
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +503,33 @@ def is_nondegenerate(chart: Chart, ops: dict, sym: BasisSymbol,
 
 @dataclass(eq=False)
 class DecompositionResult:
+    """The spanning verdict and dimensions of :func:`check_decomposition`.
+    ``product_basis`` and ``kernel_polys``, the decomposable monomials and
+    the joint kernel on the whole component, are built on first read."""
+
     delta_prime: Weight
     passes: bool
     component_dim: int
     product_dim: int
     kernel_dim: int
     intersection_dim: int
-    product_basis: list[Monomial]
-    kernel_polys: list[Polynomial]
     witness: Polynomial | None
+    _whole: _View | None = field(default=None, init=False, repr=False)
+
+    @cached_property
+    def product_basis(self) -> list[Monomial]:
+        return [m for m in component_basis(self._whole.chart, self.delta_prime)
+                if _fiber_degree(m) >= 2]
+
+    @cached_property
+    def kernel_polys(self) -> list[Polynomial]:
+        basis, kvecs = self._whole.kernel(_bsupport(self.delta_prime),
+                                         self.delta_prime)
+        return [_vec_poly(self._whole.chart, basis, v) for v in kvecs]
+
+
+def _fiber_degree(m: Monomial) -> int:
+    return sum(e for c, e in m.factors if not c.weight.is_zero)
 
 
 def check_decomposition(chart: Chart, ops: dict, delta_prime: Weight,
@@ -344,24 +538,40 @@ def check_decomposition(chart: Chart, ops: dict, delta_prime: Weight,
     together with the joint kernel of the operators named by the weight's
     additional support.  The spanning is verified exactly; the dimension
     of the overlap of the two parts is reported, not constrained."""
-    basis = component_basis(chart, delta_prime)
-    product = [k for k, m in enumerate(basis)
-               if sum(e for c, e in m.factors if not c.weight.is_zero) >= 2]
-    product_basis = [basis[k] for k in product]
-    kbasis, kvecs = kernel_intersection(
-        chart, _operators(ops, _bsupport(delta_prime)), delta_prime)
-    cols = [{k: _ONE} for k in product] + kvecs
-    spanned = linalg.rank(cols)
+    _operators(ops, _bsupport(delta_prime))
+    fam = _family(chart, ops)
+    res = _blockwise(fam, _decomposition, delta_prime)
+    res._whole = fam.whole
+    return res
+
+
+def _decomposition(view: _View, delta_prime: Weight) -> DecompositionResult:
+    """The decomposition on a view.  The decomposable monomials are unit
+    columns, so with the kernel they span as much as they are many plus
+    the rank of the kernel's entries off them; those ranks add over the
+    blocks.  A decomposable monomial has fiber degree at least 2, so on
+    the fiber chart those blocks are spanned by units alone."""
+    basis, kvecs = view.kernel(_bsupport(delta_prime), delta_prime)
+    product = [k for k, m in enumerate(basis) if _fiber_degree(m) >= 2]
+    units = set(product)
+    rest = [{k: x for k, x in v.items() if k not in units} for v in kvecs]
+    ranks = view.ranks(basis, [v for v in rest if v])
+    spanned = len(product) + sum(ranks.values())
     passes = spanned == len(basis)
-    witness = None if passes else next(
-        (monomial_poly(chart, m) for k, m in enumerate(basis)
-         if not _in_span(cols, spanned, {k: _ONE})), None)
-    inter = len(cols) - spanned
+    witness = None
+    if not passes:
+        cols = [{k: _ONE} for k in product] + kvecs
+        witness = next((monomial_poly(view.chart, m)
+                        for k, m in enumerate(basis)
+                        if not _in_span(cols, spanned, {k: _ONE})), None)
+    product_dim = view.dim(basis[k] for k in product)
+    kernel_dim = view.dim(_leads(basis, kvecs))
     return DecompositionResult(
-        delta_prime=delta_prime, passes=passes, component_dim=len(basis),
-        product_dim=len(product_basis), kernel_dim=len(kvecs),
-        intersection_dim=inter, product_basis=product_basis,
-        kernel_polys=[_vec_poly(chart, kbasis, v) for v in kvecs],
+        delta_prime=delta_prime, passes=passes,
+        component_dim=view.dim(basis), product_dim=product_dim,
+        kernel_dim=kernel_dim,
+        intersection_dim=kernel_dim - sum(view.count(b) * r
+                                          for b, r in ranks.items()),
         witness=witness,
     )
 
@@ -467,16 +677,21 @@ def check_cocycle(chart: Chart, ops: dict,
     ``b_j2`` (:func:`_swap_obstacle`)."""
     _require(_steps_obstacle(steps)
              or _swap_obstacle(chart.system, steps[0], steps[1:], delta))
-    fam = _operators(ops, steps)
+    _operators(ops, steps)
+    return _blockwise(_family(chart, ops), _cocycle, steps, delta)
+
+
+def _cocycle(view: _View, steps, delta: Weight) -> CocycleResult:
     # the identity reads lhs v == -rhs v, so one product with the sum
     # of the sides tests it
-    total = linalg.matadd(*_cocycle_sides(steps, fam, delta))
-    basis, kvecs = kernel_intersection(chart, fam[:1], delta)
+    total = linalg.matadd(*_cocycle_sides(view, steps, delta))
+    basis, kvecs = view.kernel(steps[:1], delta)
+    dim = view.dim(_leads(basis, kvecs))
     for v in kvecs:
         if linalg.matvec(total, v):
-            return CocycleResult(delta, False, len(kvecs),
-                                 _vec_poly(chart, basis, v))
-    return CocycleResult(delta, True, len(kvecs), None)
+            return CocycleResult(delta, False, dim,
+                                 _vec_poly(view.chart, basis, v))
+    return CocycleResult(delta, True, dim, None)
 
 
 def _swap(w: Weight, old: BasisSymbol, new: BasisSymbol) -> Weight:
@@ -494,18 +709,17 @@ def _transfer(op_fwd: Derivation, op_back: Derivation, src: Weight,
     return linalg.matmul(back_inv, fwd.entries)
 
 
-def _cocycle_sides(steps, fam: list[Derivation], delta: Weight,
+def _cocycle_sides(view: _View, steps, delta: Weight,
                    ) -> tuple[linalg.Matrix, linalg.Matrix]:
     """The two sides of the cocycle identity for the steps ``(b_j, b_j1,
-    b_j2)`` with operators ``fam``, as matrices from the ``delta``
-    component to the one with ``b_j2`` in place of ``b_j``: the direct
-    step change, and the one through ``b_j1``."""
+    b_j2)`` on a view, as matrices from the ``delta`` component to the one
+    with ``b_j2`` in place of ``b_j``: the direct step change, and the one
+    through ``b_j1``."""
     b_j, b_j1, b_j2 = steps
-    d_j, d_j1, d_j2 = fam
     d1, d2 = _swap(delta, b_j, b_j1), _swap(delta, b_j, b_j2)
-    lhs = _transfer(d_j2, d_j, delta, d2)
-    step1 = _transfer(d_j1, d_j, delta, d1)
-    step2 = _transfer(d_j2, d_j1, d1, d2)
+    lhs = view.transfer(b_j2, b_j, delta, d2)
+    step1 = view.transfer(b_j1, b_j, delta, d1)
+    step2 = view.transfer(b_j2, b_j1, d1, d2)
     return lhs, linalg.matmul(step2, step1)
 
 
@@ -538,7 +752,7 @@ def counterexample_off_kernel(chart: Chart, ops: dict,
     fv, over = _expand(f, {m: k for k, m in enumerate(basis)})
     if over:
         raise TruncationOverflow("witness construction hit the truncation")
-    lhs, rhs = _cocycle_sides(steps, fam, delta)
+    lhs, rhs = _cocycle_sides(_View(chart, ops), steps, delta)
     lv, rv = linalg.matvec(lhs, fv), linalg.matvec(rhs, fv)
     cod = component_basis(chart, _swap(delta, b_j, b_j2))
     return CocycleWitness(
@@ -564,19 +778,27 @@ def check_kernel_preservation(chart: Chart, ops: dict,
                               delta: Weight) -> KernelPreservationResult:
     """Whether the step change of ``steps = (b_j, b_j0)`` carries the
     joint-kernel subsheaf at ``delta`` onto the one at ``delta`` with
-    ``b_j0`` traded for ``b_j`` (:func:`_swap_obstacle`).  A ``nullspace``
-    basis has one unit in each free column, so the target kernel's rank is
-    its length."""
+    ``b_j0`` traded for ``b_j`` (:func:`_swap_obstacle`)."""
     b_j, b_j0 = steps
     _require(_steps_obstacle(steps)
              or _swap_obstacle(chart.system, b_j0, (b_j,), delta))
-    d_j, d_j0 = _operators(ops, steps)
+    _operators(ops, steps)
+    _operators(ops, _bsupport(delta))
+    _operators(ops, _bsupport(_swap(delta, b_j0, b_j)))
+    return _blockwise(_family(chart, ops), _kernel_preservation, steps, delta)
+
+
+def _kernel_preservation(view: _View, steps, delta: Weight,
+                         ) -> KernelPreservationResult:
+    """Kernel preservation on a view.  A ``nullspace`` basis has one unit
+    in each free column, so the target kernel's rank is its length; the
+    three ranks add over the blocks, and each is at least the larger of
+    the other two's, so equal sums mean equal ranks on every block."""
+    b_j, b_j0 = steps
     delta_prime = _swap(delta, b_j0, b_j)
-    _, src_k = kernel_intersection(
-        chart, _operators(ops, _bsupport(delta)), delta)
-    dst_basis, dst_k = kernel_intersection(
-        chart, _operators(ops, _bsupport(delta_prime)), delta_prime)
-    tr = _transfer(d_j, d_j0, delta, delta_prime)
+    src_basis, src_k = view.kernel(_bsupport(delta), delta)
+    dst_basis, dst_k = view.kernel(_bsupport(delta_prime), delta_prime)
+    tr = view.transfer(b_j, b_j0, delta, delta_prime)
     image = [linalg.matvec(tr, v) for v in src_k]
     r_img, r_dst = linalg.rank(image), len(dst_k)
     passes = r_img == r_dst == linalg.rank(image + dst_k)
@@ -587,9 +809,11 @@ def check_kernel_preservation(chart: Chart, ops: dict,
         bad = next(itertools.chain(
             (v for v in image if not _in_span(dst_k, r_dst, v)),
             (v for v in dst_k if not _in_span(image, r_img, v))), None)
-        witness = None if bad is None else _vec_poly(chart, dst_basis, bad)
-    return KernelPreservationResult(delta, delta_prime, passes,
-                                    len(src_k), len(dst_k), witness)
+        witness = None if bad is None else _vec_poly(view.chart, dst_basis,
+                                                      bad)
+    return KernelPreservationResult(
+        delta, delta_prime, passes, view.dim(_leads(src_basis, src_k)),
+        view.dim(_leads(dst_basis, dst_k)), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +969,11 @@ def check_all_properties(chart: Chart, ops: dict) -> PropertyReport:
     if not all(w.is_multiplicity_free for w in chart.system.elements):
         raise AnalysisError("chart system must be multiplicity free")
     _operators(ops, chart.system.additional_symbols)
+    fam = _Family(chart, ops)
     checks: dict[int, list[PropertyCheck]] = {k: [] for k in range(1, 7)}
     for k, label, check, args in certificate_plan(chart, ops):
         try:
-            res = check(chart, ops, *args)
+            res = check(chart, fam, *args)
         except AnalysisError as exc:
             checks[k].append(PropertyCheck(label, False, str(exc)))
         else:
@@ -799,6 +1024,8 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     for x in dvb.coordinates:
         if x.weight.is_zero and not op.of(x).is_zero:
             raise AnalysisError("operator is not linear over weight 0")
+    if any(img.truncated for img in op.images.values()):
+        raise TruncationOverflow(_FLAGGED_IMAGES)
 
     if dvb.truncation < 2:
         raise AnalysisError("reconstruction needs truncation degree >= 2")

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from gradedvb import (
     Monomial,
     Polynomial,
     ReconstructionResult,
+    TruncationOverflow,
     Weight,
     WeightSystem,
     ZERO,
@@ -30,25 +32,30 @@ from gradedvb import (
 from gradedvb import linalg
 from gradedvb.specfile import _parsed_terms
 from gradedvb.analysis import (
+    _FLAGGED_IMAGES,
+    _ONE,
     AnalysisError,
+    CocycleResult,
+    KernelPreservationResult,
     PropertyCheck,
     PropertyReport,
+    _bsupport,
     _columns,
     _component_matrix,
     _image_obstacle,
     _in_span,
     _is_fiber,
     _operators,
+    _require,
     _steps_obstacle,
     _swap,
     _swap_obstacle,
+    _transfer,
     _vec_poly,
     _verify_reconstruction,
     _zero_check,
-    check_cocycle,
-    check_decomposition,
-    check_kernel_preservation,
-    is_nondegenerate,
+    component_map,
+    kernel_intersection,
 )
 
 
@@ -201,12 +208,103 @@ def parse_reference(chart, text):
     return poly
 
 
+def nondegenerate_reference(chart, ops, sym, delta):
+    """``analysis.is_nondegenerate`` as it ran before the fiber blocks, on
+    the whole component: the rank test at every truncation degree up to
+    the chart's, each on a slice of the one full-degree matrix.  The
+    reference for the block path, as are the three checks below."""
+    (op,) = _operators(ops, (sym,))
+    _require(_image_obstacle(chart.system, delta, op.weight_shift))
+    full = component_map(op, delta)
+    return all(full.capped(d).is_bijective()
+               for d in range(1, chart.truncation + 1))
+
+
+def decomposition_reference(chart, ops, delta_prime):
+    """``analysis.check_decomposition`` on the whole component, with its
+    result fields in a namespace and both lists built eagerly."""
+    basis = component_basis(chart, delta_prime)
+    product = [k for k, m in enumerate(basis)
+               if sum(e for c, e in m.factors if not c.weight.is_zero) >= 2]
+    product_basis = [basis[k] for k in product]
+    kbasis, kvecs = kernel_intersection(
+        chart, _operators(ops, _bsupport(delta_prime)), delta_prime)
+    cols = [{k: _ONE} for k in product] + kvecs
+    spanned = linalg.rank(cols)
+    passes = spanned == len(basis)
+    witness = None if passes else next(
+        (monomial_poly(chart, m) for k, m in enumerate(basis)
+         if not _in_span(cols, spanned, {k: _ONE})), None)
+    inter = len(cols) - spanned
+    return SimpleNamespace(
+        delta_prime=delta_prime, passes=passes, component_dim=len(basis),
+        product_dim=len(product_basis), kernel_dim=len(kvecs),
+        intersection_dim=inter, product_basis=product_basis,
+        kernel_polys=[_vec_poly(chart, kbasis, v) for v in kvecs],
+        witness=witness,
+    )
+
+
+def cocycle_sides_reference(steps, fam, delta):
+    """The two sides of the cocycle identity for the steps ``(b_j, b_j1,
+    b_j2)`` with operators ``fam``, as ``analysis._cocycle_sides`` built
+    them before it read its transfers from a view."""
+    b_j, b_j1, b_j2 = steps
+    d_j, d_j1, d_j2 = fam
+    d1, d2 = _swap(delta, b_j, b_j1), _swap(delta, b_j, b_j2)
+    lhs = _transfer(d_j2, d_j, delta, d2)
+    step1 = _transfer(d_j1, d_j, delta, d1)
+    step2 = _transfer(d_j2, d_j1, d1, d2)
+    return lhs, linalg.matmul(step2, step1)
+
+
+def cocycle_reference(chart, ops, steps, delta):
+    """``analysis.check_cocycle`` on the whole component."""
+    _require(_steps_obstacle(steps)
+             or _swap_obstacle(chart.system, steps[0], steps[1:], delta))
+    fam = _operators(ops, steps)
+    total = linalg.matadd(*cocycle_sides_reference(steps, fam, delta))
+    basis, kvecs = kernel_intersection(chart, fam[:1], delta)
+    for v in kvecs:
+        if linalg.matvec(total, v):
+            return CocycleResult(delta, False, len(kvecs),
+                                 _vec_poly(chart, basis, v))
+    return CocycleResult(delta, True, len(kvecs), None)
+
+
+def kernel_preservation_reference(chart, ops, steps, delta):
+    """``analysis.check_kernel_preservation`` on the whole component."""
+    b_j, b_j0 = steps
+    _require(_steps_obstacle(steps)
+             or _swap_obstacle(chart.system, b_j0, (b_j,), delta))
+    d_j, d_j0 = _operators(ops, steps)
+    delta_prime = _swap(delta, b_j0, b_j)
+    _, src_k = kernel_intersection(
+        chart, _operators(ops, _bsupport(delta)), delta)
+    dst_basis, dst_k = kernel_intersection(
+        chart, _operators(ops, _bsupport(delta_prime)), delta_prime)
+    tr = _transfer(d_j, d_j0, delta, delta_prime)
+    image = [linalg.matvec(tr, v) for v in src_k]
+    r_img, r_dst = linalg.rank(image), len(dst_k)
+    passes = r_img == r_dst == linalg.rank(image + dst_k)
+    witness = None
+    if not passes:
+        bad = next(itertools.chain(
+            (v for v in image if not _in_span(dst_k, r_dst, v)),
+            (v for v in dst_k if not _in_span(image, r_img, v))), None)
+        witness = None if bad is None else _vec_poly(chart, dst_basis, bad)
+    return KernelPreservationResult(delta, delta_prime, passes,
+                                    len(src_k), len(dst_k), witness)
+
+
 def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
     """``check_all_properties`` as it ran before the certificate plan: one
     hand-written loop per property, properties 3 to 6 each filtering its
-    candidates by the obstacle function of its check, and property 2 on
-    each operator's image of each generator.  The reference for
-    ``analysis.certificate_plan`` and the loop that runs it.
+    candidates by the obstacle function of its check and running the
+    whole-component reference of that check, and property 2 on each
+    operator's image of each generator.  The reference for
+    ``analysis.certificate_plan``, the loop that runs it and the checks'
+    fiber blocks.
 
     ``chart`` must carry a multiplicity-free system whose basis splits
     into basic directions and lift steps; ``ops`` maps each lift step to
@@ -237,7 +335,7 @@ def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
         for delta in elements:
             if _image_obstacle(system, delta, shift):
                 continue
-            ok = is_nondegenerate(chart, ops, s, delta)
+            ok = nondegenerate_reference(chart, ops, s, delta)
             checks[3].append(PropertyCheck(
                 f"D[{s.label}] bijective out of ({delta.label})", ok,
                 None if ok else f"D[{s.label}] not bijective on the "
@@ -246,7 +344,7 @@ def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
     for delta in elements:
         if delta.is_zero:
             continue
-        res = check_decomposition(chart, ops, delta)
+        res = decomposition_reference(chart, ops, delta)
         checks[4].append(PropertyCheck(
             f"decomposition at ({delta.label}) "
             f"[overlap dim {res.intersection_dim}]", res.passes,
@@ -266,7 +364,7 @@ def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
                 continue
             label = f"{head}({delta.label})"
             try:
-                res = check_cocycle(chart, ops, triple, delta)
+                res = cocycle_reference(chart, ops, triple, delta)
             except AnalysisError as exc:
                 checks[5].append(PropertyCheck(label, False, str(exc)))
                 continue
@@ -284,7 +382,7 @@ def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
                 continue
             label = f"{head}({delta.label}) -> ({_swap(delta, b_j0, b_j).label})"
             try:
-                res = check_kernel_preservation(chart, ops, pair, delta)
+                res = kernel_preservation_reference(chart, ops, pair, delta)
             except AnalysisError as exc:
                 checks[6].append(PropertyCheck(label, False, str(exc)))
                 continue
@@ -329,7 +427,9 @@ def reconstruct_reference(dvb: Chart, op: Derivation) -> ReconstructionResult:
     construction run on the copy and its results copied back.  The
     reference for the reconstruction; the copy back raises
     ``AlgebraError`` on a product whose factors the copy reorders, as
-    when the fiber direction sorts before the base direction.
+    when the fiber direction sorts before the base direction.  An
+    operator with a flagged image is refused with ``TruncationOverflow``,
+    as the reconstruction refuses it.
 
     Rebuild a rank-1 degree-2 chart from a double-vector-bundle chart
     with one odd non-degenerate operator.
@@ -357,6 +457,8 @@ def reconstruct_reference(dvb: Chart, op: Derivation) -> ReconstructionResult:
     for x in dvb.coordinates:
         if x.weight.is_zero and not op.of(x).is_zero:
             raise AnalysisError("operator is not linear over weight 0")
+    if any(img.truncated for img in op.images.values()):
+        raise TruncationOverflow(_FLAGGED_IMAGES)
 
     a1 = basic_symbol(1, alpha.parity)
     b21 = additional_symbol(2, 1, alpha.parity)

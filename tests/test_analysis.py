@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import os
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -44,11 +46,13 @@ from gradedvb.analysis import _component_matrix, _inverse_matrix
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
 from test_analysis_golden import MUTATED, OFF_KERNEL
-from conftest import (certificate_reference, dense, full_lift,
-                      headroom_operators, leibniz_reference,
-                      matrix_reference, quotient_polynomial, random_chart,
-                      random_derivation, random_nonneg_system, rank1_chart,
-                      reconstruct_reference, sparse)
+from conftest import (certificate_reference, cocycle_reference,
+                      decomposition_reference, dense, full_lift,
+                      headroom_operators, kernel_preservation_reference,
+                      leibniz_reference, matrix_reference,
+                      nondegenerate_reference, quotient_polynomial,
+                      random_chart, random_derivation, random_nonneg_system,
+                      rank1_chart, reconstruct_reference, sparse)
 
 A = basic_symbol(1, 1)
 B2 = additional_symbol(2, 1, 1)
@@ -965,6 +969,198 @@ class TestCertificatePlan:
                                           dead)
 
 
+def load_frontier():
+    """``scripts/frontier.py`` as a module, for its chart lists."""
+    path = os.path.join(os.path.dirname(DATA), "..", "scripts", "frontier.py")
+    spec = importlib.util.spec_from_file_location("frontier", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECK_REFERENCES = {
+    "is_nondegenerate": nondegenerate_reference,
+    "check_decomposition": decomposition_reference,
+    "check_cocycle": cocycle_reference,
+    "check_kernel_preservation": kernel_preservation_reference,
+}
+RESULT_FIELDS = ("delta", "delta_prime", "passes", "component_dim",
+                 "product_dim", "kernel_dim", "intersection_dim",
+                 "source_dim", "target_dim")
+
+
+def outcome(check, chart, ops, args):
+    """What a check returns, or the error it raises."""
+    try:
+        return check(chart, ops, *args)
+    except (AlgebraError, AnalysisError) as exc:
+        return exc
+
+
+def result_fields(res):
+    """Every field of a check's result, the lists and the witness as
+    text, or the type and message of its error."""
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    if isinstance(res, bool):
+        return res
+    out = {name: getattr(res, name) for name in RESULT_FIELDS
+           if hasattr(res, name)}
+    out["witness"] = res.witness.text() if res.witness else None
+    if hasattr(res, "product_basis"):
+        out["product_basis"] = [m.text() for m in res.product_basis]
+        out["kernel_polys"] = [p.text() for p in res.kernel_polys]
+    return out
+
+
+def assert_blocks_match(chart, ops, fiberwise):
+    """Every check of properties 3 to 6, called on its own, equals its
+    whole-component reference in every field, and the certificate's
+    report lines of those properties are the ones the references give;
+    ``fiberwise`` says whether the family takes the fiber blocks.
+    Returns how many checks passed and failed."""
+    assert (analysis._Family(chart, ops).fibers is not None) == fiberwise
+    want, seen = [], Counter()
+    for k, label, check, args in analysis.certificate_plan(chart, ops):
+        if k < 3:
+            continue
+        ref = outcome(CHECK_REFERENCES[check.__name__], chart, ops, args)
+        got = result_fields(outcome(check, chart, ops, args))
+        assert got == result_fields(ref), (k, args)
+        seen[got is True or isinstance(got, dict) and got["passes"]] += 1
+        if isinstance(ref, AnalysisError):
+            want.append((k, label, False, str(ref)))
+        elif isinstance(ref, Exception):
+            want.append(result_fields(ref))
+        else:
+            line = analysis._verdict(k, label, args, ref)
+            want.append((k, line.label, line.passed, line.witness))
+    lines = certificate_lines(check_all_properties, chart, ops)
+    if isinstance(lines, list):
+        assert [line for line in lines if line[0] > 2] == want
+    else:
+        assert lines == certificate_lines(certificate_reference, chart, ops)
+    return seen
+
+
+def fiberwise_family(rng, lc):
+    """The linearized family with each fiber image replaced by a multiple
+    of it plus a random rational combination of the other coordinates of
+    its weight: fiberwise linear, with multi-term images."""
+    chart = lc.chart
+    by_weight = {}
+    for c in chart.coordinates:
+        by_weight.setdefault(c.weight, []).append(c)
+    ops = {}
+    for s, op in lc.operators.items():
+        images = {}
+        for c in chart.coordinates:
+            targets = by_weight.get(c.weight + op.weight_shift, [])
+            if c.weight.is_zero or not targets:
+                continue
+            img = op.of(c).scale(Fraction(rng.choice([1, 1, -2, 3]),
+                                          rng.choice([1, 2])))
+            for t in targets:
+                if rng.random() < 0.3:
+                    img = img + chart.gen(t, Fraction(rng.randint(-3, 3),
+                                                      rng.randint(1, 3)))
+            images[c] = img
+        ops[s] = Derivation(chart, op.weight_shift, op.parity, images)
+    return ops
+
+
+class TestFiberBlocks:
+    """The checks of properties 3 to 6 run on the fiber chart, one copy of
+    each block, when the family is fiberwise linear, and rerun on the
+    whole component whenever a block does not pass cleanly.  Every result
+    field, witness and report line equals that of the whole-component
+    reference in ``conftest``."""
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CHARTS))
+    def test_plan_charts_and_mutations(self, name):
+        lc = linearize_chart(PLAN_CHARTS[name]())
+        rng = random.Random(name)
+        zeroed = [(s, c) for s in sorted(lc.operators, key=lambda t: t.sort_key)
+                  for c in lc.operators[s].images]
+        families = [lc.operators] + [
+            {**lc.operators, s: lc.operators[s].with_zeroed(c)}
+            for s, c in rng.sample(zeroed, min(1, len(zeroed)))]
+        seen = Counter()
+        for ops in families:
+            seen += assert_blocks_match(lc.chart, ops, True)
+        assert seen[True]
+
+    def test_frontier_default_charts(self):
+        """The default charts of ``scripts/frontier.py`` but degrees 6 and
+        7, whose whole-component references take seconds; the frontier
+        run compares their report digests across revisions instead."""
+        for name, build in load_frontier().CHARTS:
+            if name.startswith(("rank1 deg6", "rank1 deg7")):
+                continue
+            lc = linearize_chart(build())
+            assert assert_blocks_match(lc.chart, lc.operators, True) \
+                == Counter({True: sum(
+                    1 for k, *_ in analysis.certificate_plan(
+                        lc.chart, lc.operators) if k > 2)}), name
+
+    def test_random_fiberwise_families(self):
+        """1 to 3 base coordinates, truncations 3 and 4, both parities."""
+        rng = random.Random(20261020)
+        seen, multi = Counter(), 0
+        for base, trunc in ((1, 4), (2, 3), (3, 4)):
+            n = rng.randint(3, 4)
+            dims = [base] + [rng.randint(1, 2) for _ in range(n)]
+            lc = linearize_chart(rank1_chart(n, dims, rng.randint(0, 1),
+                                             trunc))
+            ops = fiberwise_family(rng, lc)
+            multi += sum(len(img.terms) > 1 and any(
+                x.denominator > 1 for x in img.terms.values())
+                for op in ops.values() for img in op.images.values())
+            seen += assert_blocks_match(lc.chart, ops, True)
+        assert seen[True] and seen[False] and multi
+
+    def test_failure_on_a_degree_two_block_only(self):
+        """With ``D[b2]`` of ``xi{a1}_1`` zeroed, the ``a1+b3`` component
+        keeps a bijective degree-1 block, so ``D[b2]`` fails out of it
+        only on its degree-2 block, and the report names it."""
+        lc = m3_linearized((1, 2, 1, 1))
+        chart = lc.chart
+        ops = {**lc.operators, B2: lc.operators[B2].with_zeroed(
+            chart.coordinate("xi{a1}_1"))}
+        delta = weight({A: 1, B3: 1})
+        fibers = analysis._Family(chart, ops).fibers
+        full = component_map(fibers.ops[B2], delta)
+        assert full.capped(1).is_bijective() and not full.is_bijective()
+        assert not is_nondegenerate(chart, ops, B2, delta)
+        lines = certificate_lines(check_all_properties, chart, ops)
+        assert (3, f"D[b2_1] bijective out of ({delta.label})", False,
+                f"D[b2_1] not bijective on the ({delta.label}) component") \
+            in lines
+        assert_blocks_match(chart, ops, True)
+
+    def test_families_off_the_structure_take_the_whole_component(self):
+        """A base factor in an image, a nonlinear image and a flagged
+        image each keep the family off the fiber blocks."""
+        lc = m3_linearized((1, 2, 1, 1))
+        chart = lc.chart
+        x1 = chart.gen(chart.coordinate("x1"))
+        xi = chart.coordinate("xi{a1}_1")
+        top = chart.coordinate("xi{2a1}_1[b3_1]")
+        op = lc.operators[B2]
+        images = {
+            "base factor": {xi: op.of(xi) + multiply(x1, op.of(xi))},
+            "nonlinear": {top: op.of(top) + multiply(
+                chart.gen(chart.coordinate("xi{a1}_1[b2_1]")),
+                chart.gen(chart.coordinate("xi{a1}_2[b3_1]")))},
+            "flagged": {xi: Polynomial(chart, op.of(xi).terms, True)},
+        }
+        for name, change in images.items():
+            ops = {**lc.operators, B2: Derivation(
+                chart, op.weight_shift, 1, {**op.images, **change})}
+            assert not analysis._fiberwise(ops[B2]), name
+            assert_blocks_match(chart, ops, False)
+
+
 class TestCheckAllProperties:
     def test_degree_three_all_pass(self):
         lc = m3_linearized((1, 2, 1, 1))
@@ -1192,13 +1388,21 @@ class TestReconstruct:
     def test_hand_built_bundles_match_the_reference(self, rng):
         # in both symbol orders and both parities: where the reference
         # (the run on a copy over (a1, b2_1)) answers, the same answer;
-        # where its copy back fails on a reordered product, a verified one
+        # where its copy back fails on a reordered product, a verified one;
+        # where it refuses flagged images, the same refusal
         outcomes = Counter()
         for t in range(80):
             alpha_first, parity = t % 2 == 0, t // 2 % 2
             chart, op = hand_built_bundle(rng, alpha_first, parity)
             try:
                 want = reconstruction_fields(reconstruct_reference(chart, op))
+            except TruncationOverflow as exc:
+                with pytest.raises(TruncationOverflow) as err:
+                    reconstruct_degree2(chart, op)
+                assert str(err.value) == str(exc)
+                assert any(img.truncated for img in op.images.values())
+                outcomes["flagged", chart.truncation] += 1
+                continue
             except AnalysisError as exc:
                 with pytest.raises(AnalysisError) as err:
                     reconstruct_degree2(chart, op)
@@ -1220,6 +1424,26 @@ class TestReconstruct:
         assert all(("same", f, p) in outcomes
                    for f in (True, False) for p in (0, 1))
         assert outcomes["refused"]
+        assert set(k for k in outcomes if k[0] == "flagged") == {
+            ("flagged", 2)}
+
+    def test_flagged_images_are_refused_as_the_certificate_refuses(self):
+        """An operator whose images lost terms to the truncation is refused
+        by the reconstruction, as by the certificate, instead of being
+        rebuilt on the headroom chart without its flags."""
+        lc = linearize_chart(rank1_chart(2, [1, 1, 1]))
+        op = lc.operators[B2]
+        flagged = Derivation(lc.chart, op.weight_shift, 1, {
+            c: Polynomial(lc.chart, img.terms, True)
+            for c, img in op.images.items()})
+        with pytest.raises(TruncationOverflow) as err:
+            check_all_properties(lc.chart, {B2: flagged})
+        assert str(err.value) == EXACT
+        with pytest.raises(TruncationOverflow) as err:
+            reconstruct_degree2(lc.chart, flagged)
+        assert str(err.value) == ("operator images lost over-degree terms; "
+                                  "raise the truncation degree")
+        assert reconstruct_degree2(lc.chart, op).verified
 
     def test_fiber_direction_sorting_first(self):
         # base a2, fiber a1: the kernel generator holds the product
