@@ -9,6 +9,11 @@ to exact rational coefficients, truncated at a fixed total degree.
 Truncation never happens silently: any operation that drops an over-degree
 term marks its result, and downstream exact computations refuse flagged
 input.
+
+The weight-0 coordinates are the functions on the base.  Setting them to
+zero leaves the fiber part of a chart, a chart in its own right
+(:attr:`Chart.fibers`), whose bases hold the monomials with no weight-0
+factor, in the order of the chart's own.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .weights import (
@@ -130,7 +136,7 @@ class Chart:
     empty for charts that were never lifted.  ``coordinate_set`` holds the
     same coordinates as ``coordinates``, for membership tests, and
     ``coordinate_names`` maps each coordinate's name to it.
-    ``basis_memo`` holds the component and fiber bases already listed and
+    ``basis_memo`` holds the component bases already listed and
     ``search_index`` the coordinates grouped for that search, built on the
     chart's first search (see :func:`component_basis`).
     """
@@ -191,6 +197,15 @@ class Chart:
     @property
     def base_dim(self) -> int:
         return sum(1 for c in self.coordinates if c.weight.is_zero)
+
+    @cached_property
+    def fibers(self) -> "Chart":
+        """The fiber part: this chart with its weight-0 coordinates set to
+        zero, that is dropped, on the same system, truncation and lifts.
+        Built on first read."""
+        return Chart(self.system, tuple(c for c in self.coordinates
+                                        if not c.weight.is_zero),
+                     self.truncation, self.applied_lifts)
 
     def coordinate(self, name: str) -> Coordinate:
         c = self.coordinate_names.get(name)
@@ -524,12 +539,11 @@ def _search_index(chart: Chart) -> dict:
 
 
 def _count_vectors(index: dict, target: tuple[int, ...], cap: int,
-                   fiber: bool) -> list[tuple[tuple[int, int], ...]]:
+                   ) -> list[tuple[tuple[int, int], ...]]:
     """Every count vector ``n`` over the runs of ``index`` with
     ``sum(n[k] * vecs[k]) == target``, at most ``len(runs[k])`` for an
-    odd run, zero for the weight-0 run when ``fiber`` is set, and
-    ``sum(n) <= cap``, as its nonzero entries ``(k, n[k])`` in increasing
-    ``k``.
+    odd run, and ``sum(n) <= cap``, as its nonzero entries ``(k, n[k])``
+    in increasing ``k``.
 
     The search picks the next run with a nonzero count, so it spends no
     step on a run that counts zero.  The last step of a count vector is
@@ -540,8 +554,7 @@ def _count_vectors(index: dict, target: tuple[int, ...], cap: int,
     and a remainder with a negative entry ends its branch."""
     runs, vecs, run_of = index["runs"], index["vecs"], index["run_of"]
     nonneg = index["nonneg"]
-    limits = [0 if fiber and not any(v) else len(run) if odd else cap
-              for run, odd, v in zip(runs, index["odd"], vecs)]
+    limits = [len(run) if odd else cap for run, odd in zip(runs, index["odd"])]
     if not nonneg:
         usable = list(range(len(runs)))
     elif min(target, default=0) < 0:
@@ -597,8 +610,8 @@ def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
     monomial is built with the weight ``w``, its parity and the degree
     the count vector gives, so no factor weights are summed again.  A
     weight using a symbol outside the basis, or a negative cap, has no
-    monomials.  :func:`fiber_basis` runs the same search with the weight-0
-    run left out.
+    monomials.  On :attr:`Chart.fibers` the search has no weight-0 run, so
+    it lists the monomials with no weight-0 factor and builds no other.
 
     Results are memoized in the chart's declared ``basis_memo`` field,
     keyed by weight and degree cap; the memo and the index are pure
@@ -606,22 +619,7 @@ def component_basis(chart: Chart, w: Weight, max_degree: int | None = None,
     fresh list.
     """
     cap = chart.truncation if max_degree is None else max_degree
-    return _listing(chart, w, cap, False)
-
-
-def fiber_basis(chart: Chart, w: Weight) -> list[Monomial]:
-    """The monomials of ``component_basis(chart, w)`` with no weight-0
-    factor, in the same order: the search never picks the weight-0 run,
-    so no base multiple is built.  Memoized in ``basis_memo`` under the
-    key ``(w, truncation, "fiber")``."""
-    return _listing(chart, w, chart.truncation, True)
-
-
-def _listing(chart: Chart, w: Weight, cap: int, fiber: bool,
-             ) -> list[Monomial]:
-    """The memoized search behind :func:`component_basis` and
-    :func:`fiber_basis`."""
-    key = (w, cap, "fiber") if fiber else (w, cap)
+    key = (w, cap)
     hit = chart.basis_memo.get(key)
     if hit is not None:
         return list(hit)
@@ -632,7 +630,7 @@ def _listing(chart: Chart, w: Weight, cap: int, fiber: bool,
         # one multiset per run, joined in run order, lists the factors of
         # a monomial in sorted order
         runs, odd, parity = index["runs"], index["odd"], w.parity
-        for counts in _count_vectors(index, target, cap, fiber):
+        for counts in _count_vectors(index, target, cap):
             choices = []
             for k, n in counts:
                 pick = (itertools.combinations if odd[k]

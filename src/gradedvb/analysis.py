@@ -13,17 +13,15 @@ nonzero entries only.  Its columns are the images of the domain monomials,
 keyed by sort key: for a derivation, the :meth:`Derivation.leibniz`
 image of each monomial, straight from the generator images; for the
 morphism matrices of the reconstruction check, the terms of each pushed
-forward monomial.  Vectors are sparse too, and a question about
-the span of a family of vectors is asked of the family itself, with
-:func:`linalg.rank`.  Component bases, and the fiber bases of the
-reconstruction (from :func:`algebra.fiber_basis`, which lists no
-monomial with a weight-0 factor), are memoized in the chart's declared
-``basis_memo`` field.  A derivation gets one full-degree matrix
-per weight from :func:`component_map`, memoized in its declared
-``matrix_memo`` field, which also keeps its copy on the fiber chart; a
-check at a lower degree cap slices it with :meth:`ComponentMatrix.capped`
-instead of building the matrix again, and its inverse is computed once,
-in the matrix's declared ``inverse`` field.
+forward monomial on the fiber part of the source.  Vectors are sparse
+too, and a question about the span of a family of vectors is asked of
+the family itself, with :func:`linalg.rank`.  The fiber part of a chart
+is the chart :attr:`Chart.fibers`, and a derivation's part there is the
+one it induces (:func:`_restricted`).  A derivation gets one full-degree
+matrix per weight from :func:`component_map`, memoized in its declared
+``matrix_memo`` field; a check at a lower degree cap slices it with
+:meth:`ComponentMatrix.capped` instead of building the matrix again, and
+its inverse is computed once, in the matrix's declared ``inverse`` field.
 
 The checks of properties 3 to 6 work block by block where they can.
 When the chart has no negative weight and only even weight-0
@@ -36,9 +34,10 @@ matrix is then a direct sum of one block per ``(b, k)``, and the block
 depends on ``k`` only.  The checks run on the fiber chart
 (:func:`_fiber_view`), which drops the weight-0 coordinates and so holds
 one copy of each block, and count the degree-``k`` block once for each
-base monomial of degree at most the truncation minus ``k``.  Ranks,
-kernels and bijectivity add over a direct sum, so a pass there is a pass
-on the input chart, with every dimension summed over the copies.
+base monomial of degree at most the truncation minus ``k``
+(:func:`_base_count`).  Ranks, kernels and bijectivity add over a
+direct sum, so a pass there is a pass on the input chart, with every
+dimension summed over the copies.
 Anything but a clean pass (a failure, an error, a flag) is decided again
 on the whole component (:func:`_blockwise`), so every witness and message
 is the input chart's.  A family without the structure runs the same check
@@ -77,7 +76,6 @@ from .algebra import (
     Polynomial,
     TruncationOverflow,
     component_basis,
-    fiber_basis,
     monomial_poly,
     multiply,
 )
@@ -203,27 +201,18 @@ def _expand(p: Polynomial, index: dict[Monomial, int],
     return v, overflow
 
 
-def _is_fiber(factors: tuple) -> bool:
-    return all(not c.weight.is_zero for c, _ in factors)
-
-
 def _component_matrix(dom: list[Monomial], cod: list[Monomial], columns,
-                      fiber_only: bool = False) -> ComponentMatrix:
+                      ) -> ComponentMatrix:
     """The matrix from the span of ``dom`` to the span of ``cod`` whose
     ``k``-th column is the image of ``dom[k]``, given in the form of
     :meth:`Derivation.leibniz`.  A column is flagged when its image is
-    flagged or has a nonzero entry outside ``cod``; with ``fiber_only``
-    the image is first projected onto its fiber terms (no weight-0
-    factor), which drops its flag.
+    flagged or has a nonzero entry outside ``cod``.
     """
     index = {m.sort_key: r for r, m in enumerate(cod)}
     entries: linalg.Matrix = [{} for _ in cod]
     overflow = []
-    for k, (values, shapes, over) in enumerate(columns):
-        over = over and not fiber_only
+    for k, (values, _, over) in enumerate(columns):
         for key, x in values.items():
-            if fiber_only and not _is_fiber(shapes[key][0]):
-                continue
             r = index.get(key)
             if r is None:
                 over = True
@@ -243,6 +232,23 @@ def component_map(op: Derivation, w: Weight) -> ComponentMatrix:
             dom, component_basis(op.chart, w + op.weight_shift),
             map(op.leibniz, dom))
     return hit
+
+
+def _terms_on(chart: Chart, p: Polynomial) -> dict[Monomial, Fraction]:
+    """The terms of ``p`` whose factors all lie in ``chart``: ``p`` with
+    its other coordinates set to zero."""
+    have = chart.coordinate_set
+    return {m: x for m, x in p.terms.items()
+            if all(c in have for c, _ in m.factors)}
+
+
+def _restricted(op: Derivation, chart: Chart) -> Derivation:
+    """The derivation that ``op`` induces on ``chart``, a chart of some
+    of its coordinates, with the others set to zero: each kept image
+    keeps its flag and its terms whose factors all lie in ``chart``."""
+    return Derivation(chart, op.weight_shift, op.parity, {
+        c: Polynomial(chart, _terms_on(chart, img), img.truncated)
+        for c, img in op.images.items() if c in chart.coordinate_set})
 
 
 def _bsupport(w: Weight) -> tuple[BasisSymbol, ...]:
@@ -351,33 +357,29 @@ def _leads(basis: list[Monomial], vectors: list[linalg.Vector]):
     return (basis[next(iter(v))] for v in vectors)
 
 
+def _base_count(chart: Chart, k: int) -> int:
+    """How many base monomials have degree at most the truncation minus
+    ``k``: the copies of a block of fiber degree ``k``."""
+    return len(component_basis(chart, ZERO, chart.truncation - k))
+
+
 def _fiber_view(chart: Chart, ops: dict) -> _View | None:
-    """The fiber chart, with the family ``ops`` moved onto it, where the
-    module docstring's block argument holds, else None.  Its component
-    at ``w`` lists ``fiber_basis(chart, w)``.  Each operator's copy is
-    kept in its ``matrix_memo`` under the key ``"fibers"``, on the fiber
-    chart of the other operators' copies when one has them."""
+    """:attr:`Chart.fibers`, with the family ``ops`` restricted to it,
+    where the module docstring's block argument holds, else None.  Each
+    operator keeps its :func:`_restricted` copy on the fibers of its own
+    chart in its ``matrix_memo``, under the key ``"fibers"``."""
     if not all(c.weight.is_nonnegative and not (c.weight.is_zero and c.parity)
                for c in chart.coordinates):
         return None
     if not all((op.chart is chart or op.chart == chart) and _fiberwise(op)
                for op in ops.values()):
         return None
-    fibers = next((op.matrix_memo["fibers"].chart for op in ops.values()
-                   if "fibers" in op.matrix_memo), None) or Chart(
-        chart.system, tuple(c for c in chart.coordinates
-                            if not c.weight.is_zero),
-        chart.truncation, chart.applied_lifts)
     for op in ops.values():
         if "fibers" not in op.matrix_memo:
-            op.matrix_memo["fibers"] = Derivation(
-                fibers, op.weight_shift, op.parity,
-                {c: Polynomial(fibers, img.terms)
-                 for c, img in op.images.items() if img.terms})
-    return _View(fibers, {s: op.matrix_memo["fibers"]
-                          for s, op in ops.items()},
-                 [len(component_basis(chart, ZERO, chart.truncation - k))
-                  for k in range(chart.truncation + 1)])
+            op.matrix_memo["fibers"] = _restricted(op, op.chart.fibers)
+    return _View(chart.fibers, {s: op.matrix_memo["fibers"]
+                                for s, op in ops.items()},
+                 [_base_count(chart, k) for k in range(chart.truncation + 1)])
 
 
 class _Family(dict):
@@ -1035,16 +1037,12 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     # the degree-filtered domain is what the construction needs
     big = Chart(dvb.system, dvb.coordinates, dvb.truncation + 2,
                 dvb.applied_lifts)
-    op_big = Derivation(big, shift, 1, {c: Polynomial(big, img.terms)
-                                        for c, img in op.images.items()})
+    op_big = _restricted(op, big)
 
     # non-degeneracy as a module map: over the truncated coefficient ring
     # a linear map of free modules is invertible exactly when its
-    # constant-term matrix is
-    dom = fiber_basis(dvb, ua)
-    side = _component_matrix(dom, fiber_basis(dvb, ub),
-                             map(op_big.leibniz, dom), fiber_only=True)
-    side.require_exact("side-component image escaped the headroom truncation")
+    # constant-term matrix is, the matrix on the fiber part
+    side = component_map(_restricted(op, dvb.fibers), ua)
     if not side.is_bijective():
         raise AnalysisError("operator is degenerate between the side "
                             "components")
@@ -1056,7 +1054,8 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
     top.require_exact("operator image escaped even the headroom truncation")
     kern_dim = len(basis_c) - linalg.rank(top.entries)
 
-    fib_index = [k for k, m in enumerate(basis_c) if _is_fiber(m.factors)]
+    fib_index = [k for k, m in enumerate(basis_c)
+                 if _fiber_degree(m) == m.degree]
 
     def const_kernel(dmax: int) -> list[linalg.Vector]:
         """The kernel vectors on the fiber monomials of degree at most
@@ -1067,10 +1066,10 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
 
     dim1 = len(const_kernel(1))
     kconst = const_kernel(2)
-    # weight-0 monomials of degree at most truncation - 1 and - 2
-    n1, n2 = (len(component_basis(dvb, ZERO, max(dvb.truncation - k, 0)))
-              for k in (1, 2))
-    if kern_dim != dim1 * n1 + (len(kconst) - dim1) * n2:
+    # a constant kernel vector of fiber degree k, times each base monomial
+    # of degree at most truncation - k
+    if kern_dim != (dim1 * _base_count(dvb, 1)
+                    + (len(kconst) - dim1) * _base_count(dvb, 2)):
         raise AnalysisError("kernel is not generated by constant-coefficient "
                             "elements at this truncation; cannot chartify")
 
@@ -1121,15 +1120,17 @@ def reconstruct_degree2(dvb: Chart, op: Derivation) -> ReconstructionResult:
 
 
 def _morphism_matrix(phi: ChartMorphism, w: Weight) -> ComponentMatrix:
-    """The fiber part of ``phi`` on the weight-``w`` fiber monomials of
-    its target, each column the terms of one pushed-forward monomial."""
-    dom = fiber_basis(phi.target, w)
+    """The fiber part of ``phi`` on the weight-``w`` component of its
+    target's fibers: each column holds the terms of one pushed-forward
+    monomial on ``phi.source.fibers`` (:func:`_terms_on`).  The flag of
+    an image is not read."""
+    fibers = phi.source.fibers
+    dom = component_basis(phi.target.fibers, w)
     images = (phi.apply(monomial_poly(phi.target, m)) for m in dom)
     return _component_matrix(
-        dom, fiber_basis(phi.source, phi._map_weight(w)),
-        (({t.sort_key: c for t, c in p.terms.items()},
-          {t.sort_key: (t.factors, t.degree) for t in p.terms}, p.truncated)
-         for p in images), fiber_only=True)
+        dom, component_basis(fibers, phi._map_weight(w)),
+        (({t.sort_key: x for t, x in _terms_on(fibers, p).items()}, None,
+          False) for p in images))
 
 
 def _verify_reconstruction(phi: ChartMorphism, lin: LinearizedChart,

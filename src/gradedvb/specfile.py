@@ -63,12 +63,12 @@ _DIM = re.compile(r"^dim\s+([-\d,\s]+):\s*(\d+)\s*$")
 def parse_weight_row(text: str, system: WeightSystem, line: int,
                      column: int = 1) -> Weight:
     """The weight of the comma-separated coefficients ``text``, which
-    starts at ``column`` of ``line``; a malformed coefficient is reported
-    at its own column."""
+    starts at ``column`` of ``line``; a wrong number of coefficients is
+    reported there, a malformed coefficient at its own column."""
     parts = text.split(",")
     if len(parts) != len(system.basic_symbols):
         raise SpecParseError(f"expected {len(system.basic_symbols)} "
-                             f"coefficients, got {len(parts)}", line)
+                             f"coefficients, got {len(parts)}", line, column)
     coeffs = []
     for raw in parts:
         p = raw.strip()
@@ -79,14 +79,6 @@ def parse_weight_row(text: str, system: WeightSystem, line: int,
             raise SpecParseError(f"malformed integer {p!r}", line, col) from None
         column += len(raw) + 1
     return weight(zip(system.basic_symbols, coeffs))
-
-
-def _claim(first: dict, key, what: str, line: int) -> None:
-    """Record that ``line`` gives ``key``; a chart block gives each key
-    once, and the zero weight's dim is ``base_dim``."""
-    if key in first:
-        raise SpecParseError(f"{what} repeats line {first[key]}", line)
-    first[key] = line
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -133,44 +125,45 @@ def parse_spec(text: str) -> SpecFile:
         weights.append(parse_weight_row(s, system, ln, col))
     system = WeightSystem(system.basis, frozenset(weights))
 
+    # a chart line's error names the column of its value when the value
+    # is at fault, else the column where the line starts
     dims = None
     truncation = None
     if in_chart:
-        dims = {}
-        base_dim = None
-        first: dict = {}  # "trunc", or a weight given a dim -> its line
+        dims = {}  # each weight given a dim, and "trunc" -> its value
+        first: dict = {}  # the same keys -> the (line, column) giving them
         for ln, col, s in chart_lines:
             key, *arg = s.split(None, 1)
-            if key == "trunc":
-                _claim(first, "trunc", "trunc", ln)
-                try:
-                    truncation = int(arg[0])
-                except (IndexError, ValueError):
-                    raise SpecParseError("malformed trunc line", ln) from None
-                if truncation < 1:
-                    raise SpecParseError("trunc must be >= 1", ln)
-                continue
-            if key == "base_dim":
-                _claim(first, ZERO, "base_dim", ln)
-                try:
-                    base_dim = int(arg[0])
-                except (IndexError, ValueError):
-                    raise SpecParseError("malformed base_dim line", ln) from None
-                continue
-            dm = _DIM.match(s)
-            if not dm:
-                raise SpecParseError(f"unrecognized chart line {s!r}", ln)
-            w = parse_weight_row(dm.group(1), system, ln, col + dm.start(1))
-            if w not in system.elements:
-                raise SpecParseError(f"dim for {w.label}, which is not an "
-                                     "element", ln)
-            _claim(first, w, f"dim for {w.label}", ln)
-            dims[w] = int(dm.group(2))
-        if base_dim is not None:
-            if ZERO not in system.elements:
-                raise SpecParseError("base_dim given but zero weight missing",
-                                     first[ZERO])
-            dims[ZERO] = base_dim
+            if key in ("trunc", "base_dim"):
+                claim, what = ZERO if key == "base_dim" else key, key
+                text = arg[0] if arg else ""
+                at = col + len(s) - len(text) if text else col
+            elif dm := _DIM.match(s):
+                w = parse_weight_row(dm.group(1), system, ln, col + dm.start(1))
+                if w not in system.elements:
+                    raise SpecParseError(f"dim for {w.label}, which is not an "
+                                         "element", ln, col)
+                claim, what, text = w, f"dim for {w.label}", dm.group(2)
+                at = col + dm.start(2)
+            else:
+                raise SpecParseError(f"unrecognized chart line {s!r}", ln,
+                                     col)
+            # a chart block gives each key once; base_dim is the zero dim
+            if claim in first:
+                raise SpecParseError(f"{what} repeats line {first[claim][0]}",
+                                     ln, col)
+            first[claim] = (ln, col)
+            try:
+                dims[claim] = int(text)
+            except ValueError:  # also more digits than int() converts
+                raise SpecParseError(f"malformed {key} line", ln, at) from None
+            low = 1 if key == "trunc" else 0
+            if dims[claim] < low:
+                raise SpecParseError(f"{key} must be >= {low}", ln, at)
+        truncation = dims.pop("trunc", None)
+        if ZERO in dims and ZERO not in system.elements:
+            raise SpecParseError("base_dim given but zero weight missing",
+                                 *first[ZERO])
     return SpecFile(system, dims, truncation)
 
 

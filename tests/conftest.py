@@ -44,7 +44,6 @@ from gradedvb.analysis import (
     _component_matrix,
     _image_obstacle,
     _in_span,
-    _is_fiber,
     _operators,
     _require,
     _steps_obstacle,
@@ -140,8 +139,7 @@ def matrix_reference(apply, dom_chart, dom, cod, fiber_only=False):
         img = apply(monomial_poly(dom_chart, m))
         terms, over = img.terms, img.truncated
         if fiber_only:
-            terms = {t: c for t, c in terms.items()
-                     if all(not f.weight.is_zero for f, _ in t.factors)}
+            terms = {t: c for t, c in terms.items() if is_fiber(t)}
             over = False
         for t, c in terms.items():
             r = index.get(t)
@@ -396,9 +394,13 @@ def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
 def fiber_reference(chart: Chart, w: Weight) -> list[Monomial]:
     """The monomials of the full weight-``w`` basis with no weight-0
     factor, filtered out of :func:`component_basis`: the reference for
-    ``algebra.fiber_basis``, which never lists the others."""
-    return [m for m in component_basis(chart, w)
-            if all(not c.weight.is_zero for c, _ in m.factors)]
+    the bases of ``Chart.fibers``, whose search never lists the others."""
+    return [m for m in component_basis(chart, w) if is_fiber(m)]
+
+
+def is_fiber(m: Monomial) -> bool:
+    """Whether the monomial ``m`` has no weight-0 factor."""
+    return all(not c.weight.is_zero for c, _ in m.factors)
 
 
 def _relabel_chart(dvb: Chart, mapping: dict) -> tuple[Chart, dict]:
@@ -485,9 +487,8 @@ def reconstruct_reference(dvb: Chart, op: Derivation) -> ReconstructionResult:
     # non-degeneracy as a module map: over the truncated coefficient ring
     # a linear map of free modules is invertible exactly when its
     # constant-term matrix is
-    dom = fiber_reference(rl, wa)
-    side = _component_matrix(dom, fiber_reference(rl, wb),
-                             map(op_big.leibniz, dom), fiber_only=True)
+    side = matrix_reference(op_big.apply, big, fiber_reference(rl, wa),
+                            fiber_reference(rl, wb), fiber_only=True)
     side.require_exact("side-component image escaped the headroom truncation")
     if not side.is_bijective():
         raise AnalysisError("operator is degenerate between the side "
@@ -501,7 +502,7 @@ def reconstruct_reference(dvb: Chart, op: Derivation) -> ReconstructionResult:
     top.require_exact("operator image escaped even the headroom truncation")
     kern_dim = len(basis_c) - linalg.rank(top.entries)
 
-    fib_index = [k for k, m in enumerate(basis_c) if _is_fiber(m.factors)]
+    fib_index = [k for k, m in enumerate(basis_c) if is_fiber(m)]
 
     def const_kernel(dmax: int) -> list[linalg.Vector]:
         """The kernel vectors on the fiber monomials of degree at most

@@ -16,7 +16,6 @@ from gradedvb import (
     normalize,
     weight,
 )
-from gradedvb.algebra import fiber_basis
 from conftest import (assert_canonical, degree_system, fiber_reference,
                       full_lift, random_chart, random_nonneg_system,
                       rank1_chart)
@@ -287,13 +286,42 @@ class TestGroupedSearch:
 
 
 class TestFiberBasis:
-    """``fiber_basis`` against the full basis with the monomials that have
-    a weight-0 factor filtered out (``fiber_reference``), list for list
-    and in order."""
+    """The bases of ``Chart.fibers`` against the full basis with the
+    monomials that have a weight-0 factor filtered out
+    (``fiber_reference``), list for list and in order."""
 
     def assert_matches(self, chart, weights):
         for w in weights:
-            assert fiber_basis(chart, w) == fiber_reference(chart, w), w.label
+            assert component_basis(chart.fibers, w) == \
+                fiber_reference(chart, w), w.label
+
+    def fiber_charts(self):
+        """A linearized chart, a full lift with negative weights, a chart
+        with degree headroom and charts without base or fiber part."""
+        dvb = linearize_chart(rank1_chart(2, [2, 1, 2])).chart
+        yield dvb
+        yield full_lift(rank1_chart(2, [2, 1, 2], 0))
+        yield Chart(dvb.system, dvb.coordinates, dvb.truncation + 2,
+                    dvb.applied_lifts)
+        yield rank1_chart(2, [0, 2, 1])
+        yield rank1_chart(2, [2, 0, 0])
+
+    def test_fibers_is_one_chart_without_weight_zero(self):
+        for chart in self.fiber_charts():
+            fibers = chart.fibers
+            assert chart.fibers is fibers
+            assert not any(c.weight.is_zero for c in fibers.coordinates)
+            assert fibers.coordinates == tuple(
+                c for c in chart.coordinates if not c.weight.is_zero)
+            assert (fibers.system, fibers.truncation, fibers.applied_lifts) \
+                == (chart.system, chart.truncation, chart.applied_lifts)
+
+    def test_equal_charts_give_equal_fibers(self):
+        for chart, twin in zip(self.fiber_charts(), self.fiber_charts()):
+            assert chart is not twin and chart == twin
+            assert chart.fibers is not twin.fibers
+            assert chart.fibers == twin.fibers
+            assert hash(chart.fibers) == hash(twin.fibers)
 
     def test_family_charts_and_their_linearizations(self, rng):
         for _ in range(8):
@@ -323,10 +351,10 @@ class TestFiberBasis:
         weights = sample_weights(rng, chart)
         self.assert_matches(chart, weights)
         if dims[0] == 0:
-            assert all(fiber_basis(chart, w) == component_basis(chart, w)
-                       for w in weights)
+            assert all(component_basis(chart.fibers, w) ==
+                       component_basis(chart, w) for w in weights)
         else:
-            assert [fiber_basis(chart, w) for w in weights] == \
+            assert [component_basis(chart.fibers, w) for w in weights] == \
                 [[Monomial(())] if w.is_zero else [] for w in weights]
 
     def test_full_and_fiber_memo_entries_kept_apart(self, rng):
@@ -340,11 +368,11 @@ class TestFiberBasis:
             for w, (full, fib) in zip(weights, want):
                 for _ in range(2):
                     if fiber_first:
-                        got_fib = fiber_basis(chart, w)
+                        got_fib = component_basis(chart.fibers, w)
                         got_full = component_basis(chart, w)
                     else:
                         got_full = component_basis(chart, w)
-                        got_fib = fiber_basis(chart, w)
+                        got_fib = component_basis(chart.fibers, w)
                     assert (got_full, got_fib) == (full, fib), w.label
 
 

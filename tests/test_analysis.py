@@ -41,8 +41,7 @@ from gradedvb import (
     weight,
 )
 from gradedvb import analysis, linalg
-from gradedvb.algebra import fiber_basis
-from gradedvb.analysis import _component_matrix, _inverse_matrix
+from gradedvb.analysis import _component_matrix, _inverse_matrix, _restricted
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
 from test_analysis_golden import MUTATED, OFF_KERNEL
@@ -297,10 +296,13 @@ class TestCappedMatrix:
 class TestLeibnizColumns:
     """``_component_matrix`` over ``Derivation.leibniz`` against
     :func:`reference_matrix`: the same entries, row by row and in the same
-    order, and the same overflow flags."""
+    order, and the same overflow flags.  With ``fiber_only`` the columns
+    are those of the derivation that ``op`` induces on its chart's fibers,
+    and the reference's images are projected onto their fiber terms."""
 
     def assert_matches(self, op, dom, cod, fiber_only=False):
-        got = _component_matrix(dom, cod, map(op.leibniz, dom), fiber_only)
+        made = _restricted(op, op.chart.fibers) if fiber_only else op
+        got = _component_matrix(dom, cod, map(made.leibniz, dom))
         want = reference_matrix(op, dom, cod, fiber_only)
         assert [list(r.items()) for r in got.entries] == \
             [list(r.items()) for r in want.entries]
@@ -356,19 +358,21 @@ class TestLeibnizColumns:
     def test_headroom_operator(self, fiber_only):
         # the side and top matrices of reconstruct_degree2, on the chart
         # with headroom and on the chart itself, and the top matrix into
-        # the degree-1 part of its codomain, where fiber columns overflow
+        # the degree-1 part of its codomain, where fiber columns overflow;
+        # with fiber_only, the top matrix on the fibers of each chart
         op, op_big = headroom_operators()
         wa, wc = weight({A: 1}), weight({A: 2, B2: 1})
         flags = set()
         for d in (op, op_big):
+            chart = d.chart.fibers if fiber_only else d.chart
             flags |= self.assert_matches(
-                d, fiber_basis(op.chart, wa),
-                fiber_basis(op.chart, wa + d.weight_shift),
+                d, component_basis(op.chart.fibers, wa),
+                component_basis(op.chart.fibers, wa + d.weight_shift),
                 fiber_only)
             for cap in (1, d.chart.truncation):
                 flags |= self.assert_matches(
-                    d, component_basis(d.chart, wc, op.chart.truncation),
-                    component_basis(d.chart, wc + d.weight_shift, cap),
+                    d, component_basis(chart, wc, op.chart.truncation),
+                    component_basis(chart, wc + d.weight_shift, cap),
                     fiber_only)
         assert flags == {False, True}
 
@@ -1138,6 +1142,31 @@ class TestFiberBlocks:
             in lines
         assert_blocks_match(chart, ops, True)
 
+    def test_operators_on_an_equal_chart(self):
+        """A family whose operators sit on an equal but distinct chart
+        takes the fiber blocks on the fibers of the chart it is checked
+        on, and every check and report line equals those it gives on
+        the operators' own chart, a failing family included."""
+        chart = m3_linearized((1, 2, 1, 1)).chart
+        lc = m3_linearized((1, 2, 1, 1))
+        assert lc.chart is not chart and lc.chart == chart
+        families = [lc.operators, {**lc.operators, B2: lc.operators[
+            B2].with_zeroed(lc.chart.coordinate("xi{a1}_1"))}]
+        for ops in families:
+            fibers = analysis._Family(chart, ops).fibers
+            assert fibers is not None and fibers.chart is chart.fibers
+            checked = 0
+            for k, _, check, args in analysis.certificate_plan(chart, ops):
+                if k > 2:
+                    checked += 1
+                    assert result_fields(outcome(check, chart, ops, args)) \
+                        == result_fields(outcome(check, lc.chart, ops,
+                                                 args)), (k, args)
+            assert checked
+            assert certificate_lines(check_all_properties, chart, ops) == \
+                certificate_lines(check_all_properties, lc.chart, ops)
+        assert not check_all_properties(chart, families[1]).all_passed
+
     def test_families_off_the_structure_take_the_whole_component(self):
         """A base factor in an image, a nonlinear image and a flagged
         image each keep the family off the fiber blocks."""
@@ -1317,8 +1346,8 @@ class TestReconstruct:
             res = reconstruct_degree2(source, op)
             phi = res.phi
             for w in res.linearized.chart.system.sorted_elements():
-                dom = fiber_basis(phi.target, w)
-                cod = fiber_basis(phi.source, phi._map_weight(w))
+                dom = component_basis(phi.target.fibers, w)
+                cod = component_basis(phi.source.fibers, phi._map_weight(w))
                 got = analysis._morphism_matrix(phi, w)
                 want = matrix_reference(phi.apply, phi.target, dom, cod,
                                         fiber_only=True)

@@ -1,6 +1,7 @@
 """Every top-level function, class and assigned name of the package,
 and every method and property of its top-level classes, has a reader,
-and every local that a package function assigns is read.
+every local that a package function assigns is read, and every default
+of a package function is overridden somewhere outside the tests.
 
 The source, the tests and the benchmark are parsed with ``ast``; a name
 counts as used when some other top-level statement or method reads it as
@@ -10,6 +11,14 @@ name, and the re-exports in ``gradedvb/__init__.py`` do not count.
 Dunder names are exempt: the language reads them.  A local counts as read
 when its function, or a function nested in it, reads it as a name;
 locals named with a leading ``_`` are exempt.
+
+A parameter with a default is a knob; it counts as used when some call
+in ``src/``, ``scripts/`` or ``perfbench/`` passes it, by position or
+by keyword.  A call matches a function by its name or attribute name, a
+class's ``__init__`` by the class name, and a method's positions start
+after ``self``.  A call that unpacks ``*args`` passes every later
+position, and one that unpacks ``**kwargs`` every keyword.  A default
+that only the tests override is a knob for the tests.
 """
 
 import ast
@@ -136,3 +145,70 @@ def test_every_package_definition_is_referenced():
 
 def test_every_assigned_local_is_read():
     assert unread_locals() == []
+
+
+def defaulted_parameters():
+    """``(file:function:parameter, name a call uses, position)`` for each
+    parameter with a default of each package function; keyword-only
+    parameters have no position."""
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        tree = parse(os.path.join(PACKAGE, name))
+        methods = {item: cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, FUNCS)}
+        for func in ast.walk(tree):
+            if not isinstance(func, FUNCS):
+                continue
+            cls = methods.get(func)
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in func.decorator_list)
+            skip = 1 if cls and not static else 0
+            called = cls if func.name == "__init__" else func.name
+            args = func.args
+            params = args.posonlyargs + args.args
+            first = len(params) - len(args.defaults)
+            where = f"{name}:{func.name}"
+            found += [(f"{where}:{p.arg}", called, k - skip)
+                      for k, p in enumerate(params) if k >= first]
+            found += [(f"{where}:{p.arg}", called, None)
+                      for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+    return found
+
+
+def passes(call, param, position):
+    """Whether ``call`` passes the parameter ``param`` at ``position``."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args[:position + 1])
+
+
+def unset_knobs():
+    """``file:function:parameter`` for each default that no call in
+    ``src/``, ``scripts/`` or ``perfbench/`` passes."""
+    calls = {}  # called name -> calls
+    for top in ("src", "scripts", "perfbench"):
+        for here, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(names):
+                if not name.endswith(".py"):
+                    continue
+                for node in ast.walk(parse(os.path.join(here, name))):
+                    if isinstance(node, ast.Call):
+                        f = node.func
+                        called = getattr(f, "id", None) or getattr(
+                            f, "attr", None)
+                        calls.setdefault(called, []).append(node)
+    return [label for label, called, position in defaulted_parameters()
+            if not any(passes(call, label.rsplit(":", 1)[1], position)
+                       for call in calls.get(called, []))]
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    assert defaulted_parameters()
+    assert unset_knobs() == []

@@ -109,6 +109,36 @@ class TestSpecFile:
         assert str(err.value) == \
             f"line 6, column 1: unrecognized chart line {line!r}"
 
+    # a chart line's error names the column of its value when the value
+    # is at fault, else the column where the line starts
+    @pytest.mark.parametrize("block,line,column,message", [
+        ("trunc 0x", 7, 7, "malformed trunc line"),
+        ("trunc   0", 7, 9, "trunc must be >= 1"),
+        ("  trunc", 7, 3, "malformed trunc line"),
+        (" base_dim 1x", 7, 11, "malformed base_dim line"),
+        ("base_dim -1", 7, 10, "base_dim must be >= 0"),
+        ("dim 1: " + "9" * 5000, 7, 8, "malformed dim line"),
+        ("  dim 1: x", 7, 3, "unrecognized chart line 'dim 1: x'"),
+        ("  dim 3: 1", 7, 3, "dim for 3a1, which is not an element"),
+        ("trunc 3\n  trunc 4", 8, 3, "trunc repeats line 7"),
+        ("dim 2: 1\n\t dim 2: 5", 8, 3, "dim for 2a1 repeats line 7"),
+        ("   dim 1,0: 1", 7, 8, "expected 1 coefficients, got 2"),
+    ], ids=["trunc-value", "trunc-range", "trunc-missing", "base_dim-value",
+            "base_dim-range", "dim-count", "unrecognized", "non-element",
+            "repeat", "tab-repeat", "coefficients"])
+    def test_chart_line_errors_name_their_column(self, block, line, column,
+                                                 message):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(f"rank 1; parities 1\n0\n1\n2\n\nchart\n{block}\n")
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+
+    def test_base_dim_without_zero_weight_names_its_column(self):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec("rank 1; parities 1\n1\n\nchart\n  base_dim 1\n")
+        assert str(err.value) == ("line 5, column 3: base_dim given but "
+                                  "zero weight missing")
+
     def test_each_chart_value_once_is_accepted(self):
         spec = parse_spec("rank 1; parities 1\n0\n1\n2\n\nchart\n"
                           "dim 1: 2\ntrunc 4\ndim 2: 1\nbase_dim 3\n")

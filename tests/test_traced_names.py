@@ -123,3 +123,22 @@ RECONSTRUCT_PATH = ("analysis.reconstruct_degree2", "linearize.linearize_chart",
 def test_reconstruct_reaches_the_traced_names(monkeypatch):
     assert_command_reaches(monkeypatch, RECONSTRUCT_PATH,
                            ["reconstruct", M2_SPEC, "--json"])
+
+
+def test_reconstruct_lists_fibers_through_component_basis(monkeypatch):
+    """The reconstruction lists its fiber monomials with the traced
+    ``algebra.component_basis``, on the fiber part of a chart, so the
+    tracer counts those listings and times them under ``algebra``."""
+    real = analysis.component_basis
+    charts = []
+
+    def counted(chart, *args):
+        charts.append(chart)
+        return real(chart, *args)
+    monkeypatch.setattr(analysis, "component_basis", counted)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["reconstruct", M2_SPEC, "--json"]) == 0
+    assert json.loads(buf.getvalue())["command"] == "reconstruct"
+    assert any(chart.coordinates and not any(
+        c.weight.is_zero for c in chart.coordinates) for chart in charts)
