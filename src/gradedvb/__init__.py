@@ -44,14 +44,7 @@ from .algebra import (
     multiply,
     normalize,
 )
-from .tangent import (
-    Derivation,
-    de_rham,
-    multiplicity_free_restriction,
-    quotient_chart,
-    tangent_lift,
-    tangent_lift_unchecked,
-)
+from .tangent import Derivation, de_rham
 from .linearize import (
     ChartMorphism,
     CompositeOperator,

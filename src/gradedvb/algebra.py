@@ -30,7 +30,6 @@ from .weights import (
     BasisSymbol,
     Weight,
     WeightSystem,
-    lift_shift,
 )
 
 
@@ -106,16 +105,6 @@ class Coordinate:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.name
-
-
-def tagged_coordinate(c: Coordinate, tag: BasisSymbol) -> Coordinate:
-    """The image coordinate of ``c`` under one lift: tag appended, weight
-    shifted by ``tag - a<i>``, parity flipped."""
-    return Coordinate(
-        CoordinateId(c.cid.base_name, c.cid.tags + (tag,)),
-        c.weight + lift_shift(tag),
-        (c.parity + 1) % 2,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ The checks of properties 3 to 6 work block by block where they can.
 When the chart has no negative weight and only even weight-0
 coordinates, and each operator kills the weight-0 coordinates and sends
 every other coordinate to an unflagged linear combination of coordinates
-of nonzero weight (:func:`_fiberwise`, tested once per operator), an
+of nonzero weight (:func:`_fiberwise`, tested once per family), an
 operator sends a base monomial ``b`` times a fiber monomial of degree
 ``k`` to ``b`` times fiber monomials of degree ``k``.  Its component
 matrix is then a direct sum of one block per ``(b, k)``, and the block
@@ -284,15 +284,11 @@ def _in_span(vectors: list[linalg.Vector], r: int, v: linalg.Vector) -> bool:
 def _fiberwise(op: Derivation) -> bool:
     """Whether ``op`` kills the weight-0 coordinates and sends every other
     coordinate to an unflagged linear combination of coordinates of
-    nonzero weight; tested once, and the answer kept in the derivation's
-    ``matrix_memo`` under the key ``"fiberwise"``."""
-    hit = op.matrix_memo.get("fiberwise")
-    if hit is None:
-        hit = op.matrix_memo["fiberwise"] = all(
-            not img.truncated and (not img.terms if c.weight.is_zero else all(
-                m.degree == 1 and not m.weight.is_zero for m in img.terms))
-            for c, img in op.images.items())
-    return hit
+    nonzero weight."""
+    return all(
+        not img.truncated and (not img.terms if c.weight.is_zero else all(
+            m.degree == 1 and not m.weight.is_zero for m in img.terms))
+        for c, img in op.images.items())
 
 
 @dataclass(eq=False)
@@ -365,20 +361,17 @@ def _base_count(chart: Chart, k: int) -> int:
 
 def _fiber_view(chart: Chart, ops: dict) -> _View | None:
     """:attr:`Chart.fibers`, with the family ``ops`` restricted to it,
-    where the module docstring's block argument holds, else None.  Each
-    operator keeps its :func:`_restricted` copy on the fibers of its own
-    chart in its ``matrix_memo``, under the key ``"fibers"``."""
+    where the module docstring's block argument holds, else None.  The
+    :func:`_restricted` copies sit on ``chart.fibers`` itself, and only
+    the view holds them: each :class:`_Family` builds its own."""
     if not all(c.weight.is_nonnegative and not (c.weight.is_zero and c.parity)
                for c in chart.coordinates):
         return None
     if not all((op.chart is chart or op.chart == chart) and _fiberwise(op)
                for op in ops.values()):
         return None
-    for op in ops.values():
-        if "fibers" not in op.matrix_memo:
-            op.matrix_memo["fibers"] = _restricted(op, op.chart.fibers)
-    return _View(chart.fibers, {s: op.matrix_memo["fibers"]
-                                for s, op in ops.items()},
+    fibers = chart.fibers
+    return _View(fibers, {s: _restricted(op, fibers) for s, op in ops.items()},
                  [_base_count(chart, k) for k in range(chart.truncation + 1)])
 
 

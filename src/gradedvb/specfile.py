@@ -56,8 +56,21 @@ class SpecFile:
         return Chart.from_dims(self.system, self.dims, truncation)
 
 
-_HEADER = re.compile(r"^rank\s+(\d+)\s*;\s*parities((?:\s+[01])+)\s*$")
-_DIM = re.compile(r"^dim\s+([-\d,\s]+):\s*(\d+)\s*$")
+_HEADER = re.compile(r"^rank\s+([0-9]+)\s*;\s*parities((?:\s+[01])+)\s*$")
+_DIM = re.compile(r"^dim\s+([-0-9,\s]+):\s*([0-9]+)\s*$")
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _spec_int(text: str) -> int | None:
+    """The integer that ``text`` spells as ASCII ``-?[0-9]+``, else None.
+    Every integer of a spec is read here: :func:`int` would also take
+    ``+1``, ``1_0``, surrounding space and other scripts' digits."""
+    if _INT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
 
 
 def parse_weight_row(text: str, system: WeightSystem, line: int,
@@ -72,52 +85,46 @@ def parse_weight_row(text: str, system: WeightSystem, line: int,
     coeffs = []
     for raw in parts:
         p = raw.strip()
-        try:
-            coeffs.append(int(p))
-        except ValueError:
+        v = _spec_int(p)
+        if v is None:
             col = column + len(raw) - len(raw.lstrip())
-            raise SpecParseError(f"malformed integer {p!r}", line, col) from None
+            raise SpecParseError(f"malformed integer {p!r}", line, col)
+        coeffs.append(v)
         column += len(raw) + 1
     return weight(zip(system.basic_symbols, coeffs))
 
 
 def parse_spec(text: str) -> SpecFile:
-    lines = text.splitlines()
-    header = None
-    idx = 0
-    while idx < len(lines):
-        raw = lines[idx].strip()
-        idx += 1
-        if raw and not raw.startswith("#"):
-            header = raw
-            break
-    if header is None:
+    # each line that is not blank or a comment as (line, column of its
+    # first character, stripped text); the first is the header
+    entries = [(ln, len(raw) - len(raw.lstrip()) + 1, raw.strip())
+               for ln, raw in enumerate(text.splitlines(), start=1)
+               if raw.strip() and not raw.strip().startswith("#")]
+    if not entries:
         raise SpecParseError("empty spec file", 1)
+    idx, hcol, header = entries[0]
     m = _HEADER.match(header)
-    if not m:
-        raise SpecParseError("expected header 'rank r; parities p1 .. pr'", idx)
-    rank = int(m.group(1))
+    rank = _spec_int(m.group(1)) if m else None
+    if rank is None:
+        raise SpecParseError("expected header 'rank r; parities p1 .. pr'",
+                             idx, hcol)
     parities = [int(p) for p in m.group(2).split()]
     if len(parities) != rank:
-        raise SpecParseError(f"rank {rank} but {len(parities)} parities", idx)
+        raise SpecParseError(f"rank {rank} but {len(parities)} parities", idx,
+                             hcol + m.start(1))
 
-    # each row as (line, column of its first character, stripped text)
     rows: list[tuple[int, int, str]] = []
     chart_lines: list[tuple[int, int, str]] = []
     in_chart = False
-    for off, raw in enumerate(lines[idx:], start=idx + 1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
+    for off, col, s in entries[1:]:
         if s == "chart":
             if in_chart:
                 raise SpecParseError("duplicate chart block", off)
             in_chart = True
             continue
-        col = len(raw) - len(raw.lstrip()) + 1
         (chart_lines if in_chart else rows).append((off, col, s))
     if not rows:
-        raise SpecParseError("no weight rows", idx)
+        raise SpecParseError("no weight rows", idx, hcol)
 
     system = system_from_rows(parities, [[0] * rank])  # basis carrier
     weights = []
@@ -153,10 +160,9 @@ def parse_spec(text: str) -> SpecFile:
                 raise SpecParseError(f"{what} repeats line {first[claim][0]}",
                                      ln, col)
             first[claim] = (ln, col)
-            try:
-                dims[claim] = int(text)
-            except ValueError:  # also more digits than int() converts
-                raise SpecParseError(f"malformed {key} line", ln, at) from None
+            dims[claim] = _spec_int(text)
+            if dims[claim] is None:
+                raise SpecParseError(f"malformed {key} line", ln, at)
             low = 1 if key == "trunc" else 0
             if dims[claim] < low:
                 raise SpecParseError(f"{key} must be >= {low}", ln, at)

@@ -12,6 +12,14 @@ Lifted charts contain coordinates of negative weight.  Dividing by the
 ideal they generate (substituting zero for each of them) restores
 non-negative grading; restricting further to multiplicity-free weights
 produces the chart of the associated multi-fold vector bundle.
+
+:func:`lifted_quotient` builds the quotient of a chain of lifts in one
+pass, and it is the path the package uses.  The step-by-step lift
+(:func:`tangent_lift`, :func:`tangent_lift_unchecked`,
+:func:`quotient_chart`, :func:`multiplicity_free_restriction`) is the
+reference the tests compare it with.  It is importable only from
+``gradedvb.tangent``, not from ``gradedvb``, and stays here because the
+benchmark tracer wraps it.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from .algebra import (
     Polynomial,
     merge_factors,
     multiply,  # noqa: F401 - perfbench/tests reads tangent.multiply
-    tagged_coordinate,
 )
 from .weights import BasisSymbol, Weight, WeightSystem, lift_shift
 
@@ -48,7 +55,8 @@ class Derivation:
     product monomial told its weight.  The derivation extends to products
     by the graded Leibniz rule, written once, in :meth:`leibniz`, which
     :meth:`apply` and the analysis layer's component matrices read.
-    ``matrix_memo`` holds the matrices already built for this derivation.
+    ``matrix_memo`` holds the component matrices already built for this
+    derivation, keyed by their domain :class:`Weight`, and nothing else.
     """
 
     chart: Chart
@@ -161,6 +169,14 @@ class Derivation:
 # lifts
 # ---------------------------------------------------------------------------
 
+def _partner(c: Coordinate, tag: BasisSymbol, w: Weight) -> Coordinate:
+    """The partner of ``c`` under the lift by ``tag``: the tag appended,
+    the parity flipped, and the weight ``w``, which is that of ``c``
+    shifted by ``tag - a<i>``."""
+    return Coordinate(CoordinateId(c.cid.base_name, c.cid.tags + (tag,)),
+                      w, 1 - c.parity)
+
+
 def tangent_lift_unchecked(chart: Chart, tag: BasisSymbol) -> Chart:
     """Lift without the canonical-order check; for reorder experiments."""
     if tag.kind != "additional":
@@ -168,15 +184,14 @@ def tangent_lift_unchecked(chart: Chart, tag: BasisSymbol) -> Chart:
     if tag in chart.applied_lifts:
         raise AlgebraError(f"lift {tag.label} already applied")
     shift = lift_shift(tag)
-    new_coords = list(chart.coordinates)
-    for c in chart.coordinates:
-        new_coords.append(tagged_coordinate(c, tag))
+    coords = chart.coordinates + tuple(_partner(c, tag, c.weight + shift)
+                                       for c in chart.coordinates)
     basis = tuple(sorted(set(chart.system.basis) | {tag},
                          key=lambda s: s.sort_key))
     elements = set(chart.system.elements)
     elements.update(w + shift for w in chart.system.elements)
     system = WeightSystem(basis, frozenset(elements))
-    return Chart(system, tuple(new_coords), chart.truncation,
+    return Chart(system, coords, chart.truncation,
                  chart.applied_lifts + (tag,))
 
 
@@ -265,12 +280,8 @@ def lifted_quotient(chart: Chart, tags: tuple[BasisSymbol, ...]) -> Chart:
         raise AlgebraError("lift a chart free of negative weights")
     for tag in tags:
         shift = lift_shift(tag)
-        for c in list(coords):
-            w = c.weight + shift  # the partner's weight, tested first
-            if w.is_nonnegative:  # then built as tagged_coordinate does
-                coords.append(Coordinate(
-                    CoordinateId(c.cid.base_name, c.cid.tags + (tag,)),
-                    w, 1 - c.parity))
+        coords += [_partner(c, tag, w) for c in coords  # weight tested first
+                   if (w := c.weight + shift).is_nonnegative]
         elements.update([w for w in (e + shift for e in elements)
                          if w.is_nonnegative])
     basis = tuple(sorted(set(chart.system.basis).union(tags),

@@ -26,9 +26,9 @@ from gradedvb import (
     monomial_poly,
     multiply,
     system_from_rows,
-    tangent_lift,
     weight,
 )
+from gradedvb.tangent import tangent_lift
 from gradedvb import linalg
 from gradedvb.specfile import _parsed_terms
 from gradedvb.analysis import (

@@ -29,15 +29,14 @@ from gradedvb import (
     linearize_chart,
     linearized_system,
     monomial_poly,
-    multiplicity_free_restriction,
     multiply,
-    quotient_chart,
     reconstruct_degree2,
     solve_inverse,
     system_from_rows,
-    tangent_lift,
     weight,
 )
+from gradedvb.tangent import (multiplicity_free_restriction, quotient_chart,
+                              tangent_lift)
 from gradedvb.cli import main as cli_main
 
 from conftest import (dense, degree_system, random_chart, random_nonneg_system,

@@ -16,6 +16,7 @@ from gradedvb import (
     Monomial,
     Polynomial,
     TruncationOverflow,
+    Weight,
     ZERO,
     additional_symbol,
     basic_symbol,
@@ -37,9 +38,9 @@ from gradedvb import (
     reconstruct_degree2,
     solve_inverse,
     system_from_rows,
-    tangent_lift,
     weight,
 )
+from gradedvb.tangent import tangent_lift
 from gradedvb import analysis, linalg
 from gradedvb.analysis import _component_matrix, _inverse_matrix, _restricted
 from gradedvb.weights import lift_shift
@@ -1167,6 +1168,16 @@ class TestFiberBlocks:
                 certificate_lines(check_all_properties, lc.chart, ops)
         assert not check_all_properties(chart, families[1]).all_passed
 
+    def test_fiber_operators_sit_on_the_checked_charts_fibers(self):
+        """The restricted copies of a family on an equal but distinct
+        chart are built on the fibers of the chart it is checked on."""
+        chart = m3_linearized((1, 2, 1, 1)).chart
+        lc = m3_linearized((1, 2, 1, 1))
+        assert lc.chart is not chart and lc.chart == chart
+        fibers = analysis._Family(chart, lc.operators).fibers
+        assert fibers is not None and fibers.ops.keys() == lc.operators.keys()
+        assert all(op.chart is chart.fibers for op in fibers.ops.values())
+
     def test_families_off_the_structure_take_the_whole_component(self):
         """A base factor in an image, a nonlinear image and a flagged
         image each keep the family off the fiber blocks."""
@@ -1188,6 +1199,36 @@ class TestFiberBlocks:
                 chart, op.weight_shift, 1, {**op.images, **change})}
             assert not analysis._fiberwise(ops[B2]), name
             assert_blocks_match(chart, ops, False)
+
+
+def assert_memos_hold_weights(ops):
+    for op in ops.values():
+        assert all(isinstance(key, Weight) for key in op.matrix_memo), \
+            [key for key in op.matrix_memo if not isinstance(key, Weight)]
+
+
+class TestCertificateState:
+    """A certificate keeps its state off the caller's operators: after
+    it, and after each check of properties 3 to 6 called on its own,
+    the only keys of an operator's ``matrix_memo`` are the weights of
+    the component matrices built for it."""
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CHARTS))
+    def test_operator_memos_hold_weights_only(self, name):
+        lc = linearize_chart(PLAN_CHARTS[name]())
+        zeroed = [(s, c) for s in sorted(lc.operators, key=lambda t: t.sort_key)
+                  for c in lc.operators[s].images]
+        for ops in [lc.operators] + [
+                {**lc.operators, s: lc.operators[s].with_zeroed(c)}
+                for s, c in zeroed[:1]]:
+            checks = [(check, args) for k, _, check, args
+                      in analysis.certificate_plan(lc.chart, ops) if k > 2]
+            assert checks
+            for check, args in checks:
+                outcome(check, lc.chart, ops, args)
+                assert_memos_hold_weights(ops)
+            certificate_lines(check_all_properties, lc.chart, ops)
+            assert_memos_hold_weights(ops)
 
 
 class TestCheckAllProperties:

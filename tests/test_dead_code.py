@@ -1,7 +1,8 @@
 """Every top-level function, class and assigned name of the package,
 and every method and property of its top-level classes, has a reader,
-every local that a package function assigns is read, and every default
-of a package function is overridden somewhere outside the tests.
+every local that a package function assigns is read, every default
+of a package function is overridden somewhere outside the tests, and
+each package module imports only the modules of earlier layers.
 
 The source, the tests and the benchmark are parsed with ``ast``; a name
 counts as used when some other top-level statement or method reads it as
@@ -212,3 +213,44 @@ def unset_knobs():
 def test_every_default_is_overridden_outside_the_tests():
     assert defaulted_parameters()
     assert unset_knobs() == []
+
+
+# each module may import only package modules listed before it
+LAYERS = ("weights", "linalg", "algebra", "tangent", "linearize", "analysis",
+          "specfile", "cli")
+
+
+def package_imports(path):
+    """The package modules that the module at ``path`` imports, by a
+    relative import or by their ``gradedvb.`` name."""
+    found = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"gradedvb.{module}" if module else "gradedvb"
+            names = [module] if module != "gradedvb" else [
+                f"gradedvb.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names
+                     if n.startswith("gradedvb."))
+    return found
+
+
+def test_modules_import_in_layer_order():
+    wrong = []
+    for name in sorted(os.listdir(PACKAGE)):
+        module = name[:-3]
+        if not name.endswith(".py") or module in ("__init__", "__main__"):
+            continue
+        if module not in LAYERS:
+            wrong.append(f"{module} has no layer")
+            continue
+        earlier = LAYERS[:LAYERS.index(module)]
+        wrong += [f"{module} imports {dep}" for dep in sorted(
+            package_imports(os.path.join(PACKAGE, name)))
+            if dep not in earlier]
+    assert wrong == []

@@ -20,12 +20,11 @@ from gradedvb import (
     linearize_chart,
     linearized_system,
     monomial_poly,
-    multiplicity_free_restriction,
     multiply,
-    quotient_chart,
-    tangent_lift,
     weight,
 )
+from gradedvb.tangent import (multiplicity_free_restriction, quotient_chart,
+                              tangent_lift)
 from gradedvb.specfile import parse_spec
 from conftest import full_lift, random_chart, random_nonneg_system, rank1_chart
 

@@ -19,6 +19,8 @@ from conftest import (parse_reference, random_chart, random_nonneg_system,
                       rank1_chart)
 
 HERE = os.path.dirname(__file__)
+BAD_HEADER = "expected header 'rank r; parities p1 .. pr'"
+RANK1 = "rank 1; parities 1\n"
 
 
 def data(name):
@@ -144,6 +146,56 @@ class TestSpecFile:
                           "dim 1: 2\ntrunc 4\ndim 2: 1\nbase_dim 3\n")
         assert spec.truncation == 4
         assert sorted(spec.dims.values()) == [1, 2, 3]
+
+    # a spec integer is ASCII: an optional "-" and the digits 0-9; each
+    # other spelling that int() reads, and a rank of more digits than it
+    # converts, gets the message and the column that a letter in its
+    # place gets
+    @pytest.mark.parametrize("text,line,column,message", [
+        (RANK1 + "0\n+1", 3, 1, "malformed integer '+1'"),
+        (RANK1 + "0\n1_0", 3, 1, "malformed integer '1_0'"),
+        (RANK1 + "0\n\u0661", 3, 1, "malformed integer '\u0661'"),
+        (RANK1 + "0\n  +1", 3, 3, "malformed integer '+1'"),
+        (RANK1 + "0\n1\n\nchart\ntrunc +3", 6, 7, "malformed trunc line"),
+        (RANK1 + "0\n1\n\nchart\ntrunc \uff13", 6, 7, "malformed trunc line"),
+        (RANK1 + "0\n1\n\nchart\nbase_dim 0_1", 6, 10,
+         "malformed base_dim line"),
+        (RANK1 + "0\n1\n\nchart\ntrunc -3", 6, 7, "trunc must be >= 1"),
+        (RANK1 + "0\n1\n\nchart\nbase_dim -2", 6, 10, "base_dim must be >= 0"),
+        (RANK1 + "0\n1\n\nchart\ndim \u0661: \u0662", 6, 1,
+         "unrecognized chart line 'dim \u0661: \u0662'"),
+        (RANK1 + "0\n1\n\nchart\ndim 1: \u0662", 6, 1,
+         "unrecognized chart line 'dim 1: \u0662'"),
+        ("rank \u0661; parities 1\n0", 1, 1, BAD_HEADER),
+        ("rank " + "1" * 5000 + "; parities 1\n0", 1, 1, BAD_HEADER),
+    ], ids=["plus", "underscore", "arabic-indic", "plus-column", "trunc-plus",
+            "trunc-fullwidth", "base_dim-underscore", "trunc-negative",
+            "base_dim-negative", "dim-arabic-indic", "dim-count",
+            "rank-arabic-indic", "rank-too-long"])
+    def test_spec_integers_are_ascii_digits(self, text, line, column,
+                                            message):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(text + "\n")
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+
+    # a header error names the column where the header starts, and a rank
+    # that the parities do not match names the column of the rank
+    @pytest.mark.parametrize("text,line,column,message", [
+        ("rnak 1; parities 1\n0", 1, 1, BAD_HEADER),
+        ("  rnak 1; parities 1\n0", 1, 3, BAD_HEADER),
+        ("# note\n\t rank x; parities 1\n0", 2, 3, BAD_HEADER),
+        ("rank 1; parities 1", 1, 1, "no weight rows"),
+        ("   rank 1; parities 1\n# no row", 1, 4, "no weight rows"),
+        ("rank 2; parities 1\n0", 1, 6, "rank 2 but 1 parities"),
+        ("  rank  2 ; parities 1\n0", 1, 9, "rank 2 but 1 parities"),
+    ], ids=["unindented", "indented", "tab-after-comment", "no-rows",
+            "no-rows-indented", "rank", "rank-indented"])
+    def test_header_errors_name_their_column(self, text, line, column,
+                                             message):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(text + "\n")
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
 
 
 class TestPolynomialText:
@@ -542,6 +594,13 @@ class TestDualizeCommand:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == \
             "error: --base: line 2, column 4: malformed integer '-'\n"
+
+    def test_base_integers_are_ascii_digits(self, capsys):
+        code, out = run_cli("dualize", data("a2pos.spec"),
+                            "--base", "0,0; 0,+1")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: --base: line 2, column 3: malformed integer '+1'\n"
 
 
 class TestReconstructCommand:

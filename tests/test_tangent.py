@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import gradedvb
 from gradedvb import (
     AlgebraError,
     Chart,
@@ -18,14 +19,12 @@ from gradedvb import (
     lift_symbols,
     linearize_chart,
     monomial_poly,
-    multiplicity_free_restriction,
     multiply,
-    quotient_chart,
-    tangent_lift,
-    tangent_lift_unchecked,
     weight,
 )
-from gradedvb.tangent import lifted_quotient
+from gradedvb.tangent import (lifted_quotient, multiplicity_free_restriction,
+                              quotient_chart, tangent_lift,
+                              tangent_lift_unchecked)
 from conftest import (assert_canonical, degree_system, full_lift,
                       headroom_operators, leibniz_reference,
                       quotient_polynomial, random_chart, random_derivation,
@@ -90,6 +89,15 @@ class TestTangentLift:
         with pytest.raises(AlgebraError):
             tangent_lift(lifted, B2)
         tangent_lift_unchecked(lifted, B2)  # escape hatch for experiments
+
+
+def test_reference_lift_is_not_exported():
+    """The step-by-step lift is the tests' reference: ``gradedvb.tangent``
+    defines it, and the package does not re-export it."""
+    for name in ("tangent_lift", "tangent_lift_unchecked", "quotient_chart",
+                 "multiplicity_free_restriction"):
+        assert not hasattr(gradedvb, name), name
+        assert callable(getattr(gradedvb.tangent, name)), name
 
 
 class TestLiftedQuotient:
