@@ -18,33 +18,33 @@ too, and a question about the span of a family of vectors is asked of
 the family itself, with :func:`linalg.rank`.  The fiber part of a chart
 is the chart :attr:`Chart.fibers`, and a derivation's part there is the
 one it induces (:func:`_restricted`).  A derivation gets one full-degree
-matrix per weight from :func:`component_map`, memoized in its declared
-``matrix_memo`` field; a check at a lower degree cap slices it with
-:meth:`ComponentMatrix.capped` instead of building the matrix again, and
-its inverse is computed once, in the matrix's declared ``inverse`` field.
+matrix per weight from :func:`component_map`; a check at a lower degree
+cap slices it with :meth:`ComponentMatrix.capped` instead of building
+the matrix again.
 
 The checks of properties 3 to 6 work block by block where they can.
-When the chart has no negative weight and only even weight-0
-coordinates, and each operator kills the weight-0 coordinates and sends
-every other coordinate to an unflagged linear combination of coordinates
-of nonzero weight (:func:`_fiberwise`, tested once per family), an
-operator sends a base monomial ``b`` times a fiber monomial of degree
-``k`` to ``b`` times fiber monomials of degree ``k``.  Its component
-matrix is then a direct sum of one block per ``(b, k)``, and the block
-depends on ``k`` only.  The checks run on the fiber chart
-(:func:`_fiber_view`), which drops the weight-0 coordinates and so holds
-one copy of each block, and count the degree-``k`` block once for each
-base monomial of degree at most the truncation minus ``k``
-(:func:`_base_count`).  Ranks, kernels and bijectivity add over a
-direct sum, so a pass there is a pass on the input chart, with every
-dimension summed over the copies.
-Anything but a clean pass (a failure, an error, a flag) is decided again
-on the whole component (:func:`_blockwise`), so every witness and message
-is the input chart's.  A family without the structure runs the same check
-bodies on the whole component, one block counted once.
-:func:`check_all_properties` hands its checks one family that keeps the
-joint kernels and transfer matrices computed so far, so properties 4 and
-6 share their kernels.
+When the chart has no negative weight, and each operator kills the
+weight-0 coordinates and sends every other coordinate to an unflagged
+linear combination of coordinates of nonzero weight (:func:`_fiberwise`,
+tested once per family), an operator sends a base monomial ``b`` times
+a fiber monomial of degree ``k`` to ``b`` times fiber monomials of
+degree ``k``.  Its component matrix is then a direct sum of one block
+per ``(b, k)``, and the block depends on ``k`` only.  The checks run on
+the fiber chart (:func:`_fiber_view`), which drops the weight-0
+coordinates and so holds one copy of each block, and count the
+degree-``k`` block once for each base monomial of degree at most the
+truncation minus ``k`` (:func:`_base_count`).  Ranks, kernels and
+bijectivity add over a direct sum, so a pass there is a pass on the
+input chart, with every dimension summed over the copies.  Anything but
+a clean pass (a failure, an error, a flag) is decided again on the whole
+component (:func:`_blockwise`), so every witness and message is the
+input chart's.  A family without the structure runs the same check
+bodies on the whole component, one block counted once.  Memos follow
+one rule: a value derived from one operator lives in its
+``matrix_memo``, and one derived from several (a joint kernel, a
+transfer matrix) on a :class:`_View` of the one family that
+:func:`check_all_properties` hands its checks, so properties 4 and 6
+share their kernels.
 
 Every check takes ``(chart, ops, ...)``, with lift steps as symbols, and
 reads ``ops`` only through :func:`_operators`.  :func:`certificate_plan`
@@ -118,7 +118,7 @@ _FLAGGED_IMAGES = ("operator images lost over-degree terms; raise the "
 _ONE = Fraction(1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ComponentMatrix:
     """Exact matrix of an operator between two weight components.
 
@@ -127,17 +127,13 @@ class ComponentMatrix:
     monomial (see :mod:`gradedvb.linalg`): ``entries[r]`` maps ``c`` to
     the coefficient of codomain monomial ``r`` in the image of domain
     monomial ``c``, nonzero coefficients only.  ``overflow[c]`` flags a
-    column whose image lost terms.  ``inverse`` holds the inverse of
-    ``entries``, in the same form, once :func:`_inverse_matrix` has
-    computed it.
+    column whose image lost terms.
     """
 
     domain_basis: list[Monomial]
     codomain_basis: list[Monomial]
     entries: linalg.Matrix
     overflow: list[bool]
-    inverse: linalg.Matrix | None = field(default=None, init=False,
-                                          repr=False)
 
     @property
     def dom_dim(self) -> int:
@@ -364,8 +360,7 @@ def _fiber_view(chart: Chart, ops: dict) -> _View | None:
     where the module docstring's block argument holds, else None.  The
     :func:`_restricted` copies sit on ``chart.fibers`` itself, and only
     the view holds them: each :class:`_Family` builds its own."""
-    if not all(c.weight.is_nonnegative and not (c.weight.is_zero and c.parity)
-               for c in chart.coordinates):
+    if not all(c.weight.is_nonnegative for c in chart.coordinates):
         return None
     if not all((op.chart is chart or op.chart == chart) and _fiberwise(op)
                for op in ops.values()):
@@ -496,11 +491,11 @@ def _bijective(view: _View, sym: BasisSymbol, delta: Weight) -> bool:
 # decomposition of a weight component
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """The spanning verdict and dimensions of :func:`check_decomposition`.
     ``product_basis`` and ``kernel_polys``, the decomposable monomials and
-    the joint kernel on the whole component, are built on first read."""
+    the joint kernel of the view ``whole``, are built on first read."""
 
     delta_prime: Weight
     passes: bool
@@ -509,18 +504,18 @@ class DecompositionResult:
     kernel_dim: int
     intersection_dim: int
     witness: Polynomial | None
-    _whole: _View | None = field(default=None, init=False, repr=False)
+    whole: _View = field(repr=False)
 
     @cached_property
     def product_basis(self) -> list[Monomial]:
-        return [m for m in component_basis(self._whole.chart, self.delta_prime)
+        return [m for m in component_basis(self.whole.chart, self.delta_prime)
                 if _fiber_degree(m) >= 2]
 
     @cached_property
     def kernel_polys(self) -> list[Polynomial]:
-        basis, kvecs = self._whole.kernel(_bsupport(self.delta_prime),
-                                         self.delta_prime)
-        return [_vec_poly(self._whole.chart, basis, v) for v in kvecs]
+        basis, kvecs = self.whole.kernel(_bsupport(self.delta_prime),
+                                        self.delta_prime)
+        return [_vec_poly(self.whole.chart, basis, v) for v in kvecs]
 
 
 def _fiber_degree(m: Monomial) -> int:
@@ -535,17 +530,17 @@ def check_decomposition(chart: Chart, ops: dict, delta_prime: Weight,
     of the overlap of the two parts is reported, not constrained."""
     _operators(ops, _bsupport(delta_prime))
     fam = _family(chart, ops)
-    res = _blockwise(fam, _decomposition, delta_prime)
-    res._whole = fam.whole
-    return res
+    return _blockwise(fam, _decomposition, delta_prime, fam.whole)
 
 
-def _decomposition(view: _View, delta_prime: Weight) -> DecompositionResult:
-    """The decomposition on a view.  The decomposable monomials are unit
-    columns, so with the kernel they span as much as they are many plus
-    the rank of the kernel's entries off them; those ranks add over the
-    blocks.  A decomposable monomial has fiber degree at least 2, so on
-    the fiber chart those blocks are spanned by units alone."""
+def _decomposition(view: _View, delta_prime: Weight,
+                   whole: _View) -> DecompositionResult:
+    """The decomposition on a view, with ``whole`` the input chart's view.
+    The decomposable monomials are unit columns, so with the kernel they
+    span as much as they are many plus the rank of the kernel's entries
+    off them; those ranks add over the blocks.  A decomposable monomial
+    has fiber degree at least 2, so on the fiber chart those blocks are
+    spanned by units alone."""
     basis, kvecs = view.kernel(_bsupport(delta_prime), delta_prime)
     product = [k for k, m in enumerate(basis) if _fiber_degree(m) >= 2]
     units = set(product)
@@ -559,16 +554,14 @@ def _decomposition(view: _View, delta_prime: Weight) -> DecompositionResult:
         witness = next((monomial_poly(view.chart, m)
                         for k, m in enumerate(basis)
                         if not _in_span(cols, spanned, {k: _ONE})), None)
-    product_dim = view.dim(basis[k] for k in product)
     kernel_dim = view.dim(_leads(basis, kvecs))
     return DecompositionResult(
         delta_prime=delta_prime, passes=passes,
-        component_dim=view.dim(basis), product_dim=product_dim,
-        kernel_dim=kernel_dim,
-        intersection_dim=kernel_dim - sum(view.count(b) * r
-                                          for b, r in ranks.items()),
-        witness=witness,
-    )
+        component_dim=view.dim(basis),
+        product_dim=view.dim(basis[k] for k in product),
+        kernel_dim=kernel_dim, intersection_dim=kernel_dim - sum(
+            view.count(b) * r for b, r in ranks.items()),
+        witness=witness, whole=whole)
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +635,6 @@ def solve_inverse(lc: LinearizedChart, symbols: tuple[BasisSymbol, ...],
 # cocycle identity and kernel preservation
 # ---------------------------------------------------------------------------
 
-def _inverse_matrix(op: Derivation, source_w: Weight) -> linalg.Matrix:
-    cm = component_map(op, source_w)
-    cm.require_exact()
-    if cm.dom_dim != cm.cod_dim:
-        raise AnalysisError(f"operator not invertible out of {source_w.label}: "
-                            "component dimensions differ")
-    if cm.inverse is None:
-        cm.inverse = linalg.inv(cm.entries, cm.dom_dim)
-    if cm.inverse is None:
-        raise AnalysisError(f"operator not invertible out of {source_w.label}")
-    return cm.inverse
-
-
 @dataclass(eq=False)
 class CocycleResult:
     delta: Weight
@@ -697,11 +677,18 @@ def _swap(w: Weight, old: BasisSymbol, new: BasisSymbol) -> Weight:
 def _transfer(op_fwd: Derivation, op_back: Derivation, src: Weight,
               dst: Weight) -> linalg.Matrix:
     """Matrix of ``op_back^{-1} o op_fwd`` from the ``src`` component to
-    the ``dst`` component."""
+    the ``dst`` component; both matrices must be exact."""
     fwd = component_map(op_fwd, src)
     fwd.require_exact()
-    back_inv = _inverse_matrix(op_back, dst)
-    return linalg.matmul(back_inv, fwd.entries)
+    back = component_map(op_back, dst)
+    back.require_exact()
+    if back.dom_dim != back.cod_dim:
+        raise AnalysisError(f"operator not invertible out of {dst.label}: "
+                            "component dimensions differ")
+    inv = linalg.inv(back.entries, back.dom_dim)
+    if inv is None:
+        raise AnalysisError(f"operator not invertible out of {dst.label}")
+    return linalg.matmul(inv, fwd.entries)
 
 
 def _cocycle_sides(view: _View, steps, delta: Weight,

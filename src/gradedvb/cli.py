@@ -24,7 +24,8 @@ from json.encoder import encode_basestring_ascii
 from . import analysis
 from .algebra import AlgebraError, Chart, aligned_table, chart_dump, multiply
 from .linearize import coordinate_table, linearize_chart
-from .specfile import SpecParseError, parse_polynomial, parse_spec, parse_weight_row
+from .specfile import (SpecParseError, _spec_int, parse_polynomial, parse_spec,
+                       parse_weight_row)
 from .weights import (
     WeightError,
     WeightSystem,
@@ -333,16 +334,25 @@ def cmd_reconstruct(args) -> Result:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _flag_int(text: str) -> int:
+    """An integer flag's value, read as a spec integer is: ASCII
+    ``-?[0-9]+`` only."""
+    value = _spec_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # the shared flags are accepted both before and after the subcommand;
     # SUPPRESS keeps a subparser from clobbering a value parsed up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS, help="machine output")
-    common.add_argument("--trunc", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--trunc", type=_flag_int, default=argparse.SUPPRESS,
                         help="truncation degree, at least 1 (default: chart "
                              "block value or 3)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=_flag_int, default=argparse.SUPPRESS,
                         help="seed for randomized spot checks")
 
     ap = argparse.ArgumentParser(

@@ -119,7 +119,7 @@ def parse_spec(text: str) -> SpecFile:
     for off, col, s in entries[1:]:
         if s == "chart":
             if in_chart:
-                raise SpecParseError("duplicate chart block", off)
+                raise SpecParseError("duplicate chart block", off, col)
             in_chart = True
             continue
         (chart_lines if in_chart else rows).append((off, col, s))

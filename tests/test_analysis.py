@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import os
@@ -42,7 +43,7 @@ from gradedvb import (
 )
 from gradedvb.tangent import tangent_lift
 from gradedvb import analysis, linalg
-from gradedvb.analysis import _component_matrix, _inverse_matrix, _restricted
+from gradedvb.analysis import _component_matrix, _restricted, _transfer
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
 from test_analysis_golden import MUTATED, OFF_KERNEL
@@ -464,6 +465,40 @@ class TestDecomposition:
                 assert check_decomposition(lc.chart, lc.operators, dp).passes
 
 
+class TestFrozenValues:
+    """Component matrices and decomposition results are built whole:
+    neither takes an attribute after it is built."""
+
+    def test_attribute_assignment_refused(self):
+        lc = m3_linearized()
+        cm = component_map(lc.operators[B2], weight({A: 1}))
+        res = check_decomposition(lc.chart, lc.operators,
+                                  weight({A: 1, B3: 1}))
+        for value, name in ((cm, "entries"), (cm, "inverse"),
+                            (res, "passes"), (res, "whole")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+
+    def test_fiber_pass_lists_the_whole_component(self):
+        """A decomposition that passes on the fiber view lists its
+        decomposable monomials and kernel from the input chart, base
+        factors included."""
+        lc = m3_linearized((1, 2, 1, 1))
+        dp = weight({A: 1, B3: 1})
+        fam = analysis._Family(lc.chart, lc.operators)
+        assert analysis._decomposition(fam.fibers, dp, fam.whole).passes
+        res = check_decomposition(lc.chart, fam, dp)
+        assert res.passes and res.whole is fam.whole
+        ref = decomposition_reference(lc.chart, lc.operators, dp)
+        assert res.product_basis == ref.product_basis
+        assert [p.text() for p in res.kernel_polys] == \
+            [p.text() for p in ref.kernel_polys]
+        base = [m for m in res.product_basis
+                if any(c.weight.is_zero for c, _ in m.factors)]
+        assert base and not set(base) & set(
+            component_basis(lc.chart.fibers, dp))
+
+
 class TestSolveInverse:
     def test_generator_case(self):
         lc = linearize_chart(rank1_chart(2, [1, 1, 1]))
@@ -763,9 +798,12 @@ class TestKernelPreservation:
         assert not res.passes
         assert res.witness is not None
 
-    def test_inverse_computed_once(self, monkeypatch):
+    def test_transfer_computed_once_per_view(self, monkeypatch):
+        """A view inverts once per transfer key, and the transfer takes
+        the forward matrix through the inverted one exactly."""
         lc = m3_linearized((1, 2, 1, 1))
-        op, w = lc.operators[B3], weight({A: 1, B2: 1})
+        src, dst = weight({A: 1, B3: 1}), weight({A: 1, B2: 1})
+        view = analysis._View(lc.chart, lc.operators)
         calls = []
         real = linalg.inv
 
@@ -774,31 +812,36 @@ class TestKernelPreservation:
             return real(a, n)
 
         monkeypatch.setattr(linalg, "inv", counting)
-        first = _inverse_matrix(op, w)
-        assert _inverse_matrix(op, w) is first
+        tr = view.transfer(B2, B3, src, dst)
         assert len(calls) == 1
-        n = component_map(op, w).dom_dim
-        assert first == real(component_map(op, w).entries, n)
-        assert component_map(op, w).inverse is first
-        assert dense(linalg.matmul(first, component_map(op, w).entries), n) == \
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert view.transfer(B2, B3, src, dst) is tr
+        assert len(calls) == 1
+        fwd = component_map(lc.operators[B2], src)
+        back = component_map(lc.operators[B3], dst)
+        assert any(fwd.entries)
+        assert linalg.matmul(back.entries, tr) == fwd.entries
 
     def test_inverse_errors_raise_on_every_call(self):
+        """Each inverted matrix is refused on every call, behind an exact
+        forward matrix."""
         lc = m3_linearized((1, 2, 1, 1))
+        fwd, src = lc.operators[B2], weight({A: 1, B3: 1})
         broken = lc.operators[B3].with_zeroed(
             lc.chart.coordinate("xi{2a1}_1[b2_1]"))
         _, flagged = TestOverflowPolicy().degree_raising()
+        assert not component_map(flagged, ZERO).truncated
+        assert not component_map(fwd, src).truncated
         for _ in range(2):
             with pytest.raises(TruncationOverflow) as err:
-                _inverse_matrix(flagged, weight({A: 1}))
+                _transfer(flagged, flagged, ZERO, weight({A: 1}))
             assert str(err.value) == EXACT
             with pytest.raises(AnalysisError, match=r"out of 0: component "
                                r"dimensions differ$"):
-                _inverse_matrix(lc.operators[B2], ZERO)
+                _transfer(fwd, lc.operators[B2], src, ZERO)
             with pytest.raises(AnalysisError,
                                match=r"^operator not invertible out of "
                                      r"a1\+b2_1$"):
-                _inverse_matrix(broken, weight({A: 1, B2: 1}))
+                _transfer(fwd, broken, src, weight({A: 1, B2: 1}))
 
     def test_inverted_operator_must_be_bijective(self):
         lc = m3_linearized((1, 2, 1, 1))
@@ -1177,6 +1220,23 @@ class TestFiberBlocks:
         fibers = analysis._Family(chart, lc.operators).fibers
         assert fibers is not None and fibers.ops.keys() == lc.operators.keys()
         assert all(op.chart is chart.fibers for op in fibers.ops.values())
+
+    def test_full_lifts_take_the_whole_component(self):
+        """A full lift has coordinates of negative weight, so no family on
+        it takes the fiber blocks, not even one that ``_fiberwise``
+        accepts, and each check called on it equals its whole-component
+        reference."""
+        for src in (rank1_chart(2, [1, 1, 1]), rank1_chart(3, [1, 2, 1, 1])):
+            lifted = full_lift(src)
+            assert not all(c.weight.is_nonnegative
+                           for c in lifted.coordinates)
+            ops = {t: de_rham(lifted, t) for t in lift_symbols(src.system)}
+            dead = {t: Derivation(lifted, op.weight_shift, 1, {})
+                    for t, op in ops.items()}
+            assert all(analysis._fiberwise(op) for op in dead.values())
+            for family in (ops, dead):
+                assert analysis._Family(lifted, family).fibers is None
+                assert assert_blocks_match(lifted, family, False)[True]
 
     def test_families_off_the_structure_take_the_whole_component(self):
         """A base factor in an image, a nonlinear image and a flagged

@@ -1,8 +1,9 @@
 """Every top-level function, class and assigned name of the package,
 and every method and property of its top-level classes, has a reader,
 every local that a package function assigns is read, every default
-of a package function is overridden somewhere outside the tests, and
-each package module imports only the modules of earlier layers.
+of a package function is overridden somewhere outside the tests, each
+package module imports only the modules of earlier layers, and the
+package assigns attributes of ``self`` only.
 
 The source, the tests and the benchmark are parsed with ``ast``; a name
 counts as used when some other top-level statement or method reads it as
@@ -20,6 +21,11 @@ class's ``__init__`` by the class name, and a method's positions start
 after ``self``.  A call that unpacks ``*args`` passes every later
 position, and one that unpacks ``**kwargs`` every keyword.  A default
 that only the tests override is a knob for the tests.
+
+An assignment (``=``, ``+=`` and the like, or an annotated one) whose
+target is an attribute must target an attribute of ``self``: a value is
+built whole by its own class, never finished by another object's code.
+Calls such as ``setattr`` are not assignments and are not checked.
 """
 
 import ast
@@ -254,3 +260,30 @@ def test_modules_import_in_layer_order():
             package_imports(os.path.join(PACKAGE, name)))
             if dep not in earlier]
     assert wrong == []
+
+
+def foreign_attribute_writes():
+    """``file:line target`` for each assignment in the package to an
+    attribute of anything but ``self``."""
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(parse(os.path.join(PACKAGE, name))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {ast.unparse(n)}"
+                      for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Attribute)
+                      and isinstance(n.ctx, ast.Store)
+                      and not (isinstance(n.value, ast.Name)
+                               and n.value.id == "self")]
+    return found
+
+
+def test_src_writes_attributes_only_on_self():
+    assert foreign_attribute_writes() == []

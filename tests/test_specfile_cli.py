@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -125,9 +127,12 @@ class TestSpecFile:
         ("trunc 3\n  trunc 4", 8, 3, "trunc repeats line 7"),
         ("dim 2: 1\n\t dim 2: 5", 8, 3, "dim for 2a1 repeats line 7"),
         ("   dim 1,0: 1", 7, 8, "expected 1 coefficients, got 2"),
+        ("chart", 7, 1, "duplicate chart block"),
+        ("  chart", 7, 3, "duplicate chart block"),
     ], ids=["trunc-value", "trunc-range", "trunc-missing", "base_dim-value",
             "base_dim-range", "dim-count", "unrecognized", "non-element",
-            "repeat", "tab-repeat", "coefficients"])
+            "repeat", "tab-repeat", "coefficients", "chart-repeat",
+            "chart-repeat-indented"])
     def test_chart_line_errors_name_their_column(self, block, line, column,
                                                  message):
         with pytest.raises(SpecParseError) as err:
@@ -465,6 +470,17 @@ class TestValidateCommand:
             f"error: {bad}: line 8, column 1: base_dim given but zero "
             "weight missing\n")
 
+    def test_module_entry_point(self):
+        """``python -m gradedvb`` runs the same front end."""
+        root = os.path.dirname(HERE)
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradedvb", "validate",
+             os.path.join("tests", "data", "m2.spec")],
+            cwd=root, env=env, capture_output=True, text=True, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == golden("m2_validate.txt")
+
     def test_json_mode(self):
         code, out = run_cli("--json", "validate", data("m2.spec"))
         assert code == 0
@@ -474,6 +490,11 @@ class TestValidateCommand:
 
 
 class TestCheckCommand:
+    def test_spec_without_chart_exits_two(self, capsys):
+        code, out = run_cli("check", data("a1a1.spec"))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: check needs a chart block\n"
+
     def test_degree_three_all_pass(self):
         code, out = run_cli("check", data("m3.spec"))
         assert code == 0
@@ -614,6 +635,12 @@ class TestReconstructCommand:
         code = run_cli("reconstruct", data("m3.spec"))[0]
         assert code == 2
 
+    def test_library_error_exits_one(self, capsys):
+        code, out = run_cli("reconstruct", data("m2.spec"), "--trunc", "1")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == \
+            "error: reconstruction needs truncation degree >= 2\n"
+
 
 class TestFlagPlacement:
     def test_flags_accepted_after_subcommand(self):
@@ -629,6 +656,28 @@ class TestFlagPlacement:
     def test_flag_before_subcommand_still_works(self):
         code, out = run_cli("--seed", "5", "check", data("m3.spec"))
         assert code == 0 and "# seed: 5" in out
+
+    # an integer flag is read as a spec integer is, ASCII -?[0-9]+, and a
+    # refused spelling is reported as argparse reports any non-integer
+    @pytest.mark.parametrize("flag", ["--trunc", "--seed"])
+    @pytest.mark.parametrize("value", ["\uff13", "+2", "1_0"],
+                             ids=["fullwidth", "plus", "underscore"])
+    @pytest.mark.parametrize("before", [True, False],
+                             ids=["before", "after"])
+    def test_integer_flags_are_ascii_digits(self, flag, value, before,
+                                            capsys):
+        def stderr(v):
+            argv = ["linearize", data("m2.spec")]
+            argv = [flag, v] + argv if before else argv + [flag, v]
+            with pytest.raises(SystemExit) as err:
+                run_cli(*argv)
+            assert err.value.code == 2
+            return capsys.readouterr()
+        got = stderr(value)
+        assert got.out == ""
+        assert got.err.endswith(
+            f"error: argument {flag}: invalid int value: {value!r}\n")
+        assert got.err == stderr("x").err.replace("'x'", repr(value))
 
 
 # one command line per subcommand that takes --trunc and a chart
