@@ -14,9 +14,10 @@ degree-5 charts with one generator at each nonzero degree and 1 base
 coordinate at truncations 4 to 6, or 3 base coordinates at truncation 4.
 The degree-7 chart takes seconds, which is why Tier-1 does not run it.
 With ``--large`` the run also times the rank-2 box ``{0..4}^2`` and the
-rank-3 box ``{0..3}^3`` (256 and 512 linearized coordinates), which take
-about half a minute or more together on a 2-vCPU machine, and the
-degree-5 chart with 3 base coordinates at truncations 5 and 6.
+rank-3 box ``{0..3}^3`` (256 and 512 linearized coordinates), the
+degree-5 chart with 3 base coordinates at truncations 5 and 6, the box
+``{0..4}^2`` at truncation 4 and the rank-1 chart of degree 8; together
+they take about half a minute or more on a 2-vCPU machine.
 
 The script appends one run record to the ``runs`` list of the output
 file, keeping the records and any other keys already there, so runs on
@@ -66,13 +67,13 @@ def rank1_chart(dims: list[int], truncation: int = TRUNCATION) -> Chart:
                            truncation)
 
 
-def box_chart(n: int, rank: int = 2) -> Chart:
+def box_chart(n: int, rank: int = 2, truncation: int = TRUNCATION) -> Chart:
     """One generator at every weight of ``{0..n}^rank``."""
     basis = [basic_symbol(i, 1) for i in range(1, rank + 1)]
     rows = list(itertools.product(range(n + 1), repeat=rank))
     ws = system_from_rows([1] * rank, rows)
     return Chart.from_dims(ws, {weight(dict(zip(basis, row))): 1
-                                for row in rows}, TRUNCATION)
+                                for row in rows}, truncation)
 
 
 CHARTS = [
@@ -91,6 +92,8 @@ LARGE = [
     ("rank3 box {0..3}^3", lambda: box_chart(3, 3)),
     *((f"rank1 deg5 dims 3,1^5 trunc {t}",
        lambda t=t: rank1_chart([3] + [1] * 5, t)) for t in (5, 6)),
+    ("rank2 box {0..4}^2 trunc 4", lambda: box_chart(4, 2, 4)),
+    ("rank1 deg8 dims 1^9", lambda: rank1_chart([1] * 9)),
 ]
 
 
@@ -137,8 +140,9 @@ def main() -> None:
     ap.add_argument("--out", type=Path, required=True,
                     help="JSON file to append the run record to")
     ap.add_argument("--large", action="store_true",
-                    help="also time the boxes {0..4}^2 and {0..3}^3 and "
-                         "3 base coordinates at truncations 5 and 6")
+                    help="also time the boxes {0..4}^2 and {0..3}^3, 3 "
+                         "base coordinates at truncations 5 and 6, the box "
+                         "{0..4}^2 at truncation 4 and degree 8")
     args = ap.parse_args()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("runs", []).append(run_record(args.large))

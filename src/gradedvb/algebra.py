@@ -145,12 +145,9 @@ class Chart:
         if self.truncation < 1:
             raise AlgebraError("truncation degree must be >= 1")
         coords = tuple(sorted(self.coordinates, key=lambda c: c.sort_key))
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "coordinate_set", frozenset(coords))
-        names = {c.name: c for c in coords}
-        if len(names) != len(coords):
+        self._set_coordinates(coords)
+        if len(self.coordinate_names) != len(coords):
             raise AlgebraError("duplicate coordinate names in chart")
-        object.__setattr__(self, "coordinate_names", names)
         for c in coords:
             for s, _ in c.weight.items:
                 if s not in self.system.basis:
@@ -187,14 +184,30 @@ class Chart:
     def base_dim(self) -> int:
         return sum(1 for c in self.coordinates if c.weight.is_zero)
 
+    def _set_coordinates(self, coords: tuple[Coordinate, ...]) -> None:
+        """Set ``coordinates`` to ``coords``, sorted already, and the
+        fields derived from them."""
+        object.__setattr__(self, "coordinates", coords)
+        object.__setattr__(self, "coordinate_set", frozenset(coords))
+        object.__setattr__(self, "coordinate_names",
+                           {c.name: c for c in coords})
+
     @cached_property
     def fibers(self) -> "Chart":
         """The fiber part: this chart with its weight-0 coordinates set to
         zero, that is dropped, on the same system, truncation and lifts.
-        Built on first read."""
-        return Chart(self.system, tuple(c for c in self.coordinates
-                                        if not c.weight.is_zero),
-                     self.truncation, self.applied_lifts)
+        Built on first read, field by field: the coordinates kept are
+        sorted and checked already, so they are not sorted or checked
+        again."""
+        fibers = Chart.__new__(Chart)
+        for name, value in (("system", self.system),
+                            ("truncation", self.truncation),
+                            ("applied_lifts", self.applied_lifts),
+                            ("basis_memo", {}), ("search_index", {})):
+            object.__setattr__(fibers, name, value)
+        fibers._set_coordinates(tuple(c for c in self.coordinates
+                                      if not c.weight.is_zero))
+        return fibers
 
     def coordinate(self, name: str) -> Coordinate:
         c = self.coordinate_names.get(name)
@@ -502,11 +515,15 @@ def _search_index(chart: Chart) -> dict:
     ``position`` numbers the basis symbols.  ``runs`` lists the sorted
     coordinates of each distinct weight, in coordinate order; coordinates
     are sorted by weight first, so each weight's coordinates form one run.
-    ``vecs`` holds each run's weight as an int tuple over ``position``,
-    ``odd`` its parity, and ``run_of`` maps such a tuple back to its run.
-    ``nonneg`` says that no entry of ``vecs`` is negative; then
-    ``below[j][t]`` is the set of runs whose entry ``j`` is at most ``t``,
-    for ``t`` up to the largest such entry.
+    ``vecs`` holds each run's weight as an int tuple over ``position`` and
+    ``odd`` its parity.  ``nonneg`` says that no entry of ``vecs`` is
+    negative, and picks the search (see :func:`_count_vectors`).  The
+    search of a chart with a negative weight reads ``run_of``, which maps
+    such a tuple back to its run.  The packed search reads the rest:
+    ``top[j]``, the largest entry ``j`` of any run; ``pivots[j]``, the
+    runs whose lowest nonzero entry is ``j``, in run order; ``lead[k]``,
+    that entry of run ``k``; ``zero``, the weight-0 run or None; and
+    ``packed``, the run weights packed at each field width asked for.
     """
     index = chart.search_index
     if not index:
@@ -515,15 +532,18 @@ def _search_index(chart: Chart) -> dict:
         for c in chart.coordinates:
             groups.setdefault(c.weight, []).append(c)
         vecs = [_dense(u, position) for u in groups]
-        nonneg = all(x >= 0 for v in vecs for x in v)
-        below = [[frozenset(k for k, v in enumerate(vecs) if v[j] <= t)
-                  for t in range(max((v[j] for v in vecs), default=0) + 1)]
-                 for j in range(len(position))] if nonneg else None
+        lows = [next((j for j, x in enumerate(v) if x), None) for v in vecs]
         index.update(
             position=position, runs=list(groups.values()), vecs=vecs,
             odd=[u.parity for u in groups],
             run_of={v: k for k, v in enumerate(vecs)},
-            nonneg=nonneg, below=below)
+            nonneg=all(x >= 0 for v in vecs for x in v),
+            top=[max((v[j] for v in vecs), default=0)
+                 for j in position.values()],
+            pivots=[[k for k, low in enumerate(lows) if low == j]
+                    for j in position.values()],
+            lead=[0 if low is None else v[low] for v, low in zip(vecs, lows)],
+            zero=lows.index(None) if None in lows else None, packed={})
     return index
 
 
@@ -534,48 +554,112 @@ def _count_vectors(index: dict, target: tuple[int, ...], cap: int,
     odd run, and ``sum(n) <= cap``, as its nonzero entries ``(k, n[k])``
     in increasing ``k``.
 
-    The search picks the next run with a nonzero count, so it spends no
-    step on a run that counts zero.  The last step of a count vector is
-    found by lookup: ``n`` copies of one later run close the remainder
-    exactly when ``run_of`` holds ``rem / n``.  When no entry of ``vecs``
-    is negative, the remainder only shrinks: a run above the target in
-    some entry is never used (the index's ``below`` sets give the others),
-    and a remainder with a negative entry ends its branch."""
-    runs, vecs, run_of = index["runs"], index["vecs"], index["run_of"]
-    nonneg = index["nonneg"]
-    limits = [len(run) if odd else cap for run, odd in zip(runs, index["odd"])]
-    if not nonneg:
-        usable = list(range(len(runs)))
-    elif min(target, default=0) < 0:
-        usable = []
-    else:
-        usable = sorted(set(range(len(runs))).intersection(
-            *(below_j[min(t, len(below_j) - 1)]
-              for below_j, t in zip(index["below"], target))))
+    When no entry of ``vecs`` is negative, the search branches on the
+    lowest nonzero entry ``j`` of the remainder.  A run with a nonzero
+    entry below ``j`` would make the remainder negative there, and one
+    whose lowest nonzero entry lies above ``j`` leaves entry ``j`` as it
+    is, so only the runs of ``pivots[j]`` can cover ``j``: the search
+    picks among them, in increasing run order, each with a count.  Each
+    run is chosen under the pivot of its own lowest entry, so each count
+    vector comes out once.  Once the remainder is zero, the weight-0 run
+    takes any count that the budget leaves.  The runs come in weight
+    order, and a weight's sort key begins with its lowest symbol and that
+    entry, so the weight-0 run comes first, then the runs of each pivot
+    in increasing pivot order and, within one, in increasing ``lead``:
+    the picks come in increasing ``k``, and the search leaves a pivot at
+    the first run whose ``lead`` exceeds the remainder's entry.  No step
+    spends the budget without closing the remainder.
+
+    Each remainder is packed into one int: a field of ``bits`` bits per
+    basis symbol, with a guard bit above it that stays set.  Subtracting
+    a packed run clears a guard bit exactly when its entry would go
+    negative, so a step is one subtraction and one mask test (Lamport,
+    "Multiple byte processing with full-word instructions", 1975).  A
+    field holds the largest entry of the target and of any run; a target
+    entry above ``cap`` times the largest entry there is out of reach, as
+    is a negative one, and the search lists nothing.
+
+    A chart with a negative weight is searched by
+    :func:`_unpruned_count_vectors`."""
+    limits = [len(run) if odd else cap
+              for run, odd in zip(index["runs"], index["odd"])]
+    if not index["nonneg"]:
+        return _unpruned_count_vectors(index, target, cap, limits)
+    top = index["top"]
+    if min(target, default=0) < 0 or any(
+            t > cap * m for t, m in zip(target, top)):
+        return []
+    bits = max(max(target, default=0), max(top, default=0), 1).bit_length()
+    width = bits + 1
+    packed = index["packed"].get(width)
+    if packed is None:
+        packed = index["packed"][width] = [
+            sum(x << (j * width) for j, x in enumerate(v))
+            for v in index["vecs"]]
+    guards = sum(1 << (j * width + bits) for j in range(len(target)))
+    field = (1 << bits) - 1
+    pivots, lead, zero = index["pivots"], index["lead"], index["zero"]
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def search(rem: int, budget: int, pivot: int, start: int,
+               picked: tuple) -> None:
+        free = rem ^ guards
+        if not free:
+            out.append(picked)
+            if zero is not None:
+                out.extend(((zero, n),) + picked for n in range(1, budget + 1))
+            return
+        j = ((free & -free).bit_length() - 1) // width
+        left_j = free >> (j * width) & field
+        runs_j = pivots[j]
+        for i in range(start if j == pivot else 0, len(runs_j)):
+            k = runs_j[i]
+            if lead[k] > left_j:
+                break
+            step = packed[k]
+            left = rem
+            for n in range(1, min(limits[k], budget) + 1):
+                left -= step
+                if left & guards != guards:
+                    break
+                if n < budget or left == guards:
+                    search(left, budget - n, j, i + 1, picked + ((k, n),))
+
+    search(sum(t << (j * width) for j, t in enumerate(target)) | guards,
+           cap, -1, 0, ())
+    return out
+
+
+def _unpruned_count_vectors(index: dict, target: tuple[int, ...], cap: int,
+                            limits: list[int],
+                            ) -> list[tuple[tuple[int, int], ...]]:
+    """:func:`_count_vectors` on a chart with a negative weight, whose
+    remainders can grow again: every later run is tried at every level,
+    up to its count limit ``limits[k]``.  The last step of a count vector
+    is found by lookup: ``n`` copies of one later run close the remainder
+    exactly when ``run_of`` holds ``rem / n``."""
+    vecs, run_of = index["vecs"], index["run_of"]
     out: list[tuple[tuple[int, int], ...]] = [()] if not any(target) else []
 
-    def search(start: int, last: int, rem: tuple[int, ...], budget: int,
+    def search(start: int, rem: tuple[int, ...], budget: int,
                picked: tuple) -> None:
         for n in range(1, budget + 1):
             if any(x % n for x in rem):
                 continue
             k = run_of.get(tuple(x // n for x in rem))
-            if k is not None and k > last and n <= limits[k]:
+            if k is not None and k >= start and n <= limits[k]:
                 out.append(picked + ((k, n),))
         if budget < 2:
             return
-        for i in range(start, len(usable)):
-            k = usable[i]
+        for k in range(start, len(vecs)):
             left = rem
             # a step that leaves no budget can only close the remainder,
             # which the lookup above has done
             for n in range(1, min(limits[k], budget - 1) + 1):
                 left = tuple(map(operator.sub, left, vecs[k]))
-                if nonneg and min(left, default=0) < 0:
-                    break
-                search(i + 1, k, left, budget - n, picked + ((k, n),))
+                search(k + 1, left, budget - n, picked + ((k, n),))
 
-    search(0, -1, target, cap, ())
+    search(0, target, cap, ())
     return out
 
 

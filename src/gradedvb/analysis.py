@@ -64,6 +64,7 @@ flagged matrix: carry the flag, raise, or fail the check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -351,8 +352,19 @@ def _leads(basis: list[Monomial], vectors: list[linalg.Vector]):
 
 def _base_count(chart: Chart, k: int) -> int:
     """How many base monomials have degree at most the truncation minus
-    ``k``: the copies of a block of fiber degree ``k``."""
-    return len(component_basis(chart, ZERO, chart.truncation - k))
+    ``k``: the copies of a block of fiber degree ``k``.
+
+    On a chart with no negative weight, a monomial of weight 0 has only
+    weight-0 factors, and the weight-0 coordinates are even, so these are
+    the monomials of degree at most ``d`` in the ``b`` base coordinates:
+    ``comb(b + d, d)`` of them, counted without a search.  A coordinate
+    may carry a negative weight off the system's elements, and then a
+    product of weights that cancel has weight 0 too; such a chart's
+    weight-0 monomials are listed and counted."""
+    d = chart.truncation - k
+    if not all(c.weight.is_nonnegative for c in chart.coordinates):
+        return len(component_basis(chart, ZERO, d))
+    return math.comb(chart.base_dim + d, d)
 
 
 def _fiber_view(chart: Chart, ops: dict) -> _View | None:

@@ -220,49 +220,72 @@ def _split_terms(body: str) -> list[str]:
     return terms
 
 
+def _column(text: str, term: int, part: int) -> int:
+    """The column, from 1, at which part ``part`` (split on '*') of term
+    ``term`` of ``text`` starts, past its blanks; for a blank part, the
+    column just after it.  Worked out from the text again, and only for
+    an error message, so a parse that succeeds never pays for it."""
+    body = text.strip()
+    column = len(text) - len(text.lstrip()) + 1
+    terms = _split_terms(body)
+    column += sum(len(t) + 1 for t in terms[:term])
+    parts = terms[term].split("*")
+    column += sum(len(p) + 1 for p in parts[:part])
+    return column + len(parts[part]) - len(parts[part].lstrip())
+
+
 def _parsed_terms(chart: Chart, text: str):
     """Yield ``(monomial, coefficient)`` for each term of ``text`` in
-    order, raising at the first malformed term; a term whose odd factor
-    repeats is zero and yields nothing."""
+    order, raising at the first malformed term, with the column of the
+    factor or term at fault; a term whose odd factor repeats is zero and
+    yields nothing."""
     body = text.strip()
     if not body or body == "0":
         return
-    for term in _split_terms(body):
-        term = term.strip()
-        if not term:
-            raise AlgebraError("empty term in polynomial text")
-        parts = [p.strip() for p in term.split("*")]
-        coeff = Fraction(1)
-        start = 0
-        if re.match(r"^-?\d+(/\d+)?$", parts[0]):
-            try:
-                coeff = Fraction(parts[0])
-            except ZeroDivisionError:
-                raise AlgebraError(f"malformed coefficient {parts[0]!r}") from None
-            except ValueError:  # more digits than int() converts
-                raise AlgebraError(f"coefficient of {len(parts[0])} "
-                                   "characters is too large") from None
-            start = 1
-        elif parts[0].startswith("-"):
-            coeff = Fraction(-1)
-            parts[0] = parts[0][1:].strip()
-        powers = []
-        for p in parts[start:]:
-            fm = _FACTOR.match(p)
-            if not fm:
-                raise AlgebraError(f"malformed factor {p!r}")
-            name = fm.group(1) + (fm.group(2) or "")
-            c = chart.coordinate(name)
-            try:
-                powers.append((c, int(fm.group(3) or 1)))
-            except ValueError:  # more digits than int() converts
-                raise AlgebraError(f"exponent of {name} is too large") from None
-        # the chart holds no term above its truncation, and a huge exponent
-        # must not be expanded into a factor list first
-        degree = sum(e for _, e in powers)
-        if degree > chart.truncation:
-            raise AlgebraError(f"term degree {degree} exceeds truncation "
-                               f"{chart.truncation}")
+    for t, term in enumerate(_split_terms(body)):
+        at = 0
+        try:
+            term = term.strip()
+            if not term:
+                raise AlgebraError("empty term in polynomial text")
+            parts = [p.strip() for p in term.split("*")]
+            coeff = Fraction(1)
+            start = 0
+            if re.match(r"^-?\d+(/\d+)?$", parts[0]):
+                try:
+                    coeff = Fraction(parts[0])
+                except ZeroDivisionError:
+                    raise AlgebraError(
+                        f"malformed coefficient {parts[0]!r}") from None
+                except ValueError:  # more digits than int() converts
+                    raise AlgebraError(f"coefficient of {len(parts[0])} "
+                                       "characters is too large") from None
+                start = 1
+            elif parts[0].startswith("-"):
+                coeff = Fraction(-1)
+                parts[0] = parts[0][1:].strip()
+            powers = []
+            for at in range(start, len(parts)):
+                fm = _FACTOR.match(parts[at])
+                if not fm:
+                    raise AlgebraError(f"malformed factor {parts[at]!r}")
+                name = fm.group(1) + (fm.group(2) or "")
+                c = chart.coordinate(name)
+                try:
+                    powers.append((c, int(fm.group(3) or 1)))
+                except ValueError:  # more digits than int() converts
+                    raise AlgebraError(
+                        f"exponent of {name} is too large") from None
+            # the chart holds no term above its truncation, and a huge
+            # exponent must not be expanded into a factor list first
+            at = 0
+            degree = sum(e for _, e in powers)
+            if degree > chart.truncation:
+                raise AlgebraError(f"term degree {degree} exceeds truncation "
+                                   f"{chart.truncation}")
+        except AlgebraError as exc:
+            raise AlgebraError(
+                f"column {_column(text, t, at)}: {exc}") from None
         raw = [c for c, e in powers for _ in range(e)]
         if not raw:
             yield Monomial(()), coeff

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -389,6 +390,51 @@ def certificate_reference(chart: Chart, ops: dict) -> PropertyReport:
                 f"mismatch witness {res.witness.text() if res.witness else '?'}"))
 
     return PropertyReport(checks)
+
+
+def count_vectors_reference(index: dict, target: tuple, cap: int) -> list:
+    """``algebra._count_vectors`` as it searched before it branched on the
+    remainder's lowest entry: every usable run at every level, the last
+    step of a count vector by lookup in ``run_of``, and, when no weight is
+    negative, the runs pruned by the ``below`` sets (built here from the
+    index's ``vecs``) and a branch ended at a negative remainder.  The
+    reference for the packed search."""
+    runs, vecs, run_of = index["runs"], index["vecs"], index["run_of"]
+    nonneg = index["nonneg"]
+    below = [[frozenset(k for k, v in enumerate(vecs) if v[j] <= t)
+              for t in range(max((v[j] for v in vecs), default=0) + 1)]
+             for j in range(len(index["position"]))] if nonneg else None
+    limits = [len(run) if odd else cap for run, odd in zip(runs, index["odd"])]
+    if not nonneg:
+        usable = list(range(len(runs)))
+    elif min(target, default=0) < 0:
+        usable = []
+    else:
+        usable = sorted(set(range(len(runs))).intersection(
+            *(below_j[min(t, len(below_j) - 1)]
+              for below_j, t in zip(below, target))))
+    out = [()] if not any(target) else []
+
+    def search(start, last, rem, budget, picked):
+        for n in range(1, budget + 1):
+            if any(x % n for x in rem):
+                continue
+            k = run_of.get(tuple(x // n for x in rem))
+            if k is not None and k > last and n <= limits[k]:
+                out.append(picked + ((k, n),))
+        if budget < 2:
+            return
+        for i in range(start, len(usable)):
+            k = usable[i]
+            left = rem
+            for n in range(1, min(limits[k], budget - 1) + 1):
+                left = tuple(map(operator.sub, left, vecs[k]))
+                if nonneg and min(left, default=0) < 0:
+                    break
+                search(i + 1, k, left, budget - n, picked + ((k, n),))
+
+    search(0, -1, target, cap, ())
+    return out
 
 
 def fiber_reference(chart: Chart, w: Weight) -> list[Monomial]:

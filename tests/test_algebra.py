@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from gradedvb import (
     Monomial,
     ZERO,
     basic_symbol,
+    system_from_rows,
     component_basis,
     lift_symbols,
     linearize_chart,
@@ -16,9 +19,10 @@ from gradedvb import (
     normalize,
     weight,
 )
-from conftest import (assert_canonical, degree_system, fiber_reference,
-                      full_lift, random_chart, random_nonneg_system,
-                      rank1_chart)
+from gradedvb.algebra import _count_vectors, _dense, _search_index
+from conftest import (assert_canonical, count_vectors_reference,
+                      degree_system, fiber_reference, full_lift, random_chart,
+                      random_nonneg_system, rank1_chart)
 
 
 def odd_pair_chart():
@@ -316,6 +320,15 @@ class TestFiberBasis:
             assert (fibers.system, fibers.truncation, fibers.applied_lifts) \
                 == (chart.system, chart.truncation, chart.applied_lifts)
 
+    def test_fibers_fields_equal_the_validating_build(self):
+        for chart in self.fiber_charts():
+            built = Chart(chart.system, tuple(c for c in chart.coordinates
+                                              if not c.weight.is_zero),
+                          chart.truncation, chart.applied_lifts)
+            for f in dataclasses.fields(Chart):
+                assert getattr(chart.fibers, f.name) == \
+                    getattr(built, f.name), f.name
+
     def test_equal_charts_give_equal_fibers(self):
         for chart, twin in zip(self.fiber_charts(), self.fiber_charts()):
             assert chart is not twin and chart == twin
@@ -374,6 +387,72 @@ class TestFiberBasis:
                         got_full = component_basis(chart, w)
                         got_fib = component_basis(chart.fibers, w)
                     assert (got_full, got_fib) == (full, fib), w.label
+
+
+class TestPackedSearch:
+    """``_count_vectors`` against ``count_vectors_reference``, the search
+    it replaced, set for set, with no count vector listed twice and the
+    entries of each in increasing run order, on every degree cap up to
+    two above the truncation."""
+
+    def assert_matches(self, rng, chart):
+        index = _search_index(chart)
+        vecs, top = index["vecs"], index["top"]
+        # on the basis: every element and sums of up to cap runs, which
+        # reach the degree boundary; out of reach: an entry above the
+        # truncation times the largest entry there, or a negative one
+        targets = [_dense(w, index["position"])
+                   for w in chart.system.sorted_elements()]
+        for count in range(1, chart.truncation + 1):
+            picks = rng.choices(vecs, k=count) if vecs else []
+            targets.append(tuple(map(sum, zip(*picks))) if picks
+                           else (0,) * len(top))
+        j = rng.randrange(len(top))
+        targets.append(tuple(t * chart.truncation + (i == j)
+                             for i, t in enumerate(top)))
+        targets.append(tuple(-(i == j) for i in range(len(top))))
+        for target in targets:
+            for cap in range(chart.truncation + 3):
+                got = _count_vectors(index, target, cap)
+                assert len(set(got)) == len(got), (target, cap)
+                assert all(list(n) == sorted(n) for n in got)
+                assert set(got) == set(
+                    count_vectors_reference(index, target, cap)), (target, cap)
+        # off the basis: no search at all
+        off = weight({basic_symbol(9, 0): 1})
+        assert component_basis(chart, off) == []
+
+    @pytest.mark.parametrize("trunc", range(1, 7))
+    def test_random_charts_and_their_fibers(self, trunc):
+        rng = random.Random(trunc)
+        for base in range(4):
+            ws = random_nonneg_system(rng, max_rank=3, max_mult=3)
+            chart = random_chart(rng, ws, max_dim=3, trunc=trunc,
+                                 base_dim=base)
+            for c in (chart, chart.fibers):
+                self.assert_matches(rng, c)
+
+    def test_linearized_and_lifted_charts(self, rng):
+        for _ in range(4):
+            ws = random_nonneg_system(rng, max_rank=2, max_mult=3)
+            lc = linearize_chart(random_chart(rng, ws, max_dim=2, trunc=4))
+            for c in (lc.quotient, lc.chart, lc.chart.fibers):
+                self.assert_matches(rng, c)
+        lifted = full_lift(rank1_chart(2, [2, 1, 2], 0))
+        assert not all(c.weight.is_nonnegative for c in lifted.coordinates)
+        self.assert_matches(rng, lifted)
+
+    @pytest.mark.parametrize("parities,rows", [
+        ([1], [[0], [1], [128], [129], [255], [256], [300]]),
+        ([0], [[0], [1], [2], [130], [260]]),
+        ([0, 1], [[0, 0], [1, 0], [0, 1], [130, 1], [129, 140], [1, 200]]),
+    ])
+    def test_coefficients_beyond_eight_bits(self, rng, parities, rows):
+        ws = system_from_rows(parities, rows)
+        for trunc in (2, 3):
+            chart = Chart.from_dims(ws, {w: rng.randint(1, 2) for w in
+                                         ws.sorted_elements()}, trunc)
+            self.assert_matches(rng, chart)
 
 
 class TestTrustedMonomials:

@@ -43,6 +43,7 @@ from gradedvb import (
 )
 from gradedvb.tangent import tangent_lift
 from gradedvb import analysis, linalg
+from gradedvb.algebra import Coordinate, CoordinateId
 from gradedvb.analysis import _component_matrix, _restricted, _transfer
 from gradedvb.weights import lift_shift
 from gradedvb.specfile import parse_spec
@@ -1138,6 +1139,16 @@ class TestFiberBlocks:
             seen += assert_blocks_match(lc.chart, ops, True)
         assert seen[True]
 
+    @pytest.mark.parametrize("trunc", range(1, 7))
+    def test_base_count_is_the_listed_count(self, trunc):
+        rng = random.Random(trunc)
+        for base in range(4):
+            ws = random_nonneg_system(rng, max_rank=2, max_mult=2)
+            chart = random_chart(rng, ws, trunc=trunc, base_dim=base)
+            for k in range(trunc + 1):
+                assert analysis._base_count(chart, k) == \
+                    len(component_basis(chart, ZERO, trunc - k))
+
     def test_frontier_default_charts(self):
         """The default charts of ``scripts/frontier.py`` but degrees 6 and
         7, whose whole-component references take seconds; the frontier
@@ -1556,6 +1567,34 @@ class TestReconstruct:
         assert outcomes["refused"]
         assert set(k for k in outcomes if k[0] == "flagged") == {
             ("flagged", 2)}
+
+    @pytest.mark.parametrize("dims,trunc", [([1, 1, 1], 2), ([1, 1, 1], 3),
+                                            ([2, 1, 1], 3)])
+    def test_negative_weight_coordinate(self, dims, trunc):
+        # a chart allows a coordinate of negative weight off the elements;
+        # its product with the top coordinate has weight 0, so the base
+        # counts list the weight-0 monomials, and the outcome is the one
+        # every count gave when each was listed
+        lc = linearize_chart(rank1_chart(2, dims, trunc=trunc))
+        w = weight({A: -1, B2: -1})
+        chart = Chart(lc.chart.system, lc.chart.coordinates + (
+            Coordinate(CoordinateId("y1"), w, w.parity),), trunc,
+            lc.chart.applied_lifts)
+        op = lc.operators[B2]
+        op = Derivation(chart, op.weight_shift, op.parity, {
+            c: Polynomial(chart, img.terms) for c, img in op.images.items()})
+        counts = [analysis._base_count(chart, k) for k in (1, 2)]
+        assert counts == [len(component_basis(chart, ZERO, trunc - k))
+                          for k in (1, 2)]
+        plain = [analysis._base_count(lc.chart, k) for k in (1, 2)]
+        assert (counts == plain) == (trunc == 2)
+        if trunc == 2:
+            res = reconstruct_degree2(chart, op)
+            assert (res.kernel_dim, res.verified) == (2, False)
+        else:
+            with pytest.raises(AnalysisError, match="kernel is not generated "
+                               "by constant-coefficient elements"):
+                reconstruct_degree2(chart, op)
 
     def test_flagged_images_are_refused_as_the_certificate_refuses(self):
         """An operator whose images lost terms to the truncation is refused

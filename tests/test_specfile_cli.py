@@ -542,7 +542,7 @@ class TestInvertCommand:
         assert code == 2
         assert out == ""
         err = capsys.readouterr().err
-        assert err == "error: --rhs: malformed coefficient '1/0'\n"
+        assert err == "error: --rhs: column 1: malformed coefficient '1/0'\n"
 
     def test_zero_denominator_json(self, capsys):
         code, out = run_cli("--json", "invert", data("m2.spec"), "--lam",
@@ -550,7 +550,7 @@ class TestInvertCommand:
         assert code == 2
         assert out == ""
         err = capsys.readouterr().err
-        assert err == "error: --rhs: malformed coefficient '1/0'\n"
+        assert err == "error: --rhs: column 1: malformed coefficient '1/0'\n"
 
     @pytest.mark.parametrize("rhs,msg", [
         ("9" * 5000 + " * x1", "coefficient of 5000 characters is too large"),
@@ -561,14 +561,15 @@ class TestInvertCommand:
                             "--rhs", rhs)
         assert code == 2
         assert out == ""
-        assert capsys.readouterr().err == f"error: --rhs: {msg}\n"
+        assert capsys.readouterr().err == f"error: --rhs: column 1: {msg}\n"
 
     def test_malformed_factor_exits_two(self, capsys):
         code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
                             "--rhs", "zz")
         assert code == 2
         assert out == ""
-        assert capsys.readouterr().err == "error: --rhs: malformed factor 'zz'\n"
+        assert capsys.readouterr().err == \
+            "error: --rhs: column 1: malformed factor 'zz'\n"
 
     # a term above the truncation is refused before its factors are
     # expanded, so a huge exponent costs nothing
@@ -579,6 +580,25 @@ class TestInvertCommand:
         ("x1^" + "9" * 5000, "exponent of x1 is too large"),
     ])
     def test_over_degree_term_exits_two(self, capsys, rhs, msg):
+        code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
+                            "--rhs", rhs)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: --rhs: column 1: {msg}\n"
+
+    # every --rhs error names the column of the factor or term at fault
+    @pytest.mark.parametrize("rhs,msg", [
+        ("x1 * * y", "column 6: malformed factor ''"),
+        ("(x1", "column 1: malformed factor '(x1'"),
+        ("3/0 * x1", "column 1: malformed coefficient '3/0'"),
+        ("x1 + + 2", "column 6: empty term in polynomial text"),
+        ("  x1 +  2 * zz", "column 13: malformed factor 'zz'"),
+        ("x1 * x9", "column 6: no coordinate named 'x9'"),
+        ("x1 + x1^2 * x1^2", "column 6: term degree 4 exceeds truncation 3"),
+        ("x1 + xi{a1}_1^" + "9" * 5000, "column 6: exponent of xi{a1}_1 is "
+                                        "too large"),
+    ])
+    def test_rhs_error_names_a_column(self, capsys, rhs, msg):
         code, out = run_cli("invert", data("m2.spec"), "--lam", "b2_1",
                             "--rhs", rhs)
         assert code == 2
